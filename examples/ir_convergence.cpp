@@ -44,15 +44,8 @@ void study(const ProblemGenerator& gen, index_t b) {
     }
     // d = U^{-1} L^{-1} r with FP32 factors / FP64 accumulation.
     std::vector<double> d(static_cast<std::size_t>(n));
-    Buffer<double> row(n);
-    for (index_t i = 0; i < n; ++i) {
-      gen.fillTile<double>(i, 0, 1, n, row.data(), 1);
-      double acc = gen.rhs(i);
-      for (index_t j = 0; j < n; ++j) {
-        acc -= row[j] * x[static_cast<std::size_t>(j)];
-      }
-      d[static_cast<std::size_t>(i)] = acc;
-    }
+    gen.fillRhs<double>(0, n, d.data());
+    gen.addProduct(-1.0, 1, x.data(), n, d.data(), n);
     blas::strsvMixed(blas::Uplo::kLower, blas::Diag::kUnit, n, a.data(), n,
                      d.data());
     blas::strsvMixed(blas::Uplo::kUpper, blas::Diag::kNonUnit, n, a.data(),

@@ -1,9 +1,9 @@
 #include "core/gmres_ir.h"
 
 #include <cmath>
-#include <limits>
 
 #include "core/dist_kernels.h"
+#include "core/verify.h"
 
 namespace hplmxp {
 
@@ -19,14 +19,6 @@ double dot(const std::vector<double>& a, const std::vector<double>& b) {
 
 double norm2(const std::vector<double>& a) { return std::sqrt(dot(a, a)); }
 
-double infNormOf(const std::vector<double>& a) {
-  double best = 0.0;
-  for (double v : a) {
-    best = std::max(best, std::fabs(v));
-  }
-  return best;
-}
-
 }  // namespace
 
 IrOutcome refineGmres(DistContext& ctx, const HplaiConfig& config,
@@ -39,10 +31,8 @@ IrOutcome refineGmres(DistContext& ctx, const HplaiConfig& config,
 
   const double diagInf = gen.diagInfNorm();
   const double bInf = gen.rhsInfNorm();
-  constexpr double kEps = std::numeric_limits<double>::epsilon();
   auto threshold = [&](double xInf) {
-    return 8.0 * static_cast<double>(n) * kEps *
-           (2.0 * diagInf * xInf + bInf);
+    return hplaiThreshold(n, diagInf, xInf, bInf);
   };
   auto precondition = [&](std::vector<double>& v) {
     distributedBlockTrsv<float>(ctx, config.b, blas::Uplo::kLower, localLU,
@@ -63,8 +53,8 @@ IrOutcome refineGmres(DistContext& ctx, const HplaiConfig& config,
   for (index_t outer = 0; outer < gmres.maxOuter; ++outer) {
     // True (unpreconditioned) residual and convergence check.
     distributedResidual(ctx, gen, x, r);
-    out.residualInf = infNormOf(r);
-    out.threshold = threshold(infNormOf(x));
+    out.residualInf = infNorm(r);
+    out.threshold = threshold(infNorm(x));
     if (out.residualInf < out.threshold) {
       out.converged = true;
       return out;
@@ -158,8 +148,8 @@ IrOutcome refineGmres(DistContext& ctx, const HplaiConfig& config,
 
   // Final residual report after exhausting the budget.
   distributedResidual(ctx, gen, x, r);
-  out.residualInf = infNormOf(r);
-  out.threshold = threshold(infNormOf(x));
+  out.residualInf = infNorm(r);
+  out.threshold = threshold(infNorm(x));
   out.converged = out.residualInf < out.threshold;
   return out;
 }

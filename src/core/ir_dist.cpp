@@ -5,6 +5,7 @@
 
 #include "core/dist_kernels.h"
 #include "core/gmres_ir.h"
+#include "core/verify.h"
 #include "util/logging.h"
 
 namespace hplmxp {
@@ -19,9 +20,7 @@ DistIR::DistIR(DistContext& ctx, const HplaiConfig& config,
 }
 
 double DistIR::threshold(double xInf) const {
-  constexpr double kEps = std::numeric_limits<double>::epsilon();
-  return 8.0 * static_cast<double>(config_.n) * kEps *
-         (2.0 * diagInf_ * xInf + bInf_);
+  return hplaiThreshold(config_.n, diagInf_, xInf, bInf_);
 }
 
 void DistIR::residual(const std::vector<double>& x, std::vector<double>& r) {

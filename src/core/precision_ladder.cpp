@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "blas/trsv.h"
+#include "core/verify.h"
 #include "util/buffer.h"
 #include "util/timer.h"
 
@@ -12,34 +13,17 @@ namespace hplmxp {
 
 namespace {
 
-constexpr double kEps = std::numeric_limits<double>::epsilon();
-
-/// HPL-AI convergence threshold (Algorithm 1, line 44).
-double hplaiThreshold(index_t n, double diagInf, double xInf, double bInf) {
-  return 8.0 * static_cast<double>(n) * kEps * (2.0 * diagInf * xInf + bInf);
-}
-
-/// FP64 residual r = b - A x by row regeneration; returns ||r||_inf and
-/// fills xInf. Sequential accumulation: deterministic.
+/// FP64 residual r = b - A x with A streamed by columns; returns
+/// ||r||_inf and fills xInf. Deterministic: each r(i) sums in increasing j.
 double residualInfNorm(const ProblemGenerator& gen,
                        const std::vector<double>& b,
                        const std::vector<double>& x, std::vector<double>& r,
                        double& xInf) {
   const index_t n = gen.n();
-  Buffer<double> arow(n);
-  double rInf = 0.0;
-  xInf = 0.0;
-  for (index_t i = 0; i < n; ++i) {
-    gen.fillTile<double>(i, 0, 1, n, arow.data(), 1);
-    double acc = b[static_cast<std::size_t>(i)];
-    for (index_t j = 0; j < n; ++j) {
-      acc -= arow[j] * x[static_cast<std::size_t>(j)];
-    }
-    r[static_cast<std::size_t>(i)] = acc;
-    rInf = std::max(rInf, std::fabs(acc));
-    xInf = std::max(xInf, std::fabs(x[static_cast<std::size_t>(i)]));
-  }
-  return rInf;
+  r = b;
+  gen.addProduct(-1.0, 1, x.data(), n, r.data(), n);
+  xInf = infNorm(x);
+  return infNorm(r);
 }
 
 /// Divergence classifier over an IR residual trajectory: non-finite
@@ -139,13 +123,12 @@ GmresSingleResult refineGmresSingle(const Factorization& f,
   GmresSingleResult result;
   std::vector<double> b(static_cast<std::size_t>(n));
   gen.fillRhs<double>(0, n, b.data());
-  const double bInf = gen.rhsInfNorm();
+  const double bInf = infNorm(b);
   if (x.size() != static_cast<std::size_t>(n)) {
     x.assign(static_cast<std::size_t>(n), 0.0);
   }
 
   std::vector<double> r(static_cast<std::size_t>(n));
-  Buffer<double> arow(n);
   // Krylov basis V (m+1 columns) and preconditioned directions Z (m
   // columns): Z[j] = M^{-1} V[j], solution update lives in span(Z).
   std::vector<std::vector<double>> V(
@@ -198,16 +181,10 @@ GmresSingleResult refineGmresSingle(const Factorization& f,
                        f.lu.data(), n, z);
       blas::strsvMixed(blas::Uplo::kUpper, blas::Diag::kNonUnit, n,
                        f.lu.data(), n, z);
-      // w = A z, FP64 row regeneration.
+      // w = A z, A streamed by columns in FP64.
       std::vector<double>& w = V[static_cast<std::size_t>(j + 1)];
-      for (index_t i = 0; i < n; ++i) {
-        gen.fillTile<double>(i, 0, 1, n, arow.data(), 1);
-        double acc = 0.0;
-        for (index_t l = 0; l < n; ++l) {
-          acc += arow[l] * z[static_cast<std::size_t>(l)];
-        }
-        w[static_cast<std::size_t>(i)] = acc;
-      }
+      std::fill(w.begin(), w.end(), 0.0);
+      gen.addProduct(1.0, 1, z, n, w.data(), n);
       // Modified Gram-Schmidt.
       for (index_t i = 0; i <= j; ++i) {
         double dot = 0.0;

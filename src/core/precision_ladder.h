@@ -117,10 +117,11 @@ LadderResult solveLadderSingle(const ProblemGenerator& gen, index_t b,
 
 /// Single-device LU-preconditioned restarted GMRES refinement: solves
 /// A x = b(gen) to the HPL-AI criterion using the FP32 factors of `f` as
-/// the right preconditioner (strsvMixed pair) and FP64 row-regenerated
-/// matvecs, starting from iterate `x` (improved in place). This is the
-/// top-rung fallback when classical IR on fp16 factors stalls; unlike
-/// core/gmres_ir.h it needs no grid or communicator.
+/// the right preconditioner (strsvMixed pair) and FP64 matvecs that
+/// stream A by regenerated columns, starting from iterate `x` (improved
+/// in place). This is the top-rung fallback when classical IR on fp16
+/// factors stalls; unlike core/gmres_ir.h it needs no grid or
+/// communicator.
 struct GmresSingleResult {
   bool converged = false;
   index_t iterations = 0;  // total Krylov steps across outer cycles

@@ -1,9 +1,10 @@
 #include "core/single_solver.h"
 
+#include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "blas/blas.h"
+#include "core/verify.h"
 #include "device/shim.h"
 #include "lowp/traits.h"
 #include "util/timer.h"
@@ -136,7 +137,6 @@ SolveManyResult solveManyMixedSingle(const Factorization& f,
   }
 
   Timer timer;
-  constexpr double kEps = std::numeric_limits<double>::epsilon();
   const double diagInf = f.diagInfNorm;
 
   // diag(A) once for every column's Jacobi-style initial guess — the same
@@ -147,19 +147,17 @@ SolveManyResult solveManyMixedSingle(const Factorization& f,
     diag[static_cast<std::size_t>(i)] = gen.entry(i, i);
   }
 
-  // Per-column rhs, solution, residual, and scale. Column c's rhs is the
-  // rhs stream of a generator seeded with rhsSeeds[c] over the same order.
+  // Per-column rhs, its norm, and the solution. Column c's rhs is the rhs
+  // stream of a generator seeded with rhsSeeds[c] over the same order.
   std::vector<std::vector<double>> bvecs(rhsSeeds.size());
   std::vector<double> bInf(rhsSeeds.size(), 0.0);
-  std::vector<std::vector<double>> r(rhsSeeds.size());
   for (std::size_t c = 0; c < rhsSeeds.size(); ++c) {
     const ProblemGenerator rhsGen(rhsSeeds[c], n);
     bvecs[c].resize(static_cast<std::size_t>(n));
     rhsGen.fillRhs<double>(0, n, bvecs[c].data());
-    bInf[c] = rhsGen.rhsInfNorm();
+    bInf[c] = infNorm(bvecs[c]);
     result.columns[c].rhsSeed = rhsSeeds[c];
-    xs[c].assign(static_cast<std::size_t>(n), 0.0);
-    r[c].resize(static_cast<std::size_t>(n));
+    xs[c].resize(static_cast<std::size_t>(n));
     for (index_t i = 0; i < n; ++i) {
       xs[c][static_cast<std::size_t>(i)] =
           bvecs[c][static_cast<std::size_t>(i)] /
@@ -167,78 +165,63 @@ SolveManyResult solveManyMixedSingle(const Factorization& f,
     }
   }
 
-  std::vector<char> active(rhsSeeds.size(), 1);
-  index_t activeCount = k;
-  Buffer<double> arow(n);  // one regenerated FP64 row, shared by the batch
-  // Correction panel: active columns' residuals packed contiguously for
-  // the blocked strsmMixed solves.
+  // The still-active columns, packed side by side in increasing c: their
+  // solutions, and their residuals, which the blocked strsmMixed pair
+  // turns into corrections in place.
+  std::vector<std::size_t> activeCols(rhsSeeds.size());
+  for (std::size_t c = 0; c < activeCols.size(); ++c) {
+    activeCols[c] = c;
+  }
+  Buffer<double> xPanel(n * k);
   Buffer<double> panel(n * k);
-  std::vector<std::size_t> panelCols(rhsSeeds.size());
 
-  for (index_t iter = 0; iter <= maxIrIterations && activeCount > 0;
-       ++iter) {
-    // r = b - A x with regenerated FP64 rows, each row shared across every
-    // still-active column (the batching win on the residual side).
-    std::vector<double> rInf(rhsSeeds.size(), 0.0);
-    std::vector<double> xInf(rhsSeeds.size(), 0.0);
-    for (index_t i = 0; i < n; ++i) {
-      gen.fillTile<double>(i, 0, 1, n, arow.data(), 1);
-      for (std::size_t c = 0; c < rhsSeeds.size(); ++c) {
-        if (!active[c]) {
-          continue;
-        }
-        double acc = bvecs[c][static_cast<std::size_t>(i)];
-        const double* xc = xs[c].data();
-        for (index_t j = 0; j < n; ++j) {
-          acc -= arow[j] * xc[static_cast<std::size_t>(j)];
-        }
-        r[c][static_cast<std::size_t>(i)] = acc;
-        rInf[c] = std::max(rInf[c], std::fabs(acc));
-        xInf[c] =
-            std::max(xInf[c], std::fabs(xc[static_cast<std::size_t>(i)]));
-      }
+  for (index_t iter = 0; iter <= maxIrIterations; ++iter) {
+    // r = b - A x for every active column in one streamed pass over A:
+    // each regenerated FP64 column of A serves the whole batch.
+    const auto packed = static_cast<index_t>(activeCols.size());
+    for (index_t p = 0; p < packed; ++p) {
+      const std::size_t c = activeCols[static_cast<std::size_t>(p)];
+      std::copy(xs[c].begin(), xs[c].end(), xPanel.data() + p * n);
+      std::copy(bvecs[c].begin(), bvecs[c].end(), panel.data() + p * n);
     }
-    for (std::size_t c = 0; c < rhsSeeds.size(); ++c) {
-      if (!active[c]) {
-        continue;
+    gen.addProduct(-1.0, packed, xPanel.data(), n, panel.data(), n);
+
+    // A column that meets its threshold is frozen while its batch-mates
+    // iterate on; the rest close ranks in the panel.
+    index_t kept = 0;
+    for (index_t p = 0; p < packed; ++p) {
+      const std::size_t c = activeCols[static_cast<std::size_t>(p)];
+      const double* rc = panel.data() + p * n;
+      double rInf = 0.0;
+      for (index_t i = 0; i < n; ++i) {
+        rInf = std::max(rInf, std::fabs(rc[i]));
       }
       SolveManyColumn& col = result.columns[c];
-      col.residualInf = rInf[c];
-      col.threshold = 8.0 * static_cast<double>(n) * kEps *
-                      (2.0 * diagInf * xInf[c] + bInf[c]);
-      col.residualHistory.push_back(rInf[c]);
-      if (rInf[c] < col.threshold) {
-        // Converged: freeze the column while its batch-mates iterate on.
+      col.residualInf = rInf;
+      col.threshold = hplaiThreshold(n, diagInf, infNorm(xs[c]), bInf[c]);
+      col.residualHistory.push_back(rInf);
+      if (rInf < col.threshold) {
         col.converged = true;
-        active[c] = 0;
-        --activeCount;
+        continue;
       }
+      if (kept != p) {
+        std::copy(rc, rc + n, panel.data() + kept * n);
+      }
+      activeCols[static_cast<std::size_t>(kept)] = c;
+      ++kept;
     }
-    if (iter == maxIrIterations || activeCount == 0) {
+    activeCols.resize(static_cast<std::size_t>(kept));
+    if (iter == maxIrIterations || kept == 0) {
       break;
     }
 
-    // d = U^{-1} (L^{-1} r) for every active column at once: pack the
-    // residuals into a dense panel and run the blocked mixed TRSM pair.
-    index_t packed = 0;
-    for (std::size_t c = 0; c < rhsSeeds.size(); ++c) {
-      if (!active[c]) {
-        continue;
-      }
-      panelCols[static_cast<std::size_t>(packed)] = c;
-      double* dst = panel.data() + packed * n;
-      const double* src = r[c].data();
-      for (index_t i = 0; i < n; ++i) {
-        dst[i] = src[i];
-      }
-      ++packed;
-    }
-    blas::strsmMixed(blas::Uplo::kLower, blas::Diag::kUnit, n, packed,
+    // d = U^{-1} (L^{-1} r) for every active column at once.
+    blas::strsmMixed(blas::Uplo::kLower, blas::Diag::kUnit, n, kept,
                      f.lu.data(), n, panel.data(), n, pool);
-    blas::strsmMixed(blas::Uplo::kUpper, blas::Diag::kNonUnit, n, packed,
+    blas::strsmMixed(blas::Uplo::kUpper, blas::Diag::kNonUnit, n, kept,
                      f.lu.data(), n, panel.data(), n, pool);
-    for (index_t p = 0; p < packed; ++p) {
-      const std::size_t c = panelCols[static_cast<std::size_t>(p)];
+    for (index_t p = 0; p < kept; ++p) {
+      const std::size_t c = activeCols[static_cast<std::size_t>(p)];
       const double* d = panel.data() + p * n;
       double* xc = xs[c].data();
       for (index_t i = 0; i < n; ++i) {

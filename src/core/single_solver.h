@@ -132,13 +132,14 @@ Factorization factorStorageSingle(const ProblemGenerator& gen, index_t b,
 /// benchmark's own b vector. `xs` receives one solution vector per seed.
 ///
 /// The correction solves go through the trsm-backed strsmMixed panel
-/// kernel instead of a per-vector TRSV loop, and the FP64 residual rows
-/// are regenerated once per iteration and shared across all still-active
-/// columns. Convergence is tracked per column: a column that meets its
-/// threshold is frozen (no further residuals or corrections) while its
-/// batch-mates keep iterating. Every column's iteration count, residual
-/// trajectory, and solution are bitwise identical to a k=1 solve of the
-/// same rhs seed (tests/test_solve_many.cpp).
+/// kernel instead of a per-vector TRSV loop, and the FP64 residual streams
+/// A once per iteration, one regenerated column at a time
+/// (ProblemGenerator::addProduct), each column shared by all still-active
+/// right-hand sides. Convergence is tracked per column: a column that
+/// meets its threshold is frozen (no further residuals or corrections)
+/// while its batch-mates keep iterating. Every column's iteration count,
+/// residual trajectory, and solution are bitwise identical to a k=1 solve
+/// of the same rhs seed (tests/test_solve_many.cpp).
 SolveManyResult solveManyMixedSingle(const Factorization& f,
                                      const ProblemGenerator& gen,
                                      const std::vector<std::uint64_t>& rhsSeeds,

@@ -1,9 +1,8 @@
 #include "core/verify.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
-
-#include "util/buffer.h"
 
 namespace hplmxp {
 
@@ -11,23 +10,19 @@ double residualInfDense(const ProblemGenerator& gen,
                         const std::vector<double>& x) {
   const index_t n = gen.n();
   HPLMXP_REQUIRE(static_cast<index_t>(x.size()) == n, "x size mismatch");
-  Buffer<double> row(n);
-  double rInf = 0.0;
-  for (index_t i = 0; i < n; ++i) {
-    gen.fillTile<double>(i, 0, 1, n, row.data(), 1);
-    double acc = gen.rhs(i);
-    for (index_t j = 0; j < n; ++j) {
-      acc -= row[j] * x[static_cast<std::size_t>(j)];
-    }
-    rInf = std::max(rInf, std::fabs(acc));
-  }
-  return rInf;
+  std::vector<double> r(static_cast<std::size_t>(n));
+  gen.fillRhs<double>(0, n, r.data());
+  gen.addProduct(-1.0, 1, x.data(), n, r.data(), n);
+  return infNorm(r);
+}
+
+double hplaiThreshold(index_t n, double diagInf, double xInf, double bInf) {
+  constexpr double kEps = std::numeric_limits<double>::epsilon();
+  return 8.0 * static_cast<double>(n) * kEps * (2.0 * diagInf * xInf + bInf);
 }
 
 double hplaiThreshold(const ProblemGenerator& gen, double xInf) {
-  constexpr double kEps = std::numeric_limits<double>::epsilon();
-  return 8.0 * static_cast<double>(gen.n()) * kEps *
-         (2.0 * gen.diagInfNorm() * xInf + gen.rhsInfNorm());
+  return hplaiThreshold(gen.n(), gen.diagInfNorm(), xInf, gen.rhsInfNorm());
 }
 
 double infNorm(const std::vector<double>& x) {

@@ -8,11 +8,16 @@
 
 namespace hplmxp {
 
-/// ||b - A x||_inf computed densely in FP64 by regeneration. O(N^2).
+/// ||b - A x||_inf in FP64, A regenerated column by column
+/// (ProblemGenerator::addProduct). O(N^2).
 double residualInfDense(const ProblemGenerator& gen,
                         const std::vector<double>& x);
 
-/// The HPL-AI line-44 threshold for the given problem and ||x||_inf.
+/// The HPL-AI convergence threshold (Algorithm 1, line 44):
+/// 8 n eps (2 ||diag A||_inf ||x||_inf + ||b||_inf).
+double hplaiThreshold(index_t n, double diagInf, double xInf, double bInf);
+
+/// The line-44 threshold for the given problem and ||x||_inf.
 double hplaiThreshold(const ProblemGenerator& gen, double xInf);
 
 /// ||x||_inf.

@@ -1,6 +1,10 @@
 #include "gen/matgen.h"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
+
+#include "util/buffer.h"
 
 namespace hplmxp {
 
@@ -41,21 +45,48 @@ double ProblemGenerator::diagInfNorm() const {
   return best;
 }
 
+void ProblemGenerator::addProduct(double sign, index_t k, const double* x,
+                                  index_t ldx, double* y,
+                                  index_t ldy) const {
+  HPLMXP_REQUIRE(sign == 1.0 || sign == -1.0, "product sign must be +1 or -1");
+  HPLMXP_REQUIRE(k >= 0 && ldx >= n_ && ldy >= n_,
+                 "panel shape does not fit the matrix order");
+  Buffer<double> col(n_);
+  for (index_t j = 0; j < n_; ++j) {
+    fillTile<double>(0, j, n_, 1, col.data(), n_);
+    for (index_t c = 0; c < k; ++c) {
+      // A(i,j) * (sign * x) is exactly sign * (A(i,j) * x), and adding the
+      // negated product is exactly subtracting it.
+      const double xj = sign * x[j + c * ldx];
+      double* yc = y + c * ldy;
+      for (index_t i = 0; i < n_; ++i) {
+        yc[i] += col[i] * xj;
+      }
+    }
+  }
+}
+
 double ProblemGenerator::rhsInfNorm() const {
+  Buffer<double> b(n_);
+  fillRhs<double>(0, n_, b.data());
   double best = 0.0;
   for (index_t i = 0; i < n_; ++i) {
-    best = std::max(best, std::fabs(rhs(i)));
+    best = std::max(best, std::fabs(b[i]));
   }
   return best;
 }
 
 double ProblemGenerator::matrixInfNorm() const {
-  double best = 0.0;
-  for (index_t i = 0; i < n_; ++i) {
-    double rowSum = 0.0;
-    for (index_t j = 0; j < n_; ++j) {
-      rowSum += std::fabs(entry(i, j));
+  std::vector<double> rowSums(static_cast<std::size_t>(n_), 0.0);
+  Buffer<double> col(n_);
+  for (index_t j = 0; j < n_; ++j) {
+    fillTile<double>(0, j, n_, 1, col.data(), n_);
+    for (index_t i = 0; i < n_; ++i) {
+      rowSums[static_cast<std::size_t>(i)] += std::fabs(col[i]);
     }
+  }
+  double best = 0.0;
+  for (const double rowSum : rowSums) {
     best = std::max(best, rowSum);
   }
   return best;

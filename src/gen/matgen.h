@@ -52,13 +52,26 @@ class ProblemGenerator {
   template <typename T>
   void fillRhs(index_t i0, index_t rows, T* out) const;
 
+  /// Y(:, c) += sign * A * X(:, c) for the k columns of the col-major
+  /// N x k panels X (leading dimension ldx) and Y (ldy), sign = +1 or -1,
+  /// with A regenerated in FP64 — the refinement residual and mat-vec of
+  /// Algorithm 1 without ever storing A. A is streamed one column at a
+  /// time through fillTile: one O(log N) jump per column plus N^2
+  /// sequential draws, where regenerating row by row pays a jump per
+  /// entry (N^2 jumps). Each column of A serves all k columns of X. Every
+  /// Y(i, c) still receives its N terms in increasing j, so the result is
+  /// bitwise the row dot product `acc = Y(i,c); acc += sign*A(i,j)*X(j,c)`.
+  void addProduct(double sign, index_t k, const double* x, index_t ldx,
+                  double* y, index_t ldy) const;
+
   /// max_i |A(i,i)|; needed by the HPL-AI convergence criterion.
   [[nodiscard]] double diagInfNorm() const;
 
-  /// ||b||_inf, computed by regeneration.
+  /// ||b||_inf, computed by one fillRhs sweep.
   [[nodiscard]] double rhsInfNorm() const;
 
-  /// ||A||_inf (max row sum of |A(i,j)|). O(N^2); intended for the small
+  /// ||A||_inf (max row sum of |A(i,j)|). O(N^2) sequential draws, row
+  /// sums accumulated in a column sweep in increasing j; intended for the
   /// problem sizes used in verification, not extreme-scale runs.
   [[nodiscard]] double matrixInfNorm() const;
 

@@ -2,6 +2,8 @@
 // (op(A) * X == alpha * B), over all side/uplo/diag combinations.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <ostream>
 #include <random>
 #include <vector>
 
@@ -43,6 +45,21 @@ struct TrsmCase {
   index_t m, n;
   float alpha;
 };
+
+// gtest_discover_tests names each case after gtest's byte dump of it. Dump a
+// copy with the padding zeroed, so a case has the same name in every build.
+void PrintTo(const TrsmCase& c, std::ostream* os) {
+  TrsmCase z;
+  std::memset(&z, 0, sizeof z);
+  z.side = c.side;
+  z.uplo = c.uplo;
+  z.diag = c.diag;
+  z.m = c.m;
+  z.n = c.n;
+  z.alpha = c.alpha;
+  ::testing::internal::PrintBytesInObjectTo(
+      reinterpret_cast<const unsigned char*>(&z), sizeof z, os);
+}
 
 class TrsmTest : public ::testing::TestWithParam<TrsmCase> {};
 

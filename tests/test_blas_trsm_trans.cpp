@@ -3,6 +3,8 @@
 // every side/uplo/diag combination.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <ostream>
 #include <random>
 #include <vector>
 
@@ -67,6 +69,21 @@ struct TransCase {
   index_t m, n;
   double alpha;
 };
+
+// gtest_discover_tests names each case after gtest's byte dump of it. Dump a
+// copy with the padding zeroed, so a case has the same name in every build.
+void PrintTo(const TransCase& c, std::ostream* os) {
+  TransCase z;
+  std::memset(&z, 0, sizeof z);
+  z.side = c.side;
+  z.uplo = c.uplo;
+  z.diag = c.diag;
+  z.m = c.m;
+  z.n = c.n;
+  z.alpha = c.alpha;
+  ::testing::internal::PrintBytesInObjectTo(
+      reinterpret_cast<const unsigned char*>(&z), sizeof z, os);
+}
 
 class TrsmTransTest : public ::testing::TestWithParam<TransCase> {};
 

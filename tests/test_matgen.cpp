@@ -2,7 +2,9 @@
 // agreement, diagonal dominance (the no-pivoting justification), norms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "gen/matgen.h"
@@ -134,6 +136,19 @@ TEST(Matgen, Norms) {
   }
   EXPECT_DOUBLE_EQ(g.diagInfNorm(), diagMax);
   EXPECT_DOUBLE_EQ(g.rhsInfNorm(), bMax);
+  // Bitwise against the elementwise definitions: the column sweeps keep
+  // each row sum in increasing j.
+  double rowSumMax = 0.0;
+  for (index_t i = 0; i < n; ++i) {
+    double rowSum = 0.0;
+    for (index_t j = 0; j < n; ++j) {
+      rowSum += std::fabs(g.entry(i, j));
+    }
+    rowSumMax = std::max(rowSumMax, rowSum);
+  }
+  EXPECT_EQ(g.diagInfNorm(), diagMax);
+  EXPECT_EQ(g.rhsInfNorm(), bMax);
+  EXPECT_EQ(g.matrixInfNorm(), rowSumMax);
   // diag ~ N +- 0.5.
   EXPECT_GT(g.diagInfNorm(), static_cast<double>(n) - 0.5);
   EXPECT_LT(g.diagInfNorm(), static_cast<double>(n) + 0.5);
@@ -141,6 +156,63 @@ TEST(Matgen, Norms) {
   const double aInf = g.matrixInfNorm();
   EXPECT_GE(aInf, g.diagInfNorm());
   EXPECT_LE(aInf, static_cast<double>(n) + 0.5 + 0.5 * (n - 1));
+}
+
+/// The row-at-a-time regeneration addProduct replaced: a jump per entry,
+/// and each Y(i, c) a dot product over increasing j.
+void rowByRowProduct(const ProblemGenerator& g, double sign, index_t k,
+                     const double* x, index_t ldx, double* y, index_t ldy) {
+  const index_t n = g.n();
+  std::vector<double> row(static_cast<std::size_t>(n));
+  for (index_t i = 0; i < n; ++i) {
+    g.fillTile<double>(i, 0, 1, n, row.data(), 1);
+    for (index_t c = 0; c < k; ++c) {
+      const double* xc = x + c * ldx;
+      double acc = y[i + c * ldy];
+      for (index_t j = 0; j < n; ++j) {
+        if (sign < 0.0) {
+          acc -= row[static_cast<std::size_t>(j)] * xc[j];
+        } else {
+          acc += row[static_cast<std::size_t>(j)] * xc[j];
+        }
+      }
+      y[i + c * ldy] = acc;
+    }
+  }
+}
+
+TEST(Matgen, AddProductMatchesRowByRowBitwise) {
+  for (const index_t n : {1, 2, 63, 64, 256}) {
+    for (const index_t k : {1, 3, 8}) {
+      for (const double shift : {-1.0, 3.0}) {
+        for (const double sign : {-1.0, 1.0}) {
+          const ProblemGenerator g(41, n, shift);
+          // Padded leading dimensions; the padding must stay untouched.
+          const index_t ldx = n + 1;
+          const index_t ldy = n + 2;
+          std::vector<double> x(static_cast<std::size_t>(ldx * k));
+          std::vector<double> y(static_cast<std::size_t>(ldy * k));
+          ProblemGenerator(42, ldx * k).fillRhs<double>(0, ldx * k, x.data());
+          ProblemGenerator(43, ldy * k).fillRhs<double>(0, ldy * k, y.data());
+          std::vector<double> ref = y;
+          g.addProduct(sign, k, x.data(), ldx, y.data(), ldy);
+          rowByRowProduct(g, sign, k, x.data(), ldx, ref.data(), ldy);
+          EXPECT_EQ(0, std::memcmp(y.data(), ref.data(),
+                                   sizeof(double) * y.size()))
+              << "n=" << n << " k=" << k << " shift=" << shift
+              << " sign=" << sign;
+        }
+      }
+    }
+  }
+}
+
+TEST(Matgen, AddProductRejectsBadSignAndShape) {
+  const ProblemGenerator g(1, 8);
+  std::vector<double> x(8, 1.0);
+  std::vector<double> y(8, 0.0);
+  EXPECT_THROW(g.addProduct(2.0, 1, x.data(), 8, y.data(), 8), CheckError);
+  EXPECT_THROW(g.addProduct(1.0, 1, x.data(), 7, y.data(), 8), CheckError);
 }
 
 TEST(Matgen, LargeOrderEntryIsCheap) {
