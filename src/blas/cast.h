@@ -14,7 +14,11 @@
 // caller to fold into the GEMM's alpha — exactly in FP32, so scaling never
 // perturbs the rounding arithmetic. castToHalf and friends are the
 // historical binary16 names and stay bitwise-identical: they ARE the
-// half16 instantiations.
+// half16 instantiations. On the AVX-512 path (blas/isa.h) the binary16
+// CAST and TRANS_CAST convert 16 lanes at a time with vcvtps2ph (round to
+// nearest even); a 16-lane chunk holding a NaN takes half16(float), so the
+// NaN encoding stays sign|0x7E00 and every output bit matches the scalar
+// path.
 #pragma once
 
 #include "fp16/half.h"

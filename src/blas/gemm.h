@@ -10,19 +10,27 @@
 // op(A) and op(B) are packed once into zero-padded microkernel strips in a
 // persistent pool-owned arena (packed A is shared across all column blocks
 // and packed B across all row blocks — nothing is re-packed, and the hot
-// loop never touches the allocator), then a kGemmMr x kGemmNr register-
-// accumulator microkernel sweeps (mc x nc) macro-tiles under 2D
-// parallelism on the
+// loop never touches the allocator), then an MR x NR register-accumulator
+// microkernel sweeps (mc x nc) macro-tiles under 2D parallelism on the
 // shared ThreadPool. The packing step performs both the transposition
 // and, for gemmMixed, the half->float widening, which is exactly the data
 // flow of a tensor-core MMA pipeline: FP16 operands are widened on load
-// and accumulated in FP32.
+// and accumulated in FP32. The FP32-accumulate kernels run on the path the
+// process selected from CPUID (blas/isa.h): a 24x2 scalar tile, or a 32x8
+// AVX-512 tile whose binary16 packing widens with vcvtph2ps. dgemm always
+// runs the scalar kernel.
 //
 // Determinism contract: every C element accumulates its k contributions in
-// ascending order with one mul-add per step, independent of thread count
-// and of the (mc, nc, kc) blocking (see blas/tune.h). Results are bitwise
-// identical to the pre-rewrite kernel (blas/gemm_baseline.h), which the
-// scheduler-equivalence suite depends on.
+// ascending order, one multiply and then one add per step, independent of
+// the kernel path, the thread count and the (mc, nc, kc) blocking (see
+// blas/tune.h). Never an FMA: a fused multiply-add rounds once where the
+// contract rounds twice, so it would change every bit of the LU. The
+// AVX-512 path runs on hosts that have FMA, and GCC's default
+// -ffp-contract=fast fuses even an intrinsic _mm512_mul_ps feeding
+// _mm512_add_ps into vfmadd, so src/blas compiles with -ffp-contract=off.
+// Results are bitwise identical to the pre-rewrite kernel
+// (blas/gemm_baseline.h) on every path, which the scheduler-equivalence
+// suite and the pinned answers depend on.
 #pragma once
 
 #include "blas/types.h"

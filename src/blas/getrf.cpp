@@ -3,6 +3,8 @@
 #include <cmath>
 
 #include "blas/gemm.h"
+#include "blas/isa.h"
+#include "blas/simd.h"
 #include "blas/trsm.h"
 
 namespace hplmxp::blas {
@@ -13,8 +15,10 @@ constexpr index_t kPanel = 64;  // panel width of the blocked factorization
 
 /// Unblocked no-pivot LU of an m x nb panel (m >= nb): factors the top
 /// nb x nb triangle and applies the eliminations to the rows below.
+/// Always inlined, so the AVX-512 wrapper below compiles it for AVX-512.
 template <typename T>
-void panelFactorNoPiv(index_t m, index_t nb, T* a, index_t lda) {
+[[gnu::always_inline]] inline void panelFactorNoPiv(index_t m, index_t nb,
+                                                    T* a, index_t lda) {
   for (index_t k = 0; k < nb; ++k) {
     T* col = a + k * lda;
     const T pivot = col[k];
@@ -31,6 +35,28 @@ void panelFactorNoPiv(index_t m, index_t nb, T* a, index_t lda) {
       }
     }
   }
+}
+
+#if HPLMXP_HAVE_AVX512
+// Element-wise (one multiply, then one subtract, per update), so the
+// AVX-512 build rounds exactly like the scalar one.
+HPLMXP_AVX512 void panelFactorAvx512(index_t m, index_t nb, float* a,
+                                     index_t lda) {
+  panelFactorNoPiv(m, nb, a, lda);
+}
+#endif
+
+inline void panelFactor(index_t m, index_t nb, float* a, index_t lda) {
+#if HPLMXP_HAVE_AVX512
+  if (hostIsa() == Isa::kAvx512) {
+    panelFactorAvx512(m, nb, a, lda);
+    return;
+  }
+#endif
+  panelFactorNoPiv(m, nb, a, lda);
+}
+inline void panelFactor(index_t m, index_t nb, double* a, index_t lda) {
+  panelFactorNoPiv(m, nb, a, lda);
 }
 
 inline void trsmDispatch(Side s, Uplo u, Diag d, index_t m, index_t n,
@@ -63,7 +89,7 @@ void getrfNoPivCore(index_t n, T* a, index_t lda, ThreadPool* pool) {
   for (index_t k = 0; k < n; k += kPanel) {
     const index_t nb = std::min(kPanel, n - k);
     T* akk = a + k + k * lda;
-    panelFactorNoPiv(n - k, nb, akk, lda);
+    panelFactor(n - k, nb, akk, lda);
     const index_t rest = n - k - nb;
     if (rest > 0) {
       // U block row: L11^{-1} * A12.

@@ -1,11 +1,20 @@
 #include "blas/trsm.h"
 
+#include <type_traits>
+
+#include "blas/gemm.h"
+#include "blas/isa.h"
+#include "blas/simd.h"
+
 namespace hplmxp::blas {
 
 namespace {
 
 // Number of RHS columns (kLeft) or rows (kRight) per parallel task.
 constexpr index_t kStripe = 32;
+
+// Order of the diagonal blocks of the blocked strsm.
+constexpr index_t kTrsmBlock = 32;
 
 template <typename T>
 void scaleColumns(T* b, index_t ldb, index_t m, index_t j0, index_t j1,
@@ -23,9 +32,13 @@ void scaleColumns(T* b, index_t ldb, index_t m, index_t j0, index_t j1,
 
 /// Left-side solve on columns [j0, j1): op is forward (Lower) or backward
 /// (Upper) substitution, column-oriented so the inner update vectorizes.
+/// Always inlined, so the AVX-512 wrapper below compiles it for AVX-512.
 template <typename T>
-void leftSolveStripe(Uplo uplo, Diag diag, index_t m, const T* a, index_t lda,
-                     T* b, index_t ldb, index_t j0, index_t j1) {
+[[gnu::always_inline]] inline void leftSolveStripe(Uplo uplo, Diag diag,
+                                                   index_t m, const T* a,
+                                                   index_t lda, T* b,
+                                                   index_t ldb, index_t j0,
+                                                   index_t j1) {
   if (uplo == Uplo::kLower) {
     for (index_t l = 0; l < m; ++l) {
       const T* acol = a + l * lda;
@@ -100,8 +113,11 @@ void leftSolveTransStripe(Uplo uplo, Diag diag, index_t m, const T* a,
 /// Right-side solve on rows [i0, i1): rows of B are independent, so each
 /// stripe runs the full column recurrence X * op(A) = B on its rows.
 template <typename T>
-void rightSolveStripe(Uplo uplo, Diag diag, index_t n, const T* a, index_t lda,
-                      T* b, index_t ldb, index_t i0, index_t i1) {
+[[gnu::always_inline]] inline void rightSolveStripe(Uplo uplo, Diag diag,
+                                                    index_t n, const T* a,
+                                                    index_t lda, T* b,
+                                                    index_t ldb, index_t i0,
+                                                    index_t i1) {
   if (uplo == Uplo::kUpper) {
     for (index_t j = 0; j < n; ++j) {
       const T* acol = a + j * lda;
@@ -186,10 +202,61 @@ void rightSolveTransStripe(Uplo uplo, Diag diag, index_t n, const T* a,
   }
 }
 
+#if HPLMXP_HAVE_AVX512
+// The no-transpose stripe solves are element-wise (one multiply, then one
+// subtract or divide, per update), so their AVX-512 build rounds exactly
+// like the scalar one.
+HPLMXP_AVX512 void leftSolveStripeAvx512(Uplo uplo, Diag diag, index_t m,
+                                         const float* a, index_t lda,
+                                         float* b, index_t ldb, index_t j0,
+                                         index_t j1) {
+  leftSolveStripe(uplo, diag, m, a, lda, b, ldb, j0, j1);
+}
+
+HPLMXP_AVX512 void rightSolveStripeAvx512(Uplo uplo, Diag diag, index_t n,
+                                          const float* a, index_t lda,
+                                          float* b, index_t ldb, index_t i0,
+                                          index_t i1) {
+  rightSolveStripe(uplo, diag, n, a, lda, b, ldb, i0, i1);
+}
+#endif
+
 template <typename T>
-void trsmCore(Side side, Uplo uplo, Trans trans, Diag diag, index_t m,
-              index_t n, T alpha, const T* a, index_t lda, T* b, index_t ldb,
-              ThreadPool* pool) {
+void leftSolve([[maybe_unused]] Isa isa, Uplo uplo, Diag diag, index_t m,
+               const T* a, index_t lda, T* b, index_t ldb, index_t j0,
+               index_t j1) {
+#if HPLMXP_HAVE_AVX512
+  if constexpr (std::is_same_v<T, float>) {
+    if (isa == Isa::kAvx512) {
+      leftSolveStripeAvx512(uplo, diag, m, a, lda, b, ldb, j0, j1);
+      return;
+    }
+  }
+#endif
+  leftSolveStripe(uplo, diag, m, a, lda, b, ldb, j0, j1);
+}
+
+template <typename T>
+void rightSolve([[maybe_unused]] Isa isa, Uplo uplo, Diag diag, index_t n,
+                const T* a, index_t lda, T* b, index_t ldb, index_t i0,
+                index_t i1) {
+#if HPLMXP_HAVE_AVX512
+  if constexpr (std::is_same_v<T, float>) {
+    if (isa == Isa::kAvx512) {
+      rightSolveStripeAvx512(uplo, diag, n, a, lda, b, ldb, i0, i1);
+      return;
+    }
+  }
+#endif
+  rightSolveStripe(uplo, diag, n, a, lda, b, ldb, i0, i1);
+}
+
+/// The unblocked solve: stripe substitution over the whole triangle,
+/// parallel over right-hand-side columns (kLeft) or rows (kRight).
+template <typename T>
+void trsmCore(Isa isa, Side side, Uplo uplo, Trans trans, Diag diag,
+              index_t m, index_t n, T alpha, const T* a, index_t lda, T* b,
+              index_t ldb, ThreadPool* pool) {
   HPLMXP_REQUIRE(m >= 0 && n >= 0, "trsm dims must be >= 0");
   if (m == 0 || n == 0) {
     return;
@@ -209,7 +276,7 @@ void trsmCore(Side side, Uplo uplo, Trans trans, Diag diag, index_t m,
         [&](index_t j0, index_t j1) {
           scaleColumns(b, ldb, m, j0, j1, alpha);
           if (trans == Trans::kNoTrans) {
-            leftSolveStripe(uplo, diag, m, a, lda, b, ldb, j0, j1);
+            leftSolve(isa, uplo, diag, m, a, lda, b, ldb, j0, j1);
           } else {
             leftSolveTransStripe(uplo, diag, m, a, lda, b, ldb, j0, j1);
           }
@@ -228,7 +295,7 @@ void trsmCore(Side side, Uplo uplo, Trans trans, Diag diag, index_t m,
             }
           }
           if (trans == Trans::kNoTrans) {
-            rightSolveStripe(uplo, diag, n, a, lda, b, ldb, i0, i1);
+            rightSolve(isa, uplo, diag, n, a, lda, b, ldb, i0, i1);
           } else {
             rightSolveTransStripe(uplo, diag, n, a, lda, b, ldb, i0, i1);
           }
@@ -237,33 +304,139 @@ void trsmCore(Side side, Uplo uplo, Trans trans, Diag diag, index_t m,
   }
 }
 
+/// A one-lane pool for the work inside a blocked solve's chunk, whose
+/// chunks already occupy every lane of the caller's pool. Concurrent
+/// chunks share it safely: a one-lane parallel-for runs inline, and each
+/// caller leases its own pack arena.
+ThreadPool& oneLanePool() {
+  static ThreadPool pool(1);
+  return pool;
+}
+
+/// Blocked (Left, Lower) or (Right, Upper) solve: the stripe substitution
+/// solves each kTrsmBlock diagonal block, and one GEMM per block applies
+/// the solved block to the rest, C += A * (-X) with beta = 1. Every element
+/// still receives its updates one at a time in ascending l, and
+/// acc + a * (-x) == acc - a * x exactly, so the result is bitwise the
+/// unblocked solve's. Right-hand sides are independent, so each lane runs
+/// the whole blocked solve on its own columns (kLeft) or rows (kRight):
+/// one dispatch per solve, however many blocks it has.
+void strsmBlocked(Isa isa, Side side, Diag diag, index_t m, index_t n,
+                  float alpha, const float* a, index_t lda, float* b,
+                  index_t ldb, ThreadPool* pool) {
+  if (pool == nullptr) {
+    pool = &ThreadPool::global();
+  }
+  if (alpha != 1.0f) {
+    pool->parallelForChunked(
+        0, n,
+        [&](index_t j0, index_t j1) {
+          scaleColumns(b, ldb, m, j0, j1, alpha);
+        },
+        ceilDiv(n, kStripe));
+  }
+  ThreadPool* lane = &oneLanePool();
+  if (side == Side::kLeft) {
+    pool->parallelForChunked(
+        0, n,
+        [&](index_t j0, index_t j1) {
+          float* x = b + j0 * ldb;
+          for (index_t p = 0; p < m; p += kTrsmBlock) {
+            const index_t pb = std::min(kTrsmBlock, m - p);
+            trsmCore<float>(isa, Side::kLeft, Uplo::kLower, Trans::kNoTrans,
+                            diag, pb, j1 - j0, 1.0f, a + p + p * lda, lda,
+                            x + p, ldb, lane);
+            const index_t rest = m - p - pb;
+            if (rest > 0) {
+              detail::gemm<float>(isa, Trans::kNoTrans, Trans::kNoTrans,
+                                  rest, j1 - j0, pb, -1.0f,
+                                  a + p + pb + p * lda, lda, x + p, ldb, 1.0f,
+                                  x + p + pb, ldb, lane);
+            }
+          }
+        },
+        pool->laneCount());
+  } else {
+    pool->parallelForChunked(
+        0, m,
+        [&](index_t i0, index_t i1) {
+          float* x = b + i0;
+          for (index_t p = 0; p < n; p += kTrsmBlock) {
+            const index_t pb = std::min(kTrsmBlock, n - p);
+            trsmCore<float>(isa, Side::kRight, Uplo::kUpper, Trans::kNoTrans,
+                            diag, i1 - i0, pb, 1.0f, a + p + p * lda, lda,
+                            x + p * ldb, ldb, lane);
+            const index_t rest = n - p - pb;
+            if (rest > 0) {
+              detail::gemm<float>(isa, Trans::kNoTrans, Trans::kNoTrans,
+                                  i1 - i0, rest, pb, -1.0f, x + p * ldb, ldb,
+                                  a + p + (p + pb) * lda, lda, 1.0f,
+                                  x + (p + pb) * ldb, ldb, lane);
+            }
+          }
+        },
+        pool->laneCount());
+  }
+}
+
 }  // namespace
+
+void detail::strsm(Isa isa, Side side, Uplo uplo, Diag diag, index_t m,
+                   index_t n, float alpha, const float* a, index_t lda,
+                   float* b, index_t ldb, ThreadPool* pool) {
+  const bool blocked = (side == Side::kLeft && uplo == Uplo::kLower) ||
+                       (side == Side::kRight && uplo == Uplo::kUpper);
+  if (!blocked) {
+    strsmUnblocked(isa, side, uplo, diag, m, n, alpha, a, lda, b, ldb, pool);
+    return;
+  }
+  HPLMXP_REQUIRE(m >= 0 && n >= 0, "trsm dims must be >= 0");
+  if (m == 0 || n == 0) {
+    return;
+  }
+  HPLMXP_REQUIRE(lda >= (side == Side::kLeft ? m : n), "trsm: lda too small");
+  HPLMXP_REQUIRE(ldb >= m, "trsm: ldb too small");
+  strsmBlocked(isa, side, diag, m, n, alpha, a, lda, b, ldb, pool);
+}
+
+void detail::strsmUnblocked(Isa isa, Side side, Uplo uplo, Diag diag,
+                            index_t m, index_t n, float alpha, const float* a,
+                            index_t lda, float* b, index_t ldb,
+                            ThreadPool* pool) {
+  trsmCore<float>(isa, side, uplo, Trans::kNoTrans, diag, m, n, alpha, a, lda,
+                  b, ldb, pool);
+}
 
 void strsm(Side side, Uplo uplo, Diag diag, index_t m, index_t n, float alpha,
            const float* a, index_t lda, float* b, index_t ldb,
            ThreadPool* pool) {
-  trsmCore<float>(side, uplo, Trans::kNoTrans, diag, m, n, alpha, a, lda, b,
-                  ldb, pool);
+  detail::strsm(hostIsa(), side, uplo, diag, m, n, alpha, a, lda, b, ldb,
+                pool);
 }
 
 void dtrsm(Side side, Uplo uplo, Diag diag, index_t m, index_t n, double alpha,
            const double* a, index_t lda, double* b, index_t ldb,
            ThreadPool* pool) {
-  trsmCore<double>(side, uplo, Trans::kNoTrans, diag, m, n, alpha, a, lda, b,
-                   ldb, pool);
+  trsmCore<double>(Isa::kScalar, side, uplo, Trans::kNoTrans, diag, m, n,
+                   alpha, a, lda, b, ldb, pool);
 }
 
 void strsm(Side side, Uplo uplo, Trans trans, Diag diag, index_t m, index_t n,
            float alpha, const float* a, index_t lda, float* b, index_t ldb,
            ThreadPool* pool) {
-  trsmCore<float>(side, uplo, trans, diag, m, n, alpha, a, lda, b, ldb, pool);
+  if (trans == Trans::kNoTrans) {
+    strsm(side, uplo, diag, m, n, alpha, a, lda, b, ldb, pool);
+    return;
+  }
+  trsmCore<float>(hostIsa(), side, uplo, trans, diag, m, n, alpha, a, lda, b,
+                  ldb, pool);
 }
 
 void dtrsm(Side side, Uplo uplo, Trans trans, Diag diag, index_t m, index_t n,
            double alpha, const double* a, index_t lda, double* b, index_t ldb,
            ThreadPool* pool) {
-  trsmCore<double>(side, uplo, trans, diag, m, n, alpha, a, lda, b, ldb,
-                   pool);
+  trsmCore<double>(Isa::kScalar, side, uplo, trans, diag, m, n, alpha, a, lda,
+                   b, ldb, pool);
 }
 
 namespace {

@@ -6,10 +6,17 @@
 //   * TRSM_L_LOW  — Left / Lower / Unit: U(k, k+1:n) = L11^{-1} A(k, k+1:n)
 //   * TRSM_R_UP   — Right / Upper / NonUnit: L(k+1:n, k) = A(k+1:n, k) U11^{-1}
 //
-// The triangular matrix A is B x B (small); B has panel shape. The solve is
-// blocked: forward/backward substitution over kNb-wide stripes with GEMM
-// updates in between, parallelized over right-hand-side columns (kLeft) or
-// rows (kRight).
+// The triangular matrix A is B x B (small); B has panel shape. FP32
+// (Left, Lower) and (Right, Upper) — Algorithm 1's two panel solves and
+// the two inside getrfNoPiv — are blocked: stripe substitution solves each
+// 32 x 32 diagonal block, and an sgemm with alpha = -1, beta = 1 applies it
+// to the rest, on the kernel path the process selected (blas/isa.h). Every
+// element still receives its updates one at a time in ascending order, and
+// acc + a * (-x) == acc - a * x exactly, so the blocked solve is bitwise
+// the unblocked one. The other variants, and dtrsm, run the stripe
+// substitution over the whole triangle. Both are parallelized over
+// right-hand-side columns (kLeft) or rows (kRight); the blocked solve
+// gives each lane one range and runs every block on it.
 #pragma once
 
 #include "blas/types.h"

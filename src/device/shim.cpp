@@ -5,10 +5,13 @@
 namespace hplmxp {
 
 std::string BlasShim::kernelConfig() const {
+  const blas::Isa isa = blas::hostIsa();
+  const blas::GemmTile tile = blas::gemmTile(isa);
   const blas::GemmBlocking bl = blas::gemmBlocking();
   std::ostringstream os;
-  os << "mr=" << blas::kGemmMr << " nr=" << blas::kGemmNr << " mc=" << bl.mc
-     << " nc=" << bl.nc << " kc=" << bl.kc;
+  os << "isa=" << blas::isaName(isa) << " mr=" << tile.mr
+     << " nr=" << tile.nr << " mc=" << bl.mc << " nc=" << bl.nc
+     << " kc=" << bl.kc;
   return os.str();
 }
 

@@ -56,7 +56,8 @@ class BlasShim {
   }
 
   /// One-line description of the active kernel configuration, e.g.
-  /// "mr=24 nr=2 mc=120 nc=240 kc=256" (microkernel shape + macro blocking).
+  /// "isa=avx512 mr=32 nr=8 mc=128 nc=240 kc=256" (the kernel path chosen
+  /// from CPUID, its FP32 microkernel shape, and the macro blocking).
   /// Benches print this next to the vendor routine names so runs record
   /// which tuning they measured.
   [[nodiscard]] std::string kernelConfig() const;

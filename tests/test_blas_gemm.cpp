@@ -5,10 +5,14 @@
 #include <cmath>
 #include <cstring>
 #include <random>
+#include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "blas/gemm.h"
 #include "blas/gemm_baseline.h"
+#include "blas/isa.h"
 #include "blas/reference.h"
 #include "blas/tune.h"
 #include "lowp/bfloat16.h"
@@ -451,6 +455,144 @@ TEST(GemmLowp, Fp32AccumulationAcrossAllRungs) {
   run(lowp::bfloat16());
   run(lowp::fp8e4m3());
   run(lowp::fp8e5m2());
+}
+
+// ---------------------------------------------------------------------------
+// Every kernel path (blas/isa.h) against the order-exact oracle, bitwise,
+// for FP32 and the four storage types. The shapes leave partial tiles for
+// both the 24x2 scalar tile and the 32x8 AVX-512 tile, and every operand
+// has a padded leading dimension.
+// ---------------------------------------------------------------------------
+
+template <typename T, blas::Isa kPath>
+struct KernelPath {
+  using Storage = T;
+  static constexpr blas::Isa kIsa = kPath;
+};
+
+template <typename P>
+class GemmIsaTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!blas::isaSupported(P::kIsa)) {
+      GTEST_SKIP() << "this host's CPU lacks AVX-512F+F16C, so the "
+                   << blas::isaName(P::kIsa) << " kernels cannot run";
+    }
+  }
+};
+
+struct KernelPathName {
+  template <typename P>
+  static std::string GetName(int) {
+    const char* storage = std::is_same_v<typename P::Storage, float> ? "fp32"
+                          : std::is_same_v<typename P::Storage, half16>
+                              ? "fp16"
+                          : std::is_same_v<typename P::Storage,
+                                           lowp::bfloat16>
+                              ? "bf16"
+                          : std::is_same_v<typename P::Storage, lowp::fp8e4m3>
+                              ? "fp8e4m3"
+                              : "fp8e5m2";
+    return std::string(storage) + "_" + blas::isaName(P::kIsa);
+  }
+};
+
+using KernelPaths = ::testing::Types<
+    KernelPath<float, blas::Isa::kScalar>,
+    KernelPath<float, blas::Isa::kAvx512>,
+    KernelPath<half16, blas::Isa::kScalar>,
+    KernelPath<half16, blas::Isa::kAvx512>,
+    KernelPath<lowp::bfloat16, blas::Isa::kScalar>,
+    KernelPath<lowp::bfloat16, blas::Isa::kAvx512>,
+    KernelPath<lowp::fp8e4m3, blas::Isa::kScalar>,
+    KernelPath<lowp::fp8e4m3, blas::Isa::kAvx512>,
+    KernelPath<lowp::fp8e5m2, blas::Isa::kScalar>,
+    KernelPath<lowp::fp8e5m2, blas::Isa::kAvx512>>;
+TYPED_TEST_SUITE(GemmIsaTest, KernelPaths, KernelPathName);
+
+TYPED_TEST(GemmIsaTest, MatchesOrderExactOracleBitwise) {
+  using T = typename TypeParam::Storage;
+  const index_t k = 45;
+  unsigned seed = 600;
+  for (const index_t m : {1, 31, 33, 97}) {
+    for (const index_t n : {1, 7, 9, 101}) {
+      for (const auto& [ta, tb] : {std::pair{Trans::kNoTrans, Trans::kTrans},
+                                   std::pair{Trans::kNoTrans,
+                                             Trans::kNoTrans},
+                                   std::pair{Trans::kTrans, Trans::kNoTrans},
+                                   std::pair{Trans::kTrans, Trans::kTrans}}) {
+        const float alpha = (seed % 2 == 0) ? -1.0f : 0.37f;
+        const float beta = (seed % 3 == 0) ? 0.5f : 1.0f;
+        const index_t lda = (ta == Trans::kNoTrans ? m : k) + 3;
+        const index_t ldb = (tb == Trans::kNoTrans ? k : n) + 1;
+        const index_t ldc = m + 2;
+        auto a = roundVec<T>(randomVec(
+            static_cast<std::size_t>(lda * (ta == Trans::kNoTrans ? k : m)),
+            ++seed));
+        auto b = roundVec<T>(randomVec(
+            static_cast<std::size_t>(ldb * (tb == Trans::kNoTrans ? n : k)),
+            ++seed));
+        auto c1 = randomVec(static_cast<std::size_t>(ldc * n), ++seed);
+        auto c2 = c1;
+        blas::detail::gemm<T>(TypeParam::kIsa, ta, tb, m, n, k, alpha,
+                              a.data(), lda, b.data(), ldb, beta, c1.data(),
+                              ldc, nullptr);
+        blas::ref::gemmLowpOrderExact<T>(ta, tb, m, n, k, alpha, a.data(),
+                                         lda, b.data(), ldb, beta, c2.data(),
+                                         ldc);
+        EXPECT_EQ(0,
+                  std::memcmp(c1.data(), c2.data(), c1.size() * sizeof(float)))
+            << "m=" << m << " n=" << n << " ta=" << static_cast<int>(ta)
+            << " tb=" << static_cast<int>(tb);
+      }
+    }
+  }
+}
+
+TYPED_TEST(GemmIsaTest, InvariantUnderBlockingAndThreads) {
+  using T = typename TypeParam::Storage;
+  BlockingGuard guard;
+  const index_t m = 97, n = 101, k = 77;
+  const index_t lda = m + 3, ldb = n + 1, ldc = m + 2;
+  auto a = roundVec<T>(randomVec(static_cast<std::size_t>(lda * k), 701));
+  auto b = roundVec<T>(randomVec(static_cast<std::size_t>(ldb * k), 702));
+  auto c0 = randomVec(static_cast<std::size_t>(ldc * n), 703);
+
+  auto ref = c0;
+  blas::ref::gemmLowpOrderExact<T>(Trans::kNoTrans, Trans::kTrans, m, n, k,
+                                   -1.0f, a.data(), lda, b.data(), ldb, 1.0f,
+                                   ref.data(), ldc);
+
+  ThreadPool serial(1);
+  ThreadPool wide(4);
+  for (blas::GemmBlocking bl :
+       {blas::GemmBlocking{}, blas::GemmBlocking{8, 6, 16},
+        blas::GemmBlocking{8, 6, 1}, blas::GemmBlocking{64, 96, 64},
+        blas::GemmBlocking{16, 12, 37}}) {
+    blas::setGemmBlocking(bl);
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &serial,
+                             &wide}) {
+      auto c = c0;
+      blas::detail::gemm<T>(TypeParam::kIsa, Trans::kNoTrans, Trans::kTrans,
+                            m, n, k, -1.0f, a.data(), lda, b.data(), ldb,
+                            1.0f, c.data(), ldc, pool);
+      EXPECT_EQ(0,
+                std::memcmp(c.data(), ref.data(), c.size() * sizeof(float)))
+          << "mc=" << bl.mc << " nc=" << bl.nc << " kc=" << bl.kc;
+    }
+  }
+}
+
+TEST(GemmTune, BlockingIsRoundedToTheHostTile) {
+  BlockingGuard guard;
+  const blas::GemmTile tile = blas::gemmTile(blas::hostIsa());
+  blas::setGemmBlocking(blas::GemmBlocking{1, 1, 7});
+  EXPECT_EQ(blas::gemmBlocking().mc, tile.mr);
+  EXPECT_EQ(blas::gemmBlocking().nc, tile.nr);
+  EXPECT_EQ(blas::gemmBlocking().kc, 7);
+  blas::setGemmBlocking(blas::GemmBlocking{});
+  EXPECT_EQ(blas::gemmBlocking().mc % tile.mr, 0);
+  EXPECT_EQ(blas::gemmBlocking().nc % tile.nr, 0);
 }
 
 TEST(GemmMixed, InputsAreRoundedToHalfExactly) {

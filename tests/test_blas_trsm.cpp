@@ -5,9 +5,12 @@
 #include <cstring>
 #include <ostream>
 #include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "blas/gemm.h"
+#include "blas/isa.h"
 #include "blas/reference.h"
 #include "blas/trsm.h"
 
@@ -179,6 +182,85 @@ TEST(Trsm, EmptyDimsAreNoOps) {
               1);
   EXPECT_EQ(b, 5.0f);
 }
+
+// ---------------------------------------------------------------------------
+// The blocked strsm of Algorithm 1's two panel solves, on every kernel path
+// (blas/isa.h), against the unblocked stripe substitution on the scalar
+// path: memcmp, not tolerances. The unused triangle holds garbage, and B
+// has a padded leading dimension.
+// ---------------------------------------------------------------------------
+
+std::string pathName(const ::testing::TestParamInfo<blas::Isa>& p) {
+  return blas::isaName(p.param);
+}
+
+class TrsmIsaTest : public ::testing::TestWithParam<blas::Isa> {
+ protected:
+  void SetUp() override {
+    if (!blas::isaSupported(GetParam())) {
+      GTEST_SKIP() << "this host's CPU lacks AVX-512F+F16C, so the "
+                   << blas::isaName(GetParam()) << " kernels cannot run";
+    }
+  }
+};
+
+TEST_P(TrsmIsaTest, BlockedMatchesUnblockedBitwise) {
+  const blas::Isa isa = GetParam();
+  ThreadPool wide(4);
+  const index_t extents[] = {1, 31, 32, 33, 128, 200};
+  for (const auto& [side, uplo] : {std::pair{Side::kLeft, Uplo::kLower},
+                                   std::pair{Side::kRight, Uplo::kUpper}}) {
+    for (const Diag diag : {Diag::kUnit, Diag::kNonUnit}) {
+      for (const index_t m : extents) {
+        for (const index_t n : extents) {
+          const index_t tri = side == Side::kLeft ? m : n;
+          auto a = triangularMatrix(tri, uplo, diag,
+                                    static_cast<unsigned>(m * 7 + n));
+          for (index_t j = 0; j < tri; ++j) {
+            for (index_t i = 0; i < tri; ++i) {
+              if (uplo == Uplo::kLower ? i < j : i > j) {
+                a[static_cast<std::size_t>(i + j * tri)] = 777.0f;
+              }
+            }
+          }
+          const index_t ldb = m + 3;
+          std::mt19937 rng(static_cast<unsigned>(m * 31 + n));
+          std::uniform_real_distribution<float> d(-1.0f, 1.0f);
+          std::vector<float> want(static_cast<std::size_t>(ldb * n));
+          for (auto& v : want) {
+            v = d(rng);
+          }
+          auto got = want;
+          auto unblockedOnPath = want;
+          const float alpha = diag == Diag::kUnit ? 1.0f : 0.75f;
+          blas::detail::strsmUnblocked(blas::Isa::kScalar, side, uplo, diag,
+                                       m, n, alpha, a.data(), tri,
+                                       want.data(), ldb, nullptr);
+          blas::detail::strsm(isa, side, uplo, diag, m, n, alpha, a.data(),
+                              tri, got.data(), ldb, &wide);
+          blas::detail::strsmUnblocked(isa, side, uplo, diag, m, n, alpha,
+                                       a.data(), tri, unblockedOnPath.data(),
+                                       ldb, nullptr);
+          EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                                   got.size() * sizeof(float)))
+              << "blocked side=" << static_cast<int>(side)
+              << " diag=" << static_cast<int>(diag) << " m=" << m
+              << " n=" << n;
+          EXPECT_EQ(0, std::memcmp(unblockedOnPath.data(), want.data(),
+                                   got.size() * sizeof(float)))
+              << "unblocked side=" << static_cast<int>(side)
+              << " diag=" << static_cast<int>(diag) << " m=" << m
+              << " n=" << n;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Paths, TrsmIsaTest,
+                         ::testing::Values(blas::Isa::kScalar,
+                                           blas::Isa::kAvx512),
+                         pathName);
 
 }  // namespace
 }  // namespace hplmxp

@@ -7,9 +7,15 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "blas/cast.h"
+#include "blas/isa.h"
 #include "encoding_oracle.h"
 #include "fp16/half.h"
 
@@ -213,6 +219,158 @@ TEST(Half, PanelEntriesSurviveCast) {
     EXPECT_LE(err, half16::epsilonUnit() * std::max(std::fabs(v), 1e-3f));
   }
 }
+
+// ---------------------------------------------------------------------------
+// The binary16 CAST kernels on every kernel path (blas/isa.h). Each path
+// must produce exactly half16::fromFloat's bits, NaN encodings included:
+// memcmp, not tolerances.
+// ---------------------------------------------------------------------------
+
+std::string pathName(const ::testing::TestParamInfo<blas::Isa>& p) {
+  return blas::isaName(p.param);
+}
+
+class HalfCastIsaTest : public ::testing::TestWithParam<blas::Isa> {
+ protected:
+  void SetUp() override {
+    if (!blas::isaSupported(GetParam())) {
+      GTEST_SKIP() << "this host's CPU lacks AVX-512F+F16C, so the "
+                   << blas::isaName(GetParam()) << " kernels cannot run";
+    }
+  }
+};
+
+/// The dense exponent sweep of test_half_native.cpp, plus NaN payloads,
+/// +-Inf, +-0, float subnormals and every binary16 tie point (the float
+/// midway between two adjacent binary16 values, both signs, including the
+/// subnormal ties and the 65520 overflow tie).
+std::vector<float> narrowingInputs() {
+  std::vector<float> v;
+  const std::uint32_t mantissas[] = {
+      0x000000u, 0x000001u, 0x0FFFFFu, 0x100000u, 0x100001u, 0x1FFFFFu,
+      0x200000u, 0x2FFFFFu, 0x300000u, 0x3FFFFFu, 0x400000u, 0x5A5A5Au,
+      0x7FFFFEu, 0x7FFFFFu};
+  for (std::uint32_t exp = 0; exp <= 254; ++exp) {
+    for (const std::uint32_t m : mantissas) {
+      for (const std::uint32_t sign : {0u, 0x80000000u}) {
+        v.push_back(std::bit_cast<float>(sign | (exp << 23) | m));
+      }
+    }
+  }
+  for (const std::uint32_t bits :
+       {0x7F800001u, 0x7F812345u, 0x7FBFFFFFu, 0x7FC00000u, 0x7FC00001u,
+        0x7FFFFFFFu, 0xFF800001u, 0xFFC00000u, 0xFFFFFFFFu, 0x7F800000u,
+        0xFF800000u, 0x00000000u, 0x80000000u, 0x00000001u, 0x807FFFFFu,
+        0x00400000u}) {
+    v.push_back(std::bit_cast<float>(bits));
+  }
+  for (std::uint32_t h = 0; h < 0x7C00u; ++h) {
+    const double lo = half16::toFloatBits(static_cast<std::uint16_t>(h));
+    const double hi =
+        h + 1 < 0x7C00u
+            ? half16::toFloatBits(static_cast<std::uint16_t>(h + 1))
+            : 65536.0;  // where the next binary16 exponent would start
+    const auto tie = static_cast<float>((lo + hi) / 2.0);  // exact
+    v.push_back(tie);
+    v.push_back(-tie);
+  }
+  return v;
+}
+
+TEST_P(HalfCastIsaTest, VectorNarrowingMatchesFromFloatBitwise) {
+  const std::vector<float> in = narrowingInputs();
+  // Every start offset modulo the 16-lane width, so NaNs fall in different
+  // lanes of a chunk and every tail length occurs.
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    const auto count = static_cast<index_t>(in.size() - offset);
+    std::vector<half16> got(in.size() - offset);
+    blas::detail::narrowToHalf(GetParam(), count, in.data() + offset,
+                               got.data());
+    for (index_t i = 0; i < count; ++i) {
+      const float f = in[offset + static_cast<std::size_t>(i)];
+      ASSERT_EQ(got[static_cast<std::size_t>(i)].bits(), half16::fromFloat(f))
+          << "float bits=" << std::hex << std::bit_cast<std::uint32_t>(f)
+          << " offset=" << std::dec << offset;
+    }
+  }
+}
+
+/// A column-major source with NaN, Inf and tie entries scattered in
+/// random data.
+std::vector<float> castSource(index_t ld, index_t cols, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<float> d(-70000.0f, 70000.0f);
+  std::vector<float> v(static_cast<std::size_t>(ld * cols));
+  for (auto& x : v) {
+    x = d(rng);
+  }
+  for (std::size_t i = 0; i < v.size(); i += 37) {
+    v[i] = std::bit_cast<float>(0x7F800001u + static_cast<std::uint32_t>(i));
+  }
+  for (std::size_t i = 5; i < v.size(); i += 53) {
+    v[i] = std::numeric_limits<float>::infinity();
+  }
+  for (std::size_t i = 11; i < v.size(); i += 29) {
+    v[i] = 1.0f + 0x1p-11f;  // ties to even at 1
+  }
+  return v;
+}
+
+TEST_P(HalfCastIsaTest, CastAndTransCastMatchScalarPathBitwise) {
+  const blas::Isa isa = GetParam();
+  ThreadPool wide(4);
+  for (const auto& [m, n] : {std::pair<index_t, index_t>{33, 17},
+                             {97, 65},
+                             {1, 31},
+                             {45, 3},
+                             {31, 1},
+                             {129, 67}}) {
+    const index_t ldSrc = m + 3;
+    const std::vector<float> src = castSource(ldSrc, n, 7);
+
+    const index_t ldDst = m + 5;
+    std::vector<half16> scalar(static_cast<std::size_t>(ldDst * n),
+                               half16::fromBits(0xABCD));
+    std::vector<half16> got = scalar;
+    blas::detail::castToHalf(blas::Isa::kScalar, m, n, src.data(), ldSrc,
+                             scalar.data(), ldDst, nullptr);
+    blas::detail::castToHalf(isa, m, n, src.data(), ldSrc, got.data(),
+                             ldDst, &wide);
+    EXPECT_EQ(0, std::memcmp(got.data(), scalar.data(),
+                             got.size() * sizeof(half16)))
+        << "castToHalf m=" << m << " n=" << n;
+
+    const index_t ldT = n + 2;
+    std::vector<half16> scalarT(static_cast<std::size_t>(ldT * m),
+                                half16::fromBits(0xABCD));
+    std::vector<half16> gotT = scalarT;
+    blas::detail::transCastToHalf(blas::Isa::kScalar, m, n, src.data(),
+                                  ldSrc, scalarT.data(), ldT, nullptr);
+    blas::detail::transCastToHalf(isa, m, n, src.data(), ldSrc, gotT.data(),
+                                  ldT, &wide);
+    EXPECT_EQ(0, std::memcmp(gotT.data(), scalarT.data(),
+                             gotT.size() * sizeof(half16)))
+        << "transCastToHalf m=" << m << " n=" << n;
+    for (index_t i = 0; i < m; ++i) {
+      for (index_t j = 0; j < n; ++j) {
+        ASSERT_EQ(gotT[static_cast<std::size_t>(j + i * ldT)].bits(),
+                  half16::fromFloat(src[static_cast<std::size_t>(
+                      i + j * ldSrc)]));
+      }
+    }
+
+    // The public entry points run the host's path.
+    std::vector<half16> pub = scalar;
+    blas::castToHalf(m, n, src.data(), ldSrc, pub.data(), ldDst);
+    EXPECT_EQ(0, std::memcmp(pub.data(), scalar.data(),
+                             pub.size() * sizeof(half16)));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Paths, HalfCastIsaTest,
+                         ::testing::Values(blas::Isa::kScalar,
+                                           blas::Isa::kAvx512),
+                         pathName);
 
 }  // namespace
 }  // namespace hplmxp

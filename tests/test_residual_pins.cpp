@@ -6,6 +6,12 @@
 // terms, or to the thresholds and norms next to it, fails here. The
 // hashes were captured from the row-at-a-time residuals that
 // ProblemGenerator::addProduct replaced.
+//
+// The distributed pins hash runHplai's solution on 2x1 and 2x2 grids
+// under both schedulers, so the bits of the distributed LU (GETRF, the
+// two panel TRSMs, CAST/TRANS_CAST and the FP16 trailing GEMM on every
+// kernel path) and of its refinement are checked too. They were captured
+// on the scalar kernels, before the AVX-512 path existed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +20,7 @@
 #include <vector>
 
 #include "core/hpl64.h"
+#include "core/hplai.h"
 #include "core/precision_ladder.h"
 #include "core/single_solver.h"
 #include "gen/matgen.h"
@@ -116,6 +123,42 @@ TEST(ResidualPins, Hpl64ScaledResidual) {
   Fnv1a h;
   h.add(r.scaledResidual);
   EXPECT_EQ(h.value(), 18378300616107194755ull);
+}
+
+std::uint64_t pinDistributed(index_t pr, index_t pc,
+                             HplaiConfig::Scheduler scheduler) {
+  HplaiConfig cfg;
+  cfg.n = 512;
+  cfg.b = 64;
+  cfg.pr = pr;
+  cfg.pc = pc;
+  cfg.scheduler = scheduler;
+  std::vector<double> x;
+  const HplaiResult r = runHplai(cfg, &x);
+  EXPECT_TRUE(r.converged);
+  Fnv1a h;
+  h.add(x);
+  return h.value();
+}
+
+TEST(ResidualPins, DistributedBulk2x1) {
+  EXPECT_EQ(pinDistributed(2, 1, HplaiConfig::Scheduler::kBulk),
+            7836117434415997328ull);
+}
+
+TEST(ResidualPins, DistributedBulk2x2) {
+  EXPECT_EQ(pinDistributed(2, 2, HplaiConfig::Scheduler::kBulk),
+            13837586214871384392ull);
+}
+
+TEST(ResidualPins, DistributedDataflow2x1) {
+  EXPECT_EQ(pinDistributed(2, 1, HplaiConfig::Scheduler::kDataflow),
+            7836117434415997328ull);
+}
+
+TEST(ResidualPins, DistributedDataflow2x2) {
+  EXPECT_EQ(pinDistributed(2, 2, HplaiConfig::Scheduler::kDataflow),
+            13837586214871384392ull);
 }
 
 }  // namespace

@@ -587,12 +587,15 @@ TEST(ServeEngineTest, RejectsKeysTheBackendCannotServe) {
   ServeEngine engine(ServeConfig{});
   ProblemKey distributed = key(64, 16, 1);
   distributed.pr = 2;
-  const RequestOutcome& grid = engine.submit(request(distributed, 1))->wait();
+  const ServeEngine::HandlePtr gridHandle =
+      engine.submit(request(distributed, 1));
+  const RequestOutcome& grid = gridHandle->wait();
   EXPECT_EQ(grid.status, RequestStatus::kFailed);
   EXPECT_NE(grid.error.find("1x1"), std::string::npos);
 
-  const RequestOutcome& shape =
-      engine.submit(request(key(0, 16, 1), 1))->wait();
+  const ServeEngine::HandlePtr shapeHandle =
+      engine.submit(request(key(0, 16, 1), 1));
+  const RequestOutcome& shape = shapeHandle->wait();
   EXPECT_EQ(shape.status, RequestStatus::kFailed);
 }
 
@@ -606,7 +609,8 @@ TEST(ServeEngineTest, InjectedDelaySurfacesAsDeadlineRejectionNotHang) {
   ServeEngine engine(cfg);
 
   const ProblemKey k = key(32, 16, 7);
-  const RequestOutcome& o = engine.submit(request(k, 1))->wait();
+  const ServeEngine::HandlePtr h = engine.submit(request(k, 1));
+  const RequestOutcome& o = h->wait();
   EXPECT_EQ(o.status, RequestStatus::kRejectedDeadline);
   engine.drain();
   const ServeReport report = engine.report();
@@ -622,7 +626,8 @@ TEST(ServeEngineTest, TransientFaultsExhaustRetryBudgetIntoFailure) {
   cfg.maxRetries = 2;
   ServeEngine engine(cfg);
 
-  const RequestOutcome& o = engine.submit(request(key(32, 16, 8), 1))->wait();
+  const ServeEngine::HandlePtr h = engine.submit(request(key(32, 16, 8), 1));
+  const RequestOutcome& o = h->wait();
   EXPECT_EQ(o.status, RequestStatus::kFailed);
   EXPECT_EQ(o.retries, 2);
   EXPECT_NE(o.error.find("retry budget"), std::string::npos);
@@ -642,8 +647,9 @@ TEST(ServeEngineTest, TransientFaultsWithinBudgetRecover) {
   std::uint64_t retries = 0;
   for (std::uint64_t s = 0; s < 6; ++s) {
     // Distinct keys so each request is its own batch (its own fault draw).
-    const RequestOutcome& o =
-        engine.submit(request(key(32, 16, 100 + s), 1))->wait();
+    const ServeEngine::HandlePtr h =
+        engine.submit(request(key(32, 16, 100 + s), 1));
+    const RequestOutcome& o = h->wait();
     EXPECT_EQ(o.status, RequestStatus::kCompleted) << o.error;
     retries += static_cast<std::uint64_t>(o.retries);
   }
