@@ -6,6 +6,7 @@
 
 #include "bench_util.h"
 #include "core/dist_context.h"
+#include "core/dist_kernels.h"
 #include "core/hplai.h"
 #include "core/lu_dist.h"
 #include "device/shim.h"
@@ -30,17 +31,9 @@ std::pair<double, TaskGraph::ExecStats> timeFactorization(
   simmpi::run(cfg.worldSize(), [&](simmpi::Comm& world) {
     DistContext ctx(world, cfg);
     const ProblemGenerator gen(cfg.seed, cfg.n);
-    const index_t b = cfg.b;
     const index_t lda = ctx.localRows();
     Buffer<float> local(ctx.localRows() * ctx.localCols());
-    const BlockCyclic& layout = ctx.layout();
-    for (index_t lj = 0; lj < ctx.localCols() / b; ++lj) {
-      for (index_t li = 0; li < ctx.localRows() / b; ++li) {
-        gen.fillTile<float>(layout.globalBlockRow(ctx.myRow(), li) * b,
-                            layout.globalBlockCol(ctx.myCol(), lj) * b, b, b,
-                            local.data() + li * b + lj * b * lda, lda);
-      }
-    }
+    fillOwnedTiles(ctx, gen, local.data(), lda);
     BlasShim shim(cfg.vendor);
     DistLU lu(ctx, cfg, shim);
     world.barrier();

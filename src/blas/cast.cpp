@@ -4,7 +4,7 @@
 #include <type_traits>
 
 #include "blas/isa.h"
-#include "blas/simd.h"
+#include "util/simd.h"
 #include "lowp/scale.h"
 #include "lowp/traits.h"
 

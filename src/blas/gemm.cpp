@@ -3,7 +3,7 @@
 #include <type_traits>
 
 #include "blas/isa.h"
-#include "blas/simd.h"
+#include "util/simd.h"
 #include "blas/tune.h"
 
 namespace hplmxp::blas {

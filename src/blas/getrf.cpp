@@ -4,7 +4,7 @@
 
 #include "blas/gemm.h"
 #include "blas/isa.h"
-#include "blas/simd.h"
+#include "util/simd.h"
 #include "blas/trsm.h"
 
 namespace hplmxp::blas {

@@ -1,14 +1,12 @@
-// Instruction-set paths of the BLAS kernels.
+// The BLAS kernels' paths: the instruction-set seam.
 //
 // The hot kernels of Algorithm 1 — the packed FP32-accumulate GEMM
 // (sgemm, gemmMixed/gemmLowp), binary16 CAST and TRANS_CAST, and the
 // blocked FP32 TRSM with the LU panel around it — each have a portable
-// scalar path and an AVX-512F+F16C path. The process picks one path once,
-// from CPUID, the first time it asks (hostIsa()); there is no option,
-// environment variable or config field. Both paths do the same arithmetic
-// per element (a multiply, then an add, in ascending k; binary16 rounding
-// to nearest even), so they produce identical bits. The scalar path runs
-// on hosts without AVX-512 and is the reference the tests compare with.
+// scalar path and an AVX-512 path, picked once from CPUID (util/isa.h).
+// Both paths do the same arithmetic per element (a multiply, then an add,
+// in ascending k; binary16 rounding to nearest even), so they produce
+// identical bits.
 //
 // blas::detail below is the internal seam that runs a kernel on an
 // explicitly named path. The public kernels pass hostIsa(); the tests pass
@@ -18,24 +16,10 @@
 #include "blas/types.h"
 #include "fp16/half.h"
 #include "util/common.h"
+#include "util/isa.h"
 #include "util/thread_pool.h"
 
 namespace hplmxp::blas {
-
-enum class Isa {
-  kScalar,  // portable C++, the build's baseline ISA
-  kAvx512,  // AVX-512F + F16C, per-function target attributes
-};
-
-/// The path this process runs: kAvx512 when CPUID reports AVX-512F and
-/// F16C (with OS support for the zmm state), else kScalar. Detected once.
-[[nodiscard]] Isa hostIsa();
-
-/// True when kernels of `isa` can execute on this host.
-[[nodiscard]] bool isaSupported(Isa isa);
-
-/// "scalar" or "avx512".
-[[nodiscard]] const char* isaName(Isa isa);
 
 namespace detail {
 

@@ -57,6 +57,21 @@ class DistContext {
     return layout_.localCols(coord_.col);
   }
 
+  /// Calls fn(gi, gj, li, lj) for every block this rank owns — global
+  /// block (gi, gj), local block (li, lj) — block columns outer, rows
+  /// inner.
+  template <typename Fn>
+  void forEachOwnedBlock(Fn&& fn) const {
+    const index_t lbr = layout_.localBlockRows(coord_.row);
+    const index_t lbc = layout_.localBlockCols(coord_.col);
+    for (index_t lj = 0; lj < lbc; ++lj) {
+      const index_t gj = layout_.globalBlockCol(coord_.col, lj);
+      for (index_t li = 0; li < lbr; ++li) {
+        fn(layout_.globalBlockRow(coord_.row, li), gj, li, lj);
+      }
+    }
+  }
+
  private:
   simmpi::Comm world_;
   ProcessGrid grid_;

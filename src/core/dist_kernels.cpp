@@ -1,41 +1,25 @@
 #include "core/dist_kernels.h"
 
-#include <cmath>
+#include <algorithm>
 
 namespace hplmxp {
 
 namespace {
 
 /// Shared core of residual/matvec: out = sign * A*x (+ b if addRhs), all
-/// via regeneration and one Allreduce.
+/// via regeneration and one Allreduce. Each owned block is one fused
+/// regenerate-and-accumulate walk.
 void regenApply(DistContext& ctx, const ProblemGenerator& gen,
                 const std::vector<double>& x, std::vector<double>& out,
                 double sign, bool addRhs) {
-  const BlockCyclic& layout = ctx.layout();
-  const index_t n = layout.n();
-  const index_t b = layout.blockSize();
+  const index_t n = ctx.layout().n();
+  const index_t b = ctx.layout().blockSize();
   HPLMXP_REQUIRE(static_cast<index_t>(x.size()) == n, "x size mismatch");
   out.assign(static_cast<std::size_t>(n), 0.0);
-
-  Buffer<double> tile(b * b);
-  const index_t lbr = layout.localBlockRows(ctx.myRow());
-  const index_t lbc = layout.localBlockCols(ctx.myCol());
-  for (index_t lj = 0; lj < lbc; ++lj) {
-    const index_t gj = layout.globalBlockCol(ctx.myCol(), lj);
-    for (index_t li = 0; li < lbr; ++li) {
-      const index_t gi = layout.globalBlockRow(ctx.myRow(), li);
-      gen.fillTile<double>(gi * b, gj * b, b, b, tile.data(), b);
-      double* seg = out.data() + gi * b;
-      for (index_t j = 0; j < b; ++j) {
-        const double xj =
-            sign * x[static_cast<std::size_t>(gj * b + j)];
-        const double* col = tile.data() + j * b;
-        for (index_t i = 0; i < b; ++i) {
-          seg[i] += col[i] * xj;
-        }
-      }
-    }
-  }
+  ctx.forEachOwnedBlock([&](index_t gi, index_t gj, index_t, index_t) {
+    gen.accumulateTile(gi * b, gj * b, b, b, sign, 1, x.data() + gj * b, b,
+                       out.data() + gi * b, b);
+  });
 
   ctx.world().allreduceSum(out.data(), n);
   if (addRhs) {
@@ -62,28 +46,12 @@ void distributedMatVec(DistContext& ctx, const ProblemGenerator& gen,
 
 double distributedMatrixInfNorm(DistContext& ctx,
                                 const ProblemGenerator& gen) {
-  const BlockCyclic& layout = ctx.layout();
-  const index_t n = layout.n();
-  const index_t b = layout.blockSize();
+  const index_t n = ctx.layout().n();
+  const index_t b = ctx.layout().blockSize();
   std::vector<double> rowSums(static_cast<std::size_t>(n), 0.0);
-
-  Buffer<double> tile(b * b);
-  const index_t lbr = layout.localBlockRows(ctx.myRow());
-  const index_t lbc = layout.localBlockCols(ctx.myCol());
-  for (index_t lj = 0; lj < lbc; ++lj) {
-    const index_t gj = layout.globalBlockCol(ctx.myCol(), lj);
-    for (index_t li = 0; li < lbr; ++li) {
-      const index_t gi = layout.globalBlockRow(ctx.myRow(), li);
-      gen.fillTile<double>(gi * b, gj * b, b, b, tile.data(), b);
-      double* seg = rowSums.data() + gi * b;
-      for (index_t j = 0; j < b; ++j) {
-        const double* col = tile.data() + j * b;
-        for (index_t i = 0; i < b; ++i) {
-          seg[i] += std::fabs(col[i]);
-        }
-      }
-    }
-  }
+  ctx.forEachOwnedBlock([&](index_t gi, index_t gj, index_t, index_t) {
+    gen.accumulateAbsRowSums(gi * b, gj * b, b, b, rowSums.data() + gi * b);
+  });
   ctx.world().allreduceSum(rowSums.data(), n);
   double best = 0.0;
   for (double v : rowSums) {

@@ -15,6 +15,18 @@
 
 namespace hplmxp {
 
+/// Fills this rank's owned blocks of A into its local col-major matrix `a`
+/// (leading dimension `ld`), one fillTile walk per block: the initial fill
+/// of both factorizations, and the recovery regenerator that rebuilds it.
+template <typename T>
+void fillOwnedTiles(const DistContext& ctx, const ProblemGenerator& gen,
+                    T* a, index_t ld) {
+  const index_t b = ctx.layout().blockSize();
+  ctx.forEachOwnedBlock([&](index_t gi, index_t gj, index_t li, index_t lj) {
+    gen.fillTile<T>(gi * b, gj * b, b, b, a + li * b + lj * b * ld, ld);
+  });
+}
+
 /// r = b - A*x in FP64 with A regenerated tile-by-tile from the generator;
 /// each rank covers its owned blocks, one Allreduce sums the partials, and
 /// every rank adds its regenerated copy of b. All ranks return the full r.

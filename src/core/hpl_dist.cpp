@@ -26,17 +26,8 @@ class DistHpl {
           const ProblemGenerator& gen)
       : ctx_(ctx), cfg_(cfg), gen_(gen), b_(cfg.b),
         lda_(std::max<index_t>(1, ctx.localRows())) {
-    const BlockCyclic& layout = ctx_.layout();
     localA_.allocate(ctx_.localRows() * ctx_.localCols());
-    for (index_t lj = 0; lj < ctx_.localCols() / b_; ++lj) {
-      const index_t gj = layout.globalBlockCol(ctx_.myCol(), lj);
-      for (index_t li = 0; li < ctx_.localRows() / b_; ++li) {
-        const index_t gi = layout.globalBlockRow(ctx_.myRow(), li);
-        gen_.fillTile<double>(gi * b_, gj * b_, b_, b_,
-                              localA_.data() + li * b_ + lj * b_ * lda_,
-                              lda_);
-      }
-    }
+    fillOwnedTiles(ctx_, gen_, localA_.data(), lda_);
     diagBuf_.allocate(b_ * b_);
     lPanel_.allocate(ctx_.localRows() * b_);
     uPanel_.allocate(b_ * ctx_.localCols());

@@ -5,6 +5,7 @@
 
 #include "blas/cast.h"
 #include "core/dist_context.h"
+#include "core/dist_kernels.h"
 #include "core/gmres_ir.h"
 #include "core/ir_dist.h"
 #include "core/lu_dist.h"
@@ -75,37 +76,17 @@ HplaiResult runHplaiOnComm(simmpi::Comm& world, const HplaiConfig& configIn,
   // generate-then-narrow conversion per element).
   Buffer<float> localA(lr * lc);
   const index_t lda = lr;
-  {
-    const BlockCyclic& layout = ctx.layout();
-    for (index_t lj = 0; lj < lc / b; ++lj) {
-      const index_t gj = layout.globalBlockCol(ctx.myCol(), lj);
-      for (index_t li = 0; li < lr / b; ++li) {
-        const index_t gi = layout.globalBlockRow(ctx.myRow(), li);
-        gen.fillTile<float>(gi * b, gj * b, b, b,
-                            localA.data() + li * b + lj * b * lda, lda);
-      }
-    }
-  }
+  fillOwnedTiles(ctx, gen, localA.data(), lda);
 
   BlasShim shim(config.vendor);
   DistLU lu(ctx, config, shim);
   std::optional<simmpi::RecoveryManager> recovery;
   if (config.recovery.enabled) {
-    // The regenerator replays the exact fill loop above: a resurrected
-    // rank's untouched tiles come back bit-identical from the LCG
-    // jump-ahead, so the step-0 checkpoint stores no matrix at all.
-    auto regen = [&gen, &ctx, b](float* a, index_t ld) {
-      const BlockCyclic& layout = ctx.layout();
-      const index_t cols = ctx.localCols();
-      const index_t rows = ctx.localRows();
-      for (index_t lj = 0; lj < cols / b; ++lj) {
-        const index_t gj = layout.globalBlockCol(ctx.myCol(), lj);
-        for (index_t li = 0; li < rows / b; ++li) {
-          const index_t gi = layout.globalBlockRow(ctx.myRow(), li);
-          gen.fillTile<float>(gi * b, gj * b, b, b, a + li * b + lj * b * ld,
-                              ld);
-        }
-      }
+    // The regenerator replays the exact fill above: a resurrected rank's
+    // untouched tiles come back bit-identical from the LCG jump-ahead, so
+    // the step-0 checkpoint stores no matrix at all.
+    auto regen = [&gen, &ctx](float* a, index_t ld) {
+      fillOwnedTiles(ctx, gen, a, ld);
     };
     simmpi::RecoveryGeometry geometry;
     geometry.localRows = lr;
@@ -152,10 +133,15 @@ HplaiResult runHplaiOnComm(simmpi::Comm& world, const HplaiConfig& configIn,
   // this substrate host and device share memory, so the transfer is a
   // no-op; the algorithmic structure (IR reads the FP32 factors) is kept.
   timer.reset();
+  // Algorithm 1 line 32: x = b / diag(A), a cheap Jacobi-style guess.
   std::vector<double> x(static_cast<std::size_t>(config.n));
-  for (index_t i = 0; i < config.n; ++i) {
-    // Algorithm 1 line 32: x = b / diag(A), a cheap Jacobi-style guess.
-    x[static_cast<std::size_t>(i)] = gen.rhs(i) / gen.entry(i, i);
+  {
+    Buffer<double> diag(config.n);
+    gen.fillRhs<double>(0, config.n, x.data());
+    gen.fillDiagonal(diag.data());
+    for (index_t i = 0; i < config.n; ++i) {
+      x[static_cast<std::size_t>(i)] /= diag[i];
+    }
   }
   IrOutcome outcome;
   if (config.refiner == HplaiConfig::Refiner::kGmres) {

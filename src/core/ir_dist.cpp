@@ -14,7 +14,7 @@ DistIR::DistIR(DistContext& ctx, const HplaiConfig& config,
                const ProblemGenerator& gen)
     : ctx_(ctx), config_(config), gen_(gen) {
   // Norm terms of the line-44 criterion; every rank regenerates them
-  // identically (O(N) LCG jumps).
+  // identically (two O(N) sweeps: the diagonal and b).
   diagInf_ = gen_.diagInfNorm();
   bInf_ = gen_.rhsInfNorm();
 }

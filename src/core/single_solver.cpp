@@ -141,11 +141,9 @@ SolveManyResult solveManyMixedSingle(const Factorization& f,
 
   // diag(A) once for every column's Jacobi-style initial guess — the same
   // per-element arithmetic as the single-RHS path, amortized across the
-  // batch (entry() is an O(log N) LCG jump per element).
+  // batch.
   std::vector<double> diag(static_cast<std::size_t>(n));
-  for (index_t i = 0; i < n; ++i) {
-    diag[static_cast<std::size_t>(i)] = gen.entry(i, i);
-  }
+  gen.fillDiagonal(diag.data());
 
   // Per-column rhs, its norm, and the solution. Column c's rhs is the rhs
   // stream of a generator seeded with rhsSeeds[c] over the same order.

@@ -5,11 +5,11 @@
 namespace hplmxp {
 
 std::string BlasShim::kernelConfig() const {
-  const blas::Isa isa = blas::hostIsa();
+  const Isa isa = hostIsa();
   const blas::GemmTile tile = blas::gemmTile(isa);
   const blas::GemmBlocking bl = blas::gemmBlocking();
   std::ostringstream os;
-  os << "isa=" << blas::isaName(isa) << " mr=" << tile.mr
+  os << "isa=" << isaName(isa) << " mr=" << tile.mr
      << " nr=" << tile.nr << " mc=" << bl.mc << " nc=" << bl.nc
      << " kc=" << bl.kc;
   return os.str();

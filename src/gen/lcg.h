@@ -31,10 +31,38 @@ class Lcg64 {
   /// Jumps the generator `n` steps forward in O(log n).
   void jump(std::uint64_t n) { state_ = jumped(state_, n); }
 
+  /// An affine map x -> mul*x + add (mod 2^64). Advancing the generator
+  /// any fixed number of steps is one such map, so walking a lattice of
+  /// states at a constant stride costs one multiply-add per state.
+  struct Map {
+    std::uint64_t mul = 1;
+    std::uint64_t add = 0;
+    [[nodiscard]] constexpr std::uint64_t operator()(std::uint64_t x) const {
+      return x * mul + add;
+    }
+  };
+
+  /// The map that advances the generator exactly `n` steps, in O(log n):
+  /// composes (a, c) with itself by binary exponentiation. Squaring the
+  /// map: (a, c) o (a, c) = (a^2, a*c + c).
+  static constexpr Map stepMap(std::uint64_t n) {
+    Map acc;
+    Map cur{kMultiplier, kIncrement};
+    while (n != 0) {
+      if ((n & 1ULL) != 0) {
+        acc = {acc.mul * cur.mul, acc.add * cur.mul + cur.add};
+      }
+      cur = {cur.mul * cur.mul, (cur.mul + 1) * cur.add};
+      n >>= 1;
+    }
+    return acc;
+  }
+
   /// Returns the state reached from `seed` after exactly `n` steps, in
-  /// O(log n): composes the affine map (a, c) with itself by binary
-  /// exponentiation.
-  static std::uint64_t jumped(std::uint64_t seed, std::uint64_t n);
+  /// O(log n).
+  static constexpr std::uint64_t jumped(std::uint64_t seed, std::uint64_t n) {
+    return stepMap(n)(seed);
+  }
 
   /// Maps a state to a uniform double in [-0.5, 0.5) using the top 53 bits.
   static double toUniform(std::uint64_t state) {

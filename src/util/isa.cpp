@@ -1,8 +1,8 @@
-#include "blas/isa.h"
+#include "util/isa.h"
 
-#include "blas/simd.h"
+#include "util/simd.h"
 
-namespace hplmxp::blas {
+namespace hplmxp {
 
 namespace {
 
@@ -11,7 +11,8 @@ Isa detectIsa() {
   // libgcc's CPUID probe also checks XCR0, so "avx512f" is reported only
   // when the OS saves the zmm state.
   __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("f16c")) {
+  if (__builtin_cpu_supports("avx512f") &&
+      __builtin_cpu_supports("avx512dq") && __builtin_cpu_supports("f16c")) {
     return Isa::kAvx512;
   }
 #endif
@@ -33,4 +34,4 @@ const char* isaName(Isa isa) {
   return isa == Isa::kAvx512 ? "avx512" : "scalar";
 }
 
-}  // namespace hplmxp::blas
+}  // namespace hplmxp

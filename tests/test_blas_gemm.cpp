@@ -464,19 +464,19 @@ TEST(GemmLowp, Fp32AccumulationAcrossAllRungs) {
 // has a padded leading dimension.
 // ---------------------------------------------------------------------------
 
-template <typename T, blas::Isa kPath>
+template <typename T, Isa kPath>
 struct KernelPath {
   using Storage = T;
-  static constexpr blas::Isa kIsa = kPath;
+  static constexpr Isa kIsa = kPath;
 };
 
 template <typename P>
 class GemmIsaTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!blas::isaSupported(P::kIsa)) {
+    if (!isaSupported(P::kIsa)) {
       GTEST_SKIP() << "this host's CPU lacks AVX-512F+F16C, so the "
-                   << blas::isaName(P::kIsa) << " kernels cannot run";
+                   << isaName(P::kIsa) << " kernels cannot run";
     }
   }
 };
@@ -493,21 +493,21 @@ struct KernelPathName {
                           : std::is_same_v<typename P::Storage, lowp::fp8e4m3>
                               ? "fp8e4m3"
                               : "fp8e5m2";
-    return std::string(storage) + "_" + blas::isaName(P::kIsa);
+    return std::string(storage) + "_" + isaName(P::kIsa);
   }
 };
 
 using KernelPaths = ::testing::Types<
-    KernelPath<float, blas::Isa::kScalar>,
-    KernelPath<float, blas::Isa::kAvx512>,
-    KernelPath<half16, blas::Isa::kScalar>,
-    KernelPath<half16, blas::Isa::kAvx512>,
-    KernelPath<lowp::bfloat16, blas::Isa::kScalar>,
-    KernelPath<lowp::bfloat16, blas::Isa::kAvx512>,
-    KernelPath<lowp::fp8e4m3, blas::Isa::kScalar>,
-    KernelPath<lowp::fp8e4m3, blas::Isa::kAvx512>,
-    KernelPath<lowp::fp8e5m2, blas::Isa::kScalar>,
-    KernelPath<lowp::fp8e5m2, blas::Isa::kAvx512>>;
+    KernelPath<float, Isa::kScalar>,
+    KernelPath<float, Isa::kAvx512>,
+    KernelPath<half16, Isa::kScalar>,
+    KernelPath<half16, Isa::kAvx512>,
+    KernelPath<lowp::bfloat16, Isa::kScalar>,
+    KernelPath<lowp::bfloat16, Isa::kAvx512>,
+    KernelPath<lowp::fp8e4m3, Isa::kScalar>,
+    KernelPath<lowp::fp8e4m3, Isa::kAvx512>,
+    KernelPath<lowp::fp8e5m2, Isa::kScalar>,
+    KernelPath<lowp::fp8e5m2, Isa::kAvx512>>;
 TYPED_TEST_SUITE(GemmIsaTest, KernelPaths, KernelPathName);
 
 TYPED_TEST(GemmIsaTest, MatchesOrderExactOracleBitwise) {
@@ -585,7 +585,7 @@ TYPED_TEST(GemmIsaTest, InvariantUnderBlockingAndThreads) {
 
 TEST(GemmTune, BlockingIsRoundedToTheHostTile) {
   BlockingGuard guard;
-  const blas::GemmTile tile = blas::gemmTile(blas::hostIsa());
+  const blas::GemmTile tile = blas::gemmTile(hostIsa());
   blas::setGemmBlocking(blas::GemmBlocking{1, 1, 7});
   EXPECT_EQ(blas::gemmBlocking().mc, tile.mr);
   EXPECT_EQ(blas::gemmBlocking().nc, tile.nr);

@@ -190,22 +190,22 @@ TEST(Trsm, EmptyDimsAreNoOps) {
 // has a padded leading dimension.
 // ---------------------------------------------------------------------------
 
-std::string pathName(const ::testing::TestParamInfo<blas::Isa>& p) {
-  return blas::isaName(p.param);
+std::string pathName(const ::testing::TestParamInfo<Isa>& p) {
+  return isaName(p.param);
 }
 
-class TrsmIsaTest : public ::testing::TestWithParam<blas::Isa> {
+class TrsmIsaTest : public ::testing::TestWithParam<Isa> {
  protected:
   void SetUp() override {
-    if (!blas::isaSupported(GetParam())) {
+    if (!isaSupported(GetParam())) {
       GTEST_SKIP() << "this host's CPU lacks AVX-512F+F16C, so the "
-                   << blas::isaName(GetParam()) << " kernels cannot run";
+                   << isaName(GetParam()) << " kernels cannot run";
     }
   }
 };
 
 TEST_P(TrsmIsaTest, BlockedMatchesUnblockedBitwise) {
-  const blas::Isa isa = GetParam();
+  const Isa isa = GetParam();
   ThreadPool wide(4);
   const index_t extents[] = {1, 31, 32, 33, 128, 200};
   for (const auto& [side, uplo] : {std::pair{Side::kLeft, Uplo::kLower},
@@ -233,7 +233,7 @@ TEST_P(TrsmIsaTest, BlockedMatchesUnblockedBitwise) {
           auto got = want;
           auto unblockedOnPath = want;
           const float alpha = diag == Diag::kUnit ? 1.0f : 0.75f;
-          blas::detail::strsmUnblocked(blas::Isa::kScalar, side, uplo, diag,
+          blas::detail::strsmUnblocked(Isa::kScalar, side, uplo, diag,
                                        m, n, alpha, a.data(), tri,
                                        want.data(), ldb, nullptr);
           blas::detail::strsm(isa, side, uplo, diag, m, n, alpha, a.data(),
@@ -258,8 +258,8 @@ TEST_P(TrsmIsaTest, BlockedMatchesUnblockedBitwise) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Paths, TrsmIsaTest,
-                         ::testing::Values(blas::Isa::kScalar,
-                                           blas::Isa::kAvx512),
+                         ::testing::Values(Isa::kScalar,
+                                           Isa::kAvx512),
                          pathName);
 
 }  // namespace

@@ -226,16 +226,16 @@ TEST(Half, PanelEntriesSurviveCast) {
 // memcmp, not tolerances.
 // ---------------------------------------------------------------------------
 
-std::string pathName(const ::testing::TestParamInfo<blas::Isa>& p) {
-  return blas::isaName(p.param);
+std::string pathName(const ::testing::TestParamInfo<Isa>& p) {
+  return isaName(p.param);
 }
 
-class HalfCastIsaTest : public ::testing::TestWithParam<blas::Isa> {
+class HalfCastIsaTest : public ::testing::TestWithParam<Isa> {
  protected:
   void SetUp() override {
-    if (!blas::isaSupported(GetParam())) {
+    if (!isaSupported(GetParam())) {
       GTEST_SKIP() << "this host's CPU lacks AVX-512F+F16C, so the "
-                   << blas::isaName(GetParam()) << " kernels cannot run";
+                   << isaName(GetParam()) << " kernels cannot run";
     }
   }
 };
@@ -317,7 +317,7 @@ std::vector<float> castSource(index_t ld, index_t cols, unsigned seed) {
 }
 
 TEST_P(HalfCastIsaTest, CastAndTransCastMatchScalarPathBitwise) {
-  const blas::Isa isa = GetParam();
+  const Isa isa = GetParam();
   ThreadPool wide(4);
   for (const auto& [m, n] : {std::pair<index_t, index_t>{33, 17},
                              {97, 65},
@@ -332,7 +332,7 @@ TEST_P(HalfCastIsaTest, CastAndTransCastMatchScalarPathBitwise) {
     std::vector<half16> scalar(static_cast<std::size_t>(ldDst * n),
                                half16::fromBits(0xABCD));
     std::vector<half16> got = scalar;
-    blas::detail::castToHalf(blas::Isa::kScalar, m, n, src.data(), ldSrc,
+    blas::detail::castToHalf(Isa::kScalar, m, n, src.data(), ldSrc,
                              scalar.data(), ldDst, nullptr);
     blas::detail::castToHalf(isa, m, n, src.data(), ldSrc, got.data(),
                              ldDst, &wide);
@@ -344,7 +344,7 @@ TEST_P(HalfCastIsaTest, CastAndTransCastMatchScalarPathBitwise) {
     std::vector<half16> scalarT(static_cast<std::size_t>(ldT * m),
                                 half16::fromBits(0xABCD));
     std::vector<half16> gotT = scalarT;
-    blas::detail::transCastToHalf(blas::Isa::kScalar, m, n, src.data(),
+    blas::detail::transCastToHalf(Isa::kScalar, m, n, src.data(),
                                   ldSrc, scalarT.data(), ldT, nullptr);
     blas::detail::transCastToHalf(isa, m, n, src.data(), ldSrc, gotT.data(),
                                   ldT, &wide);
@@ -368,8 +368,8 @@ TEST_P(HalfCastIsaTest, CastAndTransCastMatchScalarPathBitwise) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Paths, HalfCastIsaTest,
-                         ::testing::Values(blas::Isa::kScalar,
-                                           blas::Isa::kAvx512),
+                         ::testing::Values(Isa::kScalar,
+                                           Isa::kAvx512),
                          pathName);
 
 }  // namespace
