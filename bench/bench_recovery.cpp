@@ -58,7 +58,6 @@ HplaiConfig baseConfig(index_t n) {
   cfg.pc = 2;
   cfg.seed = 20220521;  // the paper's SC'22 vintage
   cfg.lookahead = false;  // recovery requires deterministic step replay
-  cfg.scheduler = HplaiConfig::Scheduler::kBulk;
   return cfg;
 }
 

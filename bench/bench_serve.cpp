@@ -46,8 +46,7 @@ ServeReport replay(const RequestTrace& trace, ServeConfig cfg) {
       std::this_thread::sleep_for(std::chrono::duration<double>(at - nowS));
     }
     SolveRequest req;
-    req.key = {tr.n, tr.b, tr.seed, tr.pr, tr.pc,
-               HplaiConfig::Scheduler::kBulk};
+    req.key = {tr.n, tr.b, tr.seed, tr.pr, tr.pc};
     req.rhsSeed = tr.rhsSeed;
     req.deadlineSeconds = tr.deadlineMs * 1e-3;
     engine.submit(req);
@@ -79,8 +78,7 @@ serve::FleetReport fleetReplay(const RequestTrace& trace,
       std::this_thread::sleep_for(std::chrono::duration<double>(at - nowS));
     }
     SolveRequest req;
-    req.key = {tr.n, tr.b, tr.seed, tr.pr, tr.pc,
-               HplaiConfig::Scheduler::kBulk};
+    req.key = {tr.n, tr.b, tr.seed, tr.pr, tr.pc};
     req.rhsSeed = tr.rhsSeed;
     req.deadlineSeconds = tr.deadlineMs * 1e-3;
     fleet.submit(req);

@@ -29,7 +29,7 @@
 // -ffp-contract=fast fuses even an intrinsic _mm512_mul_ps feeding
 // _mm512_add_ps into vfmadd, so src/blas compiles with -ffp-contract=off.
 // Results are bitwise identical to the pre-rewrite kernel
-// (blas/gemm_baseline.h) on every path, which the scheduler-equivalence
+// (blas/gemm_baseline.h) on every path, which the look-ahead equivalence
 // suite and the pinned answers depend on.
 #pragma once
 

@@ -3,7 +3,7 @@
 // The register-blocked kernel in gemm.cpp must produce bitwise-identical
 // results to this implementation (both accumulate each C element in
 // ascending-k order with the same per-step arithmetic), which is what lets
-// the scheduler-equivalence suite and the IR trajectory stay stable across
+// the look-ahead equivalence suite and the IR trajectory stay stable across
 // the rewrite. Tests assert the identity; the kernel benchmarks use this
 // as the before/after baseline. Not for production call sites.
 #pragma once

@@ -5,7 +5,7 @@
 // only moves work between cache levels and parallel tasks. Changing it
 // NEVER changes results: the kernel accumulates each C element in
 // ascending-k order regardless of the blocking, which is what the
-// scheduler-equivalence suite relies on. The autotuner
+// look-ahead equivalence suite relies on. The autotuner
 // (perfmodel/autotune.h) sweeps candidate blockings on the host and
 // installs the fastest via setGemmBlocking().
 #pragma once

@@ -1,6 +1,5 @@
 #include "core/hplai.h"
 
-#include <atomic>
 #include <optional>
 
 #include "blas/cast.h"
@@ -14,30 +13,12 @@
 #include "simmpi/runtime.h"
 #include "util/buffer.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace hplmxp {
 
-HplaiConfig::Scheduler effectiveScheduler(HplaiConfig::Scheduler requested,
-                                          index_t poolLanes) {
-  if (requested == HplaiConfig::Scheduler::kDataflow && poolLanes < 2) {
-    static std::atomic<bool> logged{false};
-    if (!logged.exchange(true, std::memory_order_relaxed)) {
-      logWarn("scheduler=dataflow needs >= 2 ThreadPool lanes to overlap "
-              "anything (have ",
-              poolLanes, "); falling back to bulk");
-    }
-    return HplaiConfig::Scheduler::kBulk;
-  }
-  return requested;
-}
-
-HplaiResult runHplaiOnComm(simmpi::Comm& world, const HplaiConfig& configIn,
+HplaiResult runHplaiOnComm(simmpi::Comm& world, const HplaiConfig& config,
                            std::vector<double>* solutionOut) {
-  HplaiConfig config = configIn;
-  config.scheduler = effectiveScheduler(configIn.scheduler,
-                                        ThreadPool::global().laneCount());
   config.validate();
   HPLMXP_REQUIRE(config.n / config.b >= std::max(config.pr, config.pc),
                  "need at least one block row/col per grid row/col");
@@ -57,13 +38,9 @@ HplaiResult runHplaiOnComm(simmpi::Comm& world, const HplaiConfig& configIn,
     const std::size_t matrixBytes =
         static_cast<std::size_t>(lr) * static_cast<std::size_t>(lc) *
         sizeof(float);
-    const std::size_t panelSets =
-        (config.lookahead ||
-         config.scheduler == HplaiConfig::Scheduler::kDataflow)
-            ? 2
-            : 1;
     const std::size_t panelBytes =
-        panelSets * static_cast<std::size_t>(lr + lc) *
+        static_cast<std::size_t>(DistLU::panelSets(config)) *
+        static_cast<std::size_t>(lr + lc) *
         static_cast<std::size_t>(b) * sizeof(half16);
     const std::size_t diagBytes =
         static_cast<std::size_t>(b) * static_cast<std::size_t>(b) *
@@ -107,8 +84,7 @@ HplaiResult runHplaiOnComm(simmpi::Comm& world, const HplaiConfig& configIn,
   if (world.rank() == 0) {
     logInfo("hplai: N=", config.n, " B=", config.b, " grid=", config.pr,
             "x", config.pc, " bcast=", simmpi::toString(config.panelBcast),
-            " lookahead=", config.lookahead ? "on" : "off",
-            " scheduler=", toString(config.scheduler));
+            " lookahead=", config.lookahead ? "on" : "off");
   }
   world.barrier();
   Timer timer;

@@ -20,8 +20,8 @@
 // started, and only then is the bulk of iteration k's GEMM performed —
 // overlapping the panel broadcast with the dominant computation. The
 // factored matrix is bitwise identical with look-ahead on or off (each
-// element's update is a single dot product either way), which the test
-// suite checks.
+// element's update is a single dot product either way), which
+// tests/test_lookahead_equiv.cpp checks.
 #pragma once
 
 #include <functional>
@@ -34,8 +34,6 @@
 #include "fp16/half.h"
 #include "simmpi/recovery.h"
 #include "util/buffer.h"
-#include "util/task_graph.h"
-#include "util/thread_pool.h"
 
 namespace hplmxp {
 
@@ -43,8 +41,15 @@ class DistLU {
  public:
   DistLU(DistContext& ctx, const HplaiConfig& config, BlasShim& shim);
 
+  /// FP16 panel buffer sets (one L + one U panel each) a factorization
+  /// under `config` keeps in flight: two with look-ahead (step k's GEMM
+  /// reads set k%2 while step k+1's panels land in the other), else one.
+  [[nodiscard]] static index_t panelSets(const HplaiConfig& config) {
+    return config.lookahead ? 2 : 1;
+  }
+
   /// Arms crash-rank recovery (config.recovery.enabled must also be set):
-  /// the bulk no-look-ahead loop checkpoints every `checkpointEveryK`
+  /// the no-look-ahead loop checkpoints every `checkpointEveryK`
   /// steps and resurrects this rank from an InjectedCrashError by
   /// restoring the checkpoint and replaying forward. The manager is owned
   /// by the caller (one per rank thread) and must outlive factor().
@@ -82,13 +87,6 @@ class DistLU {
   [[nodiscard]] bool aborted() const { return aborted_; }
   /// Block steps completed by the last factor().
   [[nodiscard]] index_t stepsCompleted() const { return stepsCompleted_; }
-
-  /// Per-task execution timeline of the last factor() under the dataflow
-  /// scheduler (empty for the bulk scheduler). Feed it to
-  /// trace::summarizeSchedTimeline for idle/steal/overlap attribution.
-  [[nodiscard]] const TaskGraph::ExecStats& schedStats() const {
-    return schedStats_;
-  }
 
  private:
   /// Geometry of one block step, identical on every rank.
@@ -129,13 +127,6 @@ class DistLU {
   /// the verdict. Returns true when the run must stop.
   bool pollAbort(index_t k, double iterSeconds);
 
-  /// Dataflow engine (config.scheduler == kDataflow): builds one
-  /// whole-factorization task graph — every TRSM/CAST/GEMM tile a node,
-  /// every collective a main-lane task in a globally consistent order —
-  /// and runs it on the shared thread pool with work stealing. Bitwise
-  /// identical results to the bulk path.
-  std::vector<IterationTrace> factorDataflow(float* localA, index_t lda);
-
   /// ABFT panel protection (config.abftPanels): broadcast the root's
   /// checksums after each panel broadcast and verify/correct on every
   /// rank. Throws blas::AbnormalValueError on uncorrectable corruption.
@@ -168,18 +159,12 @@ class DistLU {
   bool aborted_ = false;
   index_t stepsCompleted_ = 0;
 
-  std::vector<float> abftSums_;    // checksum bcast scratch (bulk path)
-  std::vector<double> abftRow64_;  // GEMM carry-check scratch (bulk path)
+  std::vector<float> abftSums_;    // checksum bcast scratch
+  std::vector<double> abftRow64_;  // GEMM carry-check scratch
 
   Buffer<float> diagBuf_;
   Buffer<half16> lHalf_[2];
   Buffer<half16> uHalf_[2];
-
-  /// Caller-only pool handed to the per-tile kernels of the dataflow path:
-  /// each tile is already one task of the graph, so nesting a parallelFor
-  /// inside it would oversubscribe the shared pool.
-  ThreadPool serialPool_{1};
-  TaskGraph::ExecStats schedStats_;
 };
 
 }  // namespace hplmxp

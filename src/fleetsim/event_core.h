@@ -1,8 +1,8 @@
 // Discrete-event core of the fleet co-simulator.
 //
 // One event heap, one virtual clock (a util ManualClock, so everything
-// the simulator reuses — Timers, TaskGraph timelines, simmpi poll
-// backoff — can read simulated time through the same ClockSource seam
+// the simulator reuses — Timers and the simmpi poll backoff — can read
+// simulated time through the same ClockSource seam
 // real code reads the wall clock through), and deterministic ordering:
 // events execute in (time, node, seq) order, so two runs of the same
 // configuration produce byte-identical event traces regardless of host
@@ -139,8 +139,7 @@ class Simulator {
   [[nodiscard]] std::uint64_t executedEvents() const { return executed_; }
   [[nodiscard]] const Event* peek() const;
   /// The virtual clock, exposed as a ClockSource so reused components
-  /// (Timer, TaskGraph ExecOptions, simmpi poll backoff) can read
-  /// simulated time.
+  /// (Timer, simmpi poll backoff) can read simulated time.
   [[nodiscard]] const ManualClock& clock() const { return clock_; }
 
   // -- trace -------------------------------------------------------------

@@ -38,7 +38,8 @@ std::uint64_t HashRing::hashKey(const ProblemKey& key) {
   h = mix64(h ^ key.seed);
   h = mix64(h ^ static_cast<std::uint64_t>(key.pr));
   h = mix64(h ^ static_cast<std::uint64_t>(key.pc));
-  h = mix64(h ^ static_cast<std::uint64_t>(key.scheduler));
+  // Round of the retired scheduler field (always 0): keys keep their points.
+  h = mix64(h);
   h = mix64(h ^ static_cast<std::uint64_t>(key.precision));
   return h;
 }

@@ -170,12 +170,12 @@ class Request {
   /// Bounded spin-then-yield backoff: misses within the first
   /// kPollSpinSeconds return immediately (latency-optimal for operations
   /// about to land); after the window every miss yields the CPU, so a
-  /// tight `while (!req.test())` loop — e.g. a dataflow rank polling an
-  /// in-flight ring broadcast — cannot starve the scheduler's worker
-  /// threads on an oversubscribed host. The window is measured against
-  /// pollClockSource() (a *time* budget, not the old fixed miss count,
-  /// which stretched with CPU speed and meant nothing under a virtual
-  /// clock).
+  /// tight `while (!req.test())` loop — e.g. a rank polling an in-flight
+  /// ring broadcast — cannot starve the thread pool's workers or the
+  /// other rank threads on an oversubscribed host. The window is measured
+  /// against pollClockSource() (a *time* budget, not the old fixed miss
+  /// count, which stretched with CPU speed and meant nothing under a
+  /// virtual clock).
   bool test() {
     if (!state_ || state_->done.load(std::memory_order_acquire)) {
       return true;

@@ -53,14 +53,7 @@ bool ThreadPool::runOneTask(std::unique_lock<std::mutex>& lock) {
 }
 
 void ThreadPool::queuePush(Task t) {
-  if (ringCount_ == ring_.size()) {
-    std::vector<Task> grown(std::max<std::size_t>(16, ring_.size() * 2));
-    for (std::size_t i = 0; i < ringCount_; ++i) {
-      grown[i] = std::move(ring_[(ringHead_ + i) % ring_.size()]);
-    }
-    ring_ = std::move(grown);
-    ringHead_ = 0;
-  }
+  // Callers check queueFull() first (postHelpers drops surplus hints).
   ring_[(ringHead_ + ringCount_) % ring_.size()] = std::move(t);
   ++ringCount_;
 }
@@ -141,14 +134,6 @@ void ThreadPool::parallelFor(index_t begin, index_t end,
         }
       },
       chunks);
-}
-
-void ThreadPool::enqueue(std::function<void()> fn) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    queuePush(Task{std::move(fn)});
-  }
-  cv_.notify_one();
 }
 
 ThreadPool::ScratchLease::~ScratchLease() {

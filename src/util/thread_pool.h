@@ -167,12 +167,6 @@ class ThreadPool {
                    const std::function<void(index_t)>& fn,
                    index_t chunks = 0);
 
-  /// Pushes one fire-and-forget closure onto the shared queue (the same
-  /// mechanism parallelFor uses for its helpers). The closure must not
-  /// throw; it owns its own completion signalling. TaskGraph::execute uses
-  /// this to borrow workers as scheduler lanes.
-  void enqueue(std::function<void()> fn);
-
   /// RAII lease of one persistent scratch arena. Returning the lease puts
   /// the arena (capacity intact) back on the pool's free list, so repeated
   /// kernel invocations reuse warmed-up buffers allocation-free.
@@ -217,8 +211,8 @@ class ThreadPool {
   /// (slot, epoch); a stale helper that pops after the job retired sees a
   /// bumped epoch and returns without touching the caller's stack state.
   /// This also means a parallel-for never has to wait for queued-but-
-  /// unstarted helpers (they may sit behind long-running scheduler lanes),
-  /// so stack-allocated job state cannot deadlock the pool.
+  /// unstarted helpers (they may sit behind another caller's long-running
+  /// chunks), so stack-allocated job state cannot deadlock the pool.
   struct JobSlot {
     std::atomic<bool> inUse{false};
     std::atomic<std::uint64_t> epoch{1};
@@ -246,15 +240,13 @@ class ThreadPool {
 
   void returnScratch(Arena* arena);
 
-  // Pending-task ring (guarded by mutex_), pre-sized at construction.
+  // Pending-task ring (guarded by mutex_), sized once at construction.
   // Helper posting is best-effort and never grows it: a helper task is a
   // hint that directs a worker at a (slot, epoch), and once every worker
   // has been pointed at pending work, extra hints are redundant (workers
-  // drain the ring in a loop; stale hints no-op). Only enqueue() — the
-  // fire-and-forget API, where dropping would lose work — may grow the
-  // ring, and it does so geometrically. std::queue's deque would instead
-  // allocate and free a node block every few dozen operations as its
-  // cursor walks forward; keeping the steady state allocation-free is
+  // drain the ring in a loop; stale hints no-op). std::queue's deque would
+  // instead allocate and free a node block every few dozen operations as
+  // its cursor walks forward; keeping the steady state allocation-free is
   // what lets the zero-alloc GEMM regression test assert a strict zero.
   static constexpr std::size_t kTaskRingCapacity = 256;
   [[nodiscard]] bool queueEmpty() const { return ringCount_ == 0; }

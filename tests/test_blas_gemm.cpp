@@ -177,7 +177,7 @@ TEST(GemmMixed, Fp32AccumulationBeatsFp16Accumulation) {
 
 // ---------------------------------------------------------------------------
 // Bitwise identity vs the retained pre-rewrite kernel (blas/gemm_baseline.h).
-// The scheduler-equivalence suite and the determinism tests depend on the
+// The look-ahead equivalence suite and the determinism tests depend on the
 // GEMM producing the exact same bits regardless of blocking or thread
 // count, so these use memcmp, not tolerances.
 // ---------------------------------------------------------------------------

@@ -124,6 +124,27 @@ TEST(HashRingTest, SuccessorsAreDistinctAndStartAtThePrimary) {
   EXPECT_EQ(one[0], 2);
 }
 
+TEST(HashRingTest, ServeZipfKeysKeepTheirRingPlacement) {
+  // serve_zipf's 64 problems (n=256, b=64, seeds 1..64, fp16, 1x1) on the
+  // fleet's default 2-shard ring. Every key's ring point and shard are
+  // folded into one FNV-1a value, so a hashKey change that moves any key
+  // (and with it the benchmark's shard split) fails here.
+  const HashRing ring(2, FleetConfig{}.virtualNodes);
+  std::uint64_t fold = 0xCBF29CE484222325ull;
+  const auto absorb = [&fold](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      fold = (fold ^ ((v >> (8 * byte)) & 0xFFu)) * 0x100000001B3ull;
+    }
+  };
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    ProblemKey k = key(256, 64, seed);
+    k.precision = lowp::StoragePrecision::kFp16;
+    absorb(HashRing::hashKey(k));
+    absorb(static_cast<std::uint64_t>(ring.route(k, nullptr)));
+  }
+  EXPECT_EQ(fold, 9637984964054790183ull);
+}
+
 // ----------------------------------------------------- FleetCacheIndex --
 
 TEST(FleetCacheIndexTest, PlacementsDedupAndEvictionsWithdraw) {

@@ -144,9 +144,9 @@ TEST(GemmAlloc, ArenaStopsGrowingAfterWarmup) {
 }
 
 TEST(GemmAlloc, ConcurrentGemmsLeaseDistinctArenas) {
-  // lu_dist issues tile GEMMs from task-graph lanes against one shared
-  // pool; each invocation must get its own pack arena, not race a shared
-  // buffer.
+  // Every simmpi rank thread issues its trailing GEMMs against the one
+  // shared pool; each invocation must get its own pack arena, not race a
+  // shared buffer.
   ThreadPool outer(4);
   ThreadPool inner(1);
   const index_t n = 64;

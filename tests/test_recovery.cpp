@@ -198,7 +198,6 @@ HplaiConfig recoveryConfig(index_t everyK) {
   cfg.pc = 2;
   cfg.seed = 7321;
   cfg.lookahead = false;
-  cfg.scheduler = HplaiConfig::Scheduler::kBulk;
   cfg.recovery.enabled = everyK > 0;
   if (everyK > 0) {
     cfg.recovery.checkpointEveryK = everyK;
@@ -513,13 +512,12 @@ TEST(DirtyMap, MarksClipsAndEnumeratesColumnMajor) {
   EXPECT_FALSE(map.test(1, 2));
 }
 
-TEST(CrashRecovery, ConfigRejectsLookaheadAndDataflow) {
+TEST(CrashRecovery, ConfigRejectsLookahead) {
   HplaiConfig cfg = recoveryConfig(4);
   cfg.lookahead = true;
   EXPECT_THROW(cfg.validate(), CheckError);
   cfg.lookahead = false;
-  cfg.scheduler = HplaiConfig::Scheduler::kDataflow;
-  EXPECT_THROW(cfg.validate(), CheckError);
+  EXPECT_NO_THROW(cfg.validate());
 }
 
 // ---------------------------------------------------------------------------

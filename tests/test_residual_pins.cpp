@@ -8,7 +8,7 @@
 // ProblemGenerator::addProduct replaced.
 //
 // The distributed pins hash runHplai's solution on 2x1 and 2x2 grids
-// under both schedulers, so the bits of the distributed LU (GETRF, the
+// with look-ahead on and off, so the bits of the distributed LU (GETRF, the
 // two panel TRSMs, CAST/TRANS_CAST and the FP16 trailing GEMM on every
 // kernel path) and of its refinement are checked too. They were captured
 // on the scalar kernels, before the AVX-512 path existed.
@@ -125,14 +125,13 @@ TEST(ResidualPins, Hpl64ScaledResidual) {
   EXPECT_EQ(h.value(), 18378300616107194755ull);
 }
 
-std::uint64_t pinDistributed(index_t pr, index_t pc,
-                             HplaiConfig::Scheduler scheduler) {
+std::uint64_t pinDistributed(index_t pr, index_t pc, bool lookahead) {
   HplaiConfig cfg;
   cfg.n = 512;
   cfg.b = 64;
   cfg.pr = pr;
   cfg.pc = pc;
-  cfg.scheduler = scheduler;
+  cfg.lookahead = lookahead;
   std::vector<double> x;
   const HplaiResult r = runHplai(cfg, &x);
   EXPECT_TRUE(r.converged);
@@ -142,23 +141,19 @@ std::uint64_t pinDistributed(index_t pr, index_t pc,
 }
 
 TEST(ResidualPins, DistributedBulk2x1) {
-  EXPECT_EQ(pinDistributed(2, 1, HplaiConfig::Scheduler::kBulk),
-            7836117434415997328ull);
+  EXPECT_EQ(pinDistributed(2, 1, true), 7836117434415997328ull);
 }
 
 TEST(ResidualPins, DistributedBulk2x2) {
-  EXPECT_EQ(pinDistributed(2, 2, HplaiConfig::Scheduler::kBulk),
-            13837586214871384392ull);
+  EXPECT_EQ(pinDistributed(2, 2, true), 13837586214871384392ull);
 }
 
-TEST(ResidualPins, DistributedDataflow2x1) {
-  EXPECT_EQ(pinDistributed(2, 1, HplaiConfig::Scheduler::kDataflow),
-            7836117434415997328ull);
+TEST(ResidualPins, DistributedNoLookahead2x1) {
+  EXPECT_EQ(pinDistributed(2, 1, false), 7836117434415997328ull);
 }
 
-TEST(ResidualPins, DistributedDataflow2x2) {
-  EXPECT_EQ(pinDistributed(2, 2, HplaiConfig::Scheduler::kDataflow),
-            13837586214871384392ull);
+TEST(ResidualPins, DistributedNoLookahead2x2) {
+  EXPECT_EQ(pinDistributed(2, 2, false), 13837586214871384392ull);
 }
 
 }  // namespace

@@ -4,8 +4,10 @@
 // structured benchmark traffic would not expose.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "simmpi/comm.h"
@@ -221,6 +223,41 @@ TEST(SimmpiStress, LargePayloadIntegrity) {
       expect += static_cast<double>(i % 1009);
     }
     EXPECT_DOUBLE_EQ(sum, expect);
+  });
+}
+
+TEST(SimmpiStress, RequestTestPollLoopYieldsInsteadOfSpinning) {
+  // Regression for the Request::test() busy-wait: rank 0 polls a pending
+  // irecv in a tight test() loop while rank 1 sits on the payload. The
+  // bounded spin-then-yield backoff must keep the loop cheap enough that
+  // the run completes promptly, and test() must still flip to true.
+  simmpi::run(2, [](simmpi::Comm& comm) {
+    constexpr index_t kLen = 1024;
+    if (comm.rank() == 0) {
+      std::vector<float> buf(static_cast<std::size_t>(kLen), 0.0f);
+      simmpi::Request req =
+          comm.irecvBytes(1, 7, buf.data(), buf.size() * sizeof(float));
+      std::uint64_t polls = 0;
+      const auto start = std::chrono::steady_clock::now();
+      while (!req.test()) {
+        ++polls;
+        const auto waited = std::chrono::steady_clock::now() - start;
+        ASSERT_LT(waited, std::chrono::seconds(30)) << "poll loop hung";
+      }
+      EXPECT_GT(polls, 0u);  // we really did poll before completion
+      for (index_t i = 0; i < kLen; ++i) {
+        ASSERT_EQ(buf[static_cast<std::size_t>(i)],
+                  static_cast<float>(i));
+      }
+    } else {
+      // Let rank 0 enter its poll loop first.
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      std::vector<float> buf(static_cast<std::size_t>(kLen));
+      for (index_t i = 0; i < kLen; ++i) {
+        buf[static_cast<std::size_t>(i)] = static_cast<float>(i);
+      }
+      comm.send(0, 7, buf.data(), kLen);
+    }
   });
 }
 

@@ -15,7 +15,6 @@
 #include "simmpi/runtime.h"
 #include "trace/progress.h"
 #include "trace/reference.h"
-#include "trace/sched_timeline.h"
 #include "trace/slow_node.h"
 #include "util/buffer.h"
 #include "util/stats.h"
@@ -305,54 +304,6 @@ TEST(ProgressIntegration, HealthyRunCompletesWithMonitorAttached) {
     EXPECT_FALSE(lu.aborted());
     EXPECT_EQ(lu.stepsCompleted(), cfg.n / cfg.b);
   });
-}
-
-TEST(SchedTimeline, SummaryComputesOverlapAndIdle) {
-  // Synthetic two-lane timeline: a 1.0 s panel broadcast on lane 0 with a
-  // GEMM covering [0.25, 0.75] on lane 1 — exactly half the comm interval
-  // is hidden behind compute. A skipped record must be ignored.
-  TaskGraph::ExecStats stats;
-  stats.makespanSeconds = 1.0;
-  stats.tasksRun = 2;
-  stats.lanes.resize(2);
-  stats.lanes[0].busySeconds = 1.0;
-  stats.lanes[0].idleSeconds = 0.0;
-  stats.lanes[1].busySeconds = 0.5;
-  stats.lanes[1].idleSeconds = 0.5;
-
-  TaskGraph::TaskRecord bcast;
-  bcast.kind = TaskKind::kPanelBcast;
-  bcast.beginSeconds = 0.0;
-  bcast.endSeconds = 1.0;
-  TaskGraph::TaskRecord gemm;
-  gemm.kind = TaskKind::kGemm;
-  gemm.lane = 1;
-  gemm.beginSeconds = 0.25;
-  gemm.endSeconds = 0.75;
-  TaskGraph::TaskRecord skipped;
-  skipped.kind = TaskKind::kGemm;
-  skipped.skipped = true;
-  skipped.beginSeconds = 0.0;
-  skipped.endSeconds = 10.0;
-  stats.records = {bcast, gemm, skipped};
-
-  const trace::SchedTimelineSummary s =
-      trace::summarizeSchedTimeline(stats);
-  EXPECT_EQ(s.lanes, 2);
-  EXPECT_DOUBLE_EQ(s.commSeconds, 1.0);
-  EXPECT_DOUBLE_EQ(s.computeSeconds, 0.5);
-  EXPECT_DOUBLE_EQ(s.overlappedCommSeconds, 0.5);
-  EXPECT_DOUBLE_EQ(s.overlapFraction(), 0.5);
-  EXPECT_DOUBLE_EQ(s.idleFraction(), 0.25);
-
-  const std::string rendered = trace::renderSchedTimeline(s);
-  EXPECT_NE(rendered.find("overlap fraction"), std::string::npos);
-  EXPECT_NE(rendered.find("50.0 %"), std::string::npos);
-
-  const auto kinds = trace::schedKindBreakdown(stats);
-  ASSERT_EQ(kinds.size(), 2u);  // skipped record excluded
-  EXPECT_EQ(kinds[0].kind, TaskKind::kPanelBcast);  // sorted by seconds
-  EXPECT_EQ(kinds[1].kind, TaskKind::kGemm);
 }
 
 }  // namespace
