@@ -73,6 +73,8 @@ void Options::merge(const Options& other) {
   for (const auto& [k, v] : other.values_) {
     values_[k] = v;
   }
+  // A key read on the overlay (--config, read to find the file) stays read.
+  touched_.insert(other.touched_.begin(), other.touched_.end());
   for (const auto& p : other.positional_) {
     positional_.push_back(p);
   }

@@ -29,7 +29,8 @@ class Options {
   /// ignored). Throws CheckError if unreadable.
   static Options parseFile(const std::string& path);
 
-  /// Overlays `other` on top of this (other wins).
+  /// Overlays `other` on top of this (other wins). Keys already read on
+  /// `other` count as read here too.
   void merge(const Options& other);
 
   [[nodiscard]] bool has(const std::string& key) const;

@@ -30,6 +30,55 @@ bool isCrashFailure(const std::exception& e) {
 RankGroup::RankGroup(index_t groupId, index_t size, RunOptions options)
     : id_(groupId), size_(size), options_(std::move(options)) {
   HPLMXP_REQUIRE(size_ > 0, "rank group needs >= 1 rank");
+  threads_.reserve(static_cast<std::size_t>(size_));
+  try {
+    for (index_t r = 0; r < size_; ++r) {
+      threads_.emplace_back([this, r] { rankLoop(r); });
+    }
+  } catch (...) {
+    stopThreads();  // a failed launch joins the threads it did start
+    throw;
+  }
+}
+
+RankGroup::~RankGroup() { stopThreads(); }
+
+void RankGroup::stopThreads() {
+  {
+    std::lock_guard<std::mutex> lock(dispatchMutex_);
+    stopping_ = true;
+  }
+  jobReady_.notify_all();
+  for (std::thread& t : threads_) {
+    t.join();
+  }
+}
+
+void RankGroup::rankLoop(index_t rank) {
+  bindThreadRank(rank);
+  const auto r = static_cast<std::size_t>(rank);
+  std::uint64_t ran = 0;
+  std::unique_lock<std::mutex> lock(dispatchMutex_);
+  while (true) {
+    jobReady_.wait(lock, [&] { return stopping_ || jobSeq_ != ran; });
+    if (stopping_) {
+      return;
+    }
+    ran = jobSeq_;
+    const std::function<void(Comm&)>& fn = *jobFn_;
+    Comm& comm = (*jobWorld_)[r];
+    std::exception_ptr& exc = (*jobExc_)[r];
+    lock.unlock();
+    try {
+      fn(comm);
+    } catch (...) {
+      exc = std::current_exception();  // an injected crash ends here
+    }
+    lock.lock();
+    if (--pending_ == 0) {
+      jobDone_.notify_one();
+    }
+  }
 }
 
 bool RankGroup::alive() const {
@@ -61,7 +110,19 @@ void RankGroup::runJob(const std::function<void(Comm&)>& fn) {
     options = options_;
   }
   try {
-    run(size_, fn, options);
+    std::vector<Comm> world = detail::makeJobWorld(size_, options);
+    std::vector<std::exception_ptr> rankExc(static_cast<std::size_t>(size_));
+    {
+      std::unique_lock<std::mutex> lock(dispatchMutex_);
+      jobFn_ = &fn;
+      jobWorld_ = &world;
+      jobExc_ = &rankExc;
+      pending_ = size_;
+      ++jobSeq_;
+      jobReady_.notify_all();
+      jobDone_.wait(lock, [&] { return pending_ == 0; });
+    }
+    detail::rethrowRankFailures(rankExc, options);
   } catch (const std::exception& e) {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.failures;

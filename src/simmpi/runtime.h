@@ -3,6 +3,7 @@
 #pragma once
 
 #include <chrono>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <string>
@@ -83,6 +84,24 @@ struct RunOptions {
 void run(index_t worldSize, const std::function<void(Comm&)>& fn);
 void run(index_t worldSize, const std::function<void(Comm&)>& fn,
          const RunOptions& options);
+
+namespace detail {
+
+/// The world one job runs in: `worldSize` ranks with `options`' timeout,
+/// send retry, fault injector and replay log installed before any rank
+/// starts. run() and RankGroup::runJob build every job's world with it.
+[[nodiscard]] std::vector<Comm> makeJobWorld(index_t worldSize,
+                                             const RunOptions& options);
+
+/// Throws what run() throws for a joined job's per-rank outcomes (`rankExc`
+/// holds one entry per rank, null for a rank that returned): nothing when
+/// no rank failed, a single failure with its original type, and several
+/// as one MultiRankError carrying the fault plan's seed, each failed
+/// rank's op count and any partition drops.
+void rethrowRankFailures(const std::vector<std::exception_ptr>& rankExc,
+                         const RunOptions& options);
+
+}  // namespace detail
 
 /// Variant collecting a per-rank result.
 template <typename R>

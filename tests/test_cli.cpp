@@ -89,6 +89,19 @@ TEST(Options, UnusedKeyTracking) {
   EXPECT_EQ(unused[0], "typo");
 }
 
+TEST(Options, MergeKeepsReadMarksOfTheOverlay) {
+  // `hplmxp` reads --config on the command line, then overlays the
+  // command line on the file it names: that read must survive the merge,
+  // or --config is reported as an unused option.
+  const Options cmd = Options::parseArgs({"--config=f.conf", "--n=256"});
+  (void)cmd.getString("config", "");
+  Options merged = Options::parseArgs({"--b=64"});
+  merged.merge(cmd);
+  (void)merged.getInt("n", 0);
+  (void)merged.getInt("b", 0);
+  EXPECT_TRUE(merged.unusedKeys().empty());
+}
+
 TEST(Dispatch, HelpAndUnknownCommands) {
   EXPECT_EQ(dispatch({"help"}), 0);
   EXPECT_EQ(dispatch({}), 1);

@@ -1,9 +1,9 @@
 // Sharded serve fabric: consistent-hash routing, the fleet-level factor
 // index, shard health (break/drain, crash/failover, resurrection), the
 // no-lost-answer ledger, and bitwise equivalence of fleet answers across
-// shard counts. Also the rank-group isolation proof: concurrent
-// simmpi::run invocations with independent fault injectors never see each
-// other's faults, recovery, or replay-log state.
+// shard counts. Also the rank-group proofs: concurrent groups with
+// independent fault injectors never see each other's faults, recovery, or
+// replay-log state, and a group's jobs run on threads it keeps.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -401,6 +401,40 @@ TEST(FleetEngineTest, OrganicCrashFailsOverThenResurrectionRebalances) {
   EXPECT_EQ(report.perShard[static_cast<std::size_t>(primary)].generation, 2);
 }
 
+TEST(FleetEngineTest, ReplicaBitFlipFailsOverWithoutCrashing) {
+  FleetConfig cfg = fleetConfig(2);
+  cfg.shard.maxRetries = 0;
+  cfg.failoverLimit = 2;
+  FleetEngine fleet(cfg);
+  const ProblemKey k = key(32, 16, 31);
+  const index_t primary = fleet.ring().route(k, nullptr);
+
+  // Every bulk payload gets one FP32 exponent bit flipped: the factor
+  // replica arrives corrupt, the peer's checksum rejects it, and the job
+  // fails as a grid fault that leaves the group alive.
+  simmpi::FaultConfig fc;
+  fc.seed = 0xF11B;
+  fc.bitflipProbability = 1.0;
+  fc.bitflipMinBytes = 1024;
+  fc.flipFp32Words = true;
+  const auto inj = std::make_shared<simmpi::FaultInjector>(fc, 2);
+  fleet.armShardFaults(primary, inj);
+
+  const auto h = fleet.submit(request(k, 777));
+  const RequestOutcome& o = h->wait();
+  ASSERT_EQ(o.status, RequestStatus::kCompleted) << o.error;
+  EXPECT_EQ(o.shard, 1 - primary);
+  EXPECT_GE(o.failovers, 1);
+  EXPECT_GE(inj->stats().bitflips, 1u);
+  expectBitwise(h->solution(), soloSolution(k, 777), "flipped-replica answer");
+  fleet.drain();
+
+  const FleetReport report = fleet.report();
+  EXPECT_EQ(report.crashes, 0u);
+  EXPECT_EQ(report.dropped, 0u);
+  EXPECT_EQ(report.doubleAnswered, 0u);
+}
+
 TEST(FleetEngineTest, ChaoticReplayStaysBitwiseAndLosesNoAnswer) {
   const std::vector<SolveRequest> reqs = mixedTrace();
   const std::vector<Answer> clean = replay(fleetConfig(1), reqs);
@@ -696,9 +730,95 @@ TEST(RankGroupTest, ConcurrentGroupsKeepFaultsAndReplayLogsIsolated) {
   EXPECT_TRUE(groupA.alive());
   EXPECT_EQ(groupA.generation(), 2);
   int recovered = 0;
-  groupA.runJob(
-      [&](simmpi::Comm& comm) { recovered = swapJob(comm, 300); });
-  EXPECT_TRUE(recovered == 300 || recovered == 301);
+  groupA.runJob([&](simmpi::Comm& comm) {
+    const int got = swapJob(comm, 300);
+    if (comm.rank() == 0) {
+      recovered = got;
+    }
+  });
+  EXPECT_EQ(recovered, 301);
+}
+
+TEST(RankGroupTest, JobsRunOnTheGroupsOwnThreads) {
+  // The group keeps its rank threads: every job, across a kill and a
+  // restart, runs each rank on the same thread, never on the caller's.
+  // A thread-local job count backs the ids up, since the OS may hand a
+  // joined thread's id to a new one.
+  simmpi::RankGroup group(3, 2);
+  std::vector<std::thread::id> ids(2);
+  std::vector<int> jobsOnThread(2, 0);
+  const auto job = [&](simmpi::Comm& comm) {
+    static thread_local int jobsHere = 0;
+    const auto r = static_cast<std::size_t>(comm.rank());
+    ids[r] = std::this_thread::get_id();
+    jobsOnThread[r] = ++jobsHere;
+    comm.barrier();
+  };
+  group.runJob(job);
+  const std::vector<std::thread::id> first = ids;
+  EXPECT_NE(first[0], first[1]);
+  EXPECT_NE(first[0], std::this_thread::get_id());
+  EXPECT_NE(first[1], std::this_thread::get_id());
+  for (int j = 2; j <= 20; ++j) {
+    group.runJob(job);
+    EXPECT_EQ(ids, first) << "job " << j;
+    EXPECT_EQ(jobsOnThread, (std::vector<int>{j, j})) << "job " << j;
+  }
+  group.kill("maintenance");
+  group.restart();
+  group.runJob(job);
+  EXPECT_EQ(ids, first) << "after restart";
+  EXPECT_EQ(jobsOnThread, (std::vector<int>{21, 21}));
+}
+
+TEST(RankGroupTest, FailuresKeepTheirTypeAndProvenance) {
+  // A job fails exactly as simmpi::run fails: rank 1 crashes at its first
+  // op while rank 0's send completes, so the lone failure keeps its type.
+  simmpi::FaultConfig crash;
+  crash.crashRank = 1;
+  crash.crashAtOp = 0;
+  simmpi::RunOptions opts;
+  opts.faults = std::make_shared<simmpi::FaultInjector>(crash, 2);
+  opts.timeout = std::chrono::milliseconds(2000);
+  simmpi::RankGroup group(4, 2, opts);
+  const auto handoff = [](simmpi::Comm& comm) {
+    int x = 5;
+    if (comm.rank() == 0) {
+      comm.send(1, 7, &x, 1);
+    } else {
+      comm.recv(0, 7, &x, 1);
+    }
+  };
+  EXPECT_THROW(group.runJob(handoff), simmpi::InjectedCrashError);
+  EXPECT_FALSE(group.alive());
+
+  group.restart();
+  group.runJob(handoff);
+  EXPECT_EQ(group.stats().failures, 1u);
+
+  // Several failures become one MultiRankError, each tagged with the
+  // armed plan's seed and the rank's op count.
+  simmpi::FaultConfig plan;
+  plan.seed = 0x5EED;
+  group.setFaults(std::make_shared<simmpi::FaultInjector>(plan, 2));
+  try {
+    group.runJob([](simmpi::Comm& comm) {
+      throw CheckError("rank " + std::to_string(comm.rank()) + " gave up");
+    });
+    ADD_FAILURE() << "two throwing ranks must fail the job";
+  } catch (const simmpi::MultiRankError& e) {
+    ASSERT_EQ(e.failures().size(), 2u);
+    for (const simmpi::RankFailure& f : e.failures()) {
+      EXPECT_NE(f.message.find("gave up [fault plan seed " +
+                               std::to_string(plan.seed)),
+                std::string::npos)
+          << f.message;
+    }
+  }
+  EXPECT_TRUE(group.alive());  // no crash among the failures
+
+  // A group that never ran a job stops its parked threads on destruction.
+  { simmpi::RankGroup idle(5, 3); }
 }
 
 TEST(RankGroupTest, OpsKillFailsFastUntilRestart) {
