@@ -57,7 +57,7 @@ ServeReport replay(const RequestTrace& trace, ServeConfig cfg) {
   return r;
 }
 
-/// Replays `trace` through a sharded fleet, optionally circuit-breaking
+/// Replays `trace` through a sharded fleet, optionally breaking
 /// shard 0 for the middle third of the arrivals (drain + re-route).
 serve::FleetReport fleetReplay(const RequestTrace& trace,
                                serve::FleetConfig cfg, bool degrade) {
@@ -248,7 +248,6 @@ int main() {
       serve::FleetConfig cfg;
       cfg.shards = shards;
       cfg.groupSize = 2;
-      cfg.health.openSeconds = 60.0;  // broken until explicitly unbroken
       cfg.shard.maxBatchDelaySeconds = 500e-6;
       const serve::FleetReport r = fleetReplay(
           serve::makeSyntheticTrace(kRequests, kKeys, 0.25, kN, kB, 21),

@@ -889,8 +889,6 @@ int cmdServe(const Options& raw) {
     fcfg.hotKeyRequests = opts.getInt("serve.shards.hot-requests", 0);
     fcfg.hotReplicas = opts.getInt("serve.shards.hot-replicas", 2);
     fcfg.failoverLimit = opts.getInt("serve.shards.failover-limit", 2);
-    fcfg.health.openSeconds =
-        opts.getDouble("serve.shards.open-ms", 50.0) * 1e-3;
     fcfg.groupOptions.timeout = std::chrono::milliseconds(
         opts.getInt("serve.shards.timeout-ms", 5000));
     // Gray-failure defense: phi-accrual health monitor + hedged requests.
@@ -1294,14 +1292,15 @@ std::string usage() {
       "            sharded fleet: --shards N\n"
       "            --serve.shards.virtual-nodes --serve.shards.group-size\n"
       "            --serve.shards.hot-requests --serve.shards.hot-replicas\n"
-      "            --serve.shards.failover-limit --serve.shards.open-ms\n"
-      "            --serve.shards.timeout-ms\n"
-      "            gray-failure defense: --serve.shards.health on|off\n"
-      "            --serve.shards.suspect-phi --serve.shards.quarantine-phi\n"
-      "            --serve.shards.dwell-ms --hedge on|off\n"
+      "            --serve.shards.failover-limit --serve.shards.timeout-ms\n"
+      "            shard health: --serve.shards.dwell-ms (quarantine\n"
+      "            before a probe); its phi tier --serve.shards.health\n"
+      "            on|off --serve.shards.suspect-phi\n"
+      "            --serve.shards.quarantine-phi; hedging --hedge on|off\n"
       "            --hedge-delay-factor --hedge-delay-ms --hedge-budget\n"
       "            --hedge-burst\n"
-      "            chaos schedule (request indices):\n"
+      "            chaos schedule (request indices; a break holds until\n"
+      "            --resurrect-at):\n"
       "            --break-at --break-shard --crash-at --crash-shard\n"
       "            --resurrect-at --slow-at --slow-shard --slow-stretch)\n"
       "  fleetsim fleet-scale discrete-event co-simulation: replay a\n"

@@ -90,7 +90,6 @@ std::string FleetSimReport::toJson() const {
     os << "    \"mean_batch_size\": " << s.meanBatchSize() << ",\n";
     os << "    \"max_batch_size\": " << s.maxBatchSize << ",\n";
     os << "    \"peak_queue_depth\": " << s.peakQueueDepth << ",\n";
-    os << "    \"breaker_trips\": " << s.breakerTrips << ",\n";
     os << "    \"heartbeats\": " << s.heartbeats << ",\n";
     os << "    \"quarantines\": " << s.quarantines << ",\n";
     os << "    \"health_detours\": " << s.healthDetours << ",\n";

@@ -45,20 +45,15 @@ ServeWorkload::ServeWorkload(ServeWorkloadConfig config,
     : config_(std::move(config)),
       topology_(&topology),
       ring_(config_.shards, config_.virtualNodes),
-      breaker_(config_.breaker),
       healthMon_(syncedHealth(config_), config_.shards) {
   config_.validate(topology);
   cacheBudgetBytes_ = config_.cacheMb * 1024.0 * 1024.0;
   hedgeTokens_ = config_.hedgeBudgetBurst;
   shards_.resize(static_cast<std::size_t>(config_.shards));
-  sentinels_.reserve(shards_.size());
   const index_t stride = topology.nodes() / config_.shards;
   for (index_t s = 0; s < config_.shards; ++s) {
     shards_[static_cast<std::size_t>(s)].node = s * std::max<index_t>(
                                                         stride, 1);
-    serve::ProblemKey sentinel;
-    sentinel.n = -(s + 1);  // never a servable shape
-    sentinels_.push_back(sentinel);
   }
 }
 
@@ -93,28 +88,13 @@ index_t ServeWorkload::keyIndexOf(const serve::TraceRequest& r) {
 }
 
 index_t ServeWorkload::routeShard(index_t keyIndex, double now) {
-  const serve::ProblemKey& key = keys_[static_cast<std::size_t>(keyIndex)];
-  // The live fleet's two-tier routing: `preferred` steers off quarantined
-  // shards, `hard` (alive at all) is the fallback so quarantine can never
-  // starve the fleet.
-  const auto hard = [this](index_t s) {
-    return !shards_[static_cast<std::size_t>(s)].crashed;
-  };
-  const auto preferred = [&](index_t s) {
-    return hard(s) && healthMon_.routable(s, now);
-  };
-  index_t chosen = ring_.route(key, preferred);
-  if (chosen < 0) {
-    chosen = ring_.route(key, hard);
-  }
-  if (config_.health.enabled && chosen >= 0) {
-    const index_t allUp = ring_.route(key, nullptr);
-    if (chosen != allUp && allUp >= 0 &&
-        healthMon_.state(allUp, now) ==
-            serve::HealthState::kQuarantined) {
-      ++stats_.healthDetours;
-    }
-  }
+  const index_t chosen = healthMon_.route(
+      ring_, keys_[static_cast<std::size_t>(keyIndex)],
+      [this](index_t s) {
+        return !shards_[static_cast<std::size_t>(s)].crashed;
+      },
+      now);
+  stats_.healthDetours = healthMon_.detours();
   return chosen;
 }
 
@@ -283,9 +263,6 @@ void ServeWorkload::reject(const PendingRequest& req,
     case serve::RequestStatus::kRejectedDeadline:
       ++stats_.rejectedDeadline;
       break;
-    case serve::RequestStatus::kRejectedCircuitOpen:
-      ++stats_.rejectedCircuitOpen;
-      break;
     default:
       ++stats_.failed;
       break;
@@ -409,38 +386,39 @@ void ServeWorkload::crashShard(Simulator& sim, index_t shardIndex) {
   shard.cacheBytes = 0.0;
   shard.busyUntil = 0.0;
   // Queued requests fail over along the ring.
-  const double now = sim.now();
-  for (auto& [keyIndex, bucket] : shard.buckets) {
-    for (PendingRequest& req : bucket) {
-      --shard.queuedRequests;
-      const auto stIt = reqState_.find(req.traceIndex);
-      if (req.hedgeCopy ||
-          (stIt != reqState_.end() && stIt->second.answered)) {
-        ++stats_.hedgeWasted;  // a losing copy dies with the shard
-        continue;
-      }
-      if (req.failovers >= config_.failoverLimit) {
-        failCopy(req);
-        continue;
-      }
-      const index_t next = routeShard(keyIndex, now);
-      if (next < 0) {
-        failCopy(req);
-        continue;
-      }
-      ++req.failovers;
-      ++stats_.failovers;
-      const double hop = topology_->transferSeconds(
-          shard.node, shardNode(next), config_.requestBytes, config_.shards);
-      pendingMeta_[req.traceIndex] = req;
-      sim.schedule(now + hop, shardNode(next), EventClass::kRequestArrival,
-                   me_, req.traceIndex, next);
+  for (const auto& [keyIndex, bucket] : shard.buckets) {
+    for (const PendingRequest& req : bucket) {
+      failOver(sim, req, shardIndex, keyIndex);
     }
   }
   shard.buckets.clear();
   shard.bucketGeneration.clear();
   shard.queuedRequests = 0;
-  breaker_.onFailure(sentinels_[static_cast<std::size_t>(shardIndex)], now);
+}
+
+void ServeWorkload::failOver(Simulator& sim, PendingRequest req,
+                             index_t fromShard, index_t keyIndex) {
+  const auto stIt = reqState_.find(req.traceIndex);
+  if (req.hedgeCopy || (stIt != reqState_.end() && stIt->second.answered)) {
+    ++stats_.hedgeWasted;
+    return;
+  }
+  const double now = sim.now();
+  const index_t next = req.failovers < config_.failoverLimit
+                           ? routeShard(keyIndex, now)
+                           : -1;
+  if (next < 0) {
+    failCopy(req);
+    return;
+  }
+  ++req.failovers;
+  ++stats_.failovers;
+  pendingMeta_[req.traceIndex] = req;
+  const double hop =
+      topology_->transferSeconds(shardNode(fromShard), shardNode(next),
+                                 config_.requestBytes, config_.shards);
+  sim.schedule(now + hop, shardNode(next), EventClass::kRequestArrival, me_,
+               req.traceIndex, next);
 }
 
 void ServeWorkload::handle(Simulator& sim, const Event& event) {
@@ -488,37 +466,10 @@ void ServeWorkload::handle(Simulator& sim, const Event& event) {
       req.hedgeCopy = event.x > 0.5;
       Shard& shard = shards_[static_cast<std::size_t>(toShard)];
       if (shard.crashed) {
-        // Crashed between routing and arrival: fail over (hedge copies
-        // never fail over — the primary is still in flight).
-        if (req.hedgeCopy) {
-          ++stats_.hedgeWasted;
-          break;
-        }
-        if (req.failovers >= config_.failoverLimit) {
-          failCopy(req);
-          break;
-        }
-        const index_t next = routeShard(keyIdx, now);
-        if (next < 0) {
-          failCopy(req);
-          break;
-        }
-        ++req.failovers;
-        ++stats_.failovers;
-        pendingMeta_[traceIdx] = req;
-        const double hop = topology_->transferSeconds(
-            shard.node, shardNode(next), config_.requestBytes,
-            config_.shards);
-        sim.schedule(now + hop, shardNode(next), EventClass::kRequestArrival,
-                     me_, traceIdx, next);
+        failOver(sim, req, toShard, keyIdx);  // crashed after routing
         break;
       }
       ++shard.routed;
-      if (!breaker_.allow(sentinels_[static_cast<std::size_t>(toShard)],
-                          now)) {
-        reject(req, serve::RequestStatus::kRejectedCircuitOpen, now);
-        break;
-      }
       if (req.deadlineSeconds > 0.0 && now > req.deadlineSeconds) {
         reject(req, serve::RequestStatus::kRejectedDeadline, now);
         break;
@@ -562,36 +513,12 @@ void ServeWorkload::handle(Simulator& sim, const Event& event) {
       Shard& shard = shards_[static_cast<std::size_t>(batch.shard)];
       if (shard.crashed) {
         // The shard died mid-solve; surviving requests fail over.
-        for (PendingRequest& req : batch.requests) {
-          const auto stIt = reqState_.find(req.traceIndex);
-          if (req.hedgeCopy ||
-              (stIt != reqState_.end() && stIt->second.answered)) {
-            ++stats_.hedgeWasted;  // the losing copy dies with the shard
-            continue;
-          }
-          if (req.failovers >= config_.failoverLimit) {
-            failCopy(req);
-            continue;
-          }
-          const index_t next = routeShard(batch.keyIndex, now);
-          if (next < 0) {
-            failCopy(req);
-            continue;
-          }
-          ++req.failovers;
-          ++stats_.failovers;
-          pendingMeta_[req.traceIndex] = req;
-          const double hop = topology_->transferSeconds(
-              shard.node, shardNode(next), config_.requestBytes,
-              config_.shards);
-          sim.schedule(now + hop, shardNode(next),
-                       EventClass::kRequestArrival, me_, req.traceIndex,
-                       next);
+        for (const PendingRequest& req : batch.requests) {
+          failOver(sim, req, batch.shard, batch.keyIndex);
         }
         batch.requests.clear();
         break;
       }
-      breaker_.onSuccess(sentinels_[static_cast<std::size_t>(batch.shard)]);
       // Completions heal a probing shard, but deliberately do NOT feed the
       // phi stream: a busy-but-slow shard completes constantly, and those
       // arrivals would mask the stretched pulse cadence that IS the
@@ -628,7 +555,6 @@ void ServeWorkload::handle(Simulator& sim, const Event& event) {
       shard.crashed = false;  // cold cache, healthy again
       shard.busyUntil = now;
       ++shard.pulseGeneration;
-      breaker_.onSuccess(sentinels_[static_cast<std::size_t>(event.a)]);
       if (config_.health.enabled) {
         scheduleHeartbeat(sim, static_cast<index_t>(event.a));
       }
@@ -658,7 +584,6 @@ void ServeWorkload::handle(Simulator& sim, const Event& event) {
     default:
       HPLMXP_REQUIRE(false, "serve workload received a foreign event");
   }
-  stats_.breakerTrips = breaker_.trips();
   if (config_.health.enabled) {
     stats_.quarantines = healthMon_.quarantines();
   }

@@ -3,8 +3,11 @@
 //
 // The real fleet's *policy* components are reused verbatim where they are
 // already pure functions of an explicit clock — the consistent-hash
-// router (serve::HashRing) and the per-shard drain gate
-// (serve::CircuitBreaker). The stateful per-shard machinery (byte-budget
+// router (serve::HashRing) and the shard-health state machine with its
+// two-tier ring walk (serve::ShardHealthMonitor). A crash is modelled by
+// the shard's own `crashed` flag, as the live fleet's dead rank group
+// is; fleetsim runs no factor jobs, so the monitor's job-failure
+// evidence never fires here. The stateful per-shard machinery (byte-budget
 // LRU factor cache, batch window, bounded queue, worker lane) is
 // re-modelled as plain counters and maps: the simulator needs their
 // *timing and accounting* behavior, not their payloads. Accounting
@@ -25,7 +28,6 @@
 
 #include "fleetsim/event_core.h"
 #include "fleetsim/topology.h"
-#include "serve/breaker.h"
 #include "serve/fleet/hash_ring.h"
 #include "serve/fleet/health.h"
 #include "serve/metrics.h"
@@ -51,7 +53,6 @@ struct ServeWorkloadConfig {
   double cacheMb = 64.0;
   double defaultDeadlineMs = 0.0;  // 0 = none
   index_t failoverLimit = 2;
-  serve::BreakerConfig breaker;
 
   /// Host-solve rate knob: effective GFLOP/s of one shard's solve lane.
   /// The default is calibrated so an n=64 b=16 smoke-trace solve costs a
@@ -92,6 +93,8 @@ struct ServeStats {
   std::uint64_t completed = 0;
   std::uint64_t rejectedQueueFull = 0;
   std::uint64_t rejectedDeadline = 0;
+  /// Always 0: fleetsim models no per-key breaker. Kept so the outcome
+  /// ledger reads like the live engine's report.
   std::uint64_t rejectedCircuitOpen = 0;
   std::uint64_t failed = 0;
   std::uint64_t failovers = 0;
@@ -106,7 +109,6 @@ struct ServeStats {
   std::uint64_t batchedColumns = 0;
   index_t maxBatchSize = 0;
   index_t peakQueueDepth = 0;
-  std::uint64_t breakerTrips = 0;
 
   // Gray-failure defense tallies (all zero with the defense off).
   std::uint64_t heartbeats = 0;
@@ -233,6 +235,11 @@ class ServeWorkload final : public Workload {
   [[nodiscard]] double factorBytes(const serve::TraceRequest& r) const;
   void dispatchBucket(Simulator& sim, index_t shardIndex, index_t keyIndex);
   void crashShard(Simulator& sim, index_t shardIndex);
+  /// Moves one copy off a crashed shard: a hedge copy, or a request
+  /// another copy already answered, dies with it (wasted work); a primary
+  /// fails over along the ring within the failover budget, else fails.
+  void failOver(Simulator& sim, PendingRequest req, index_t fromShard,
+                index_t keyIndex);
   void evictForBudget(Shard& shard);
   void reject(const PendingRequest& req, serve::RequestStatus status,
               double now);
@@ -249,11 +256,9 @@ class ServeWorkload final : public Workload {
   ServeWorkloadConfig config_;
   const Topology* topology_;
   serve::HashRing ring_;
-  serve::CircuitBreaker breaker_;
-  /// The SAME phi-accrual detector the live fleet runs, fed virtual time —
+  /// The SAME health state machine the live fleet runs, fed virtual time —
   /// the whole point of the co-simulation is tuning its thresholds here.
   serve::ShardHealthMonitor healthMon_;
-  std::vector<serve::ProblemKey> sentinels_;  // per-shard breaker keys
   std::vector<Shard> shards_;
   std::map<serve::ProblemKey, index_t> keyIndex_;
   std::vector<serve::ProblemKey> keys_;

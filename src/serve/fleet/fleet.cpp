@@ -16,8 +16,8 @@ namespace {
 
 /// FNV-1a over the replicated factor panel, one 64-bit word per step (a
 /// byte per step for any tail): peers verify the broadcast arrived intact
-/// (an injected bit flip fails the job, which feeds the shard-health
-/// breaker like any other grid fault). For a fixed word each step is a
+/// (an injected bit flip fails the job, which counts against the shard's
+/// health like any other grid fault). For a fixed word each step is a
 /// bijection of the state, so payloads that differ in exactly one word —
 /// as every injected flip does — always hash apart.
 std::uint64_t fnv1a(const void* data, std::size_t bytes) {
@@ -74,21 +74,15 @@ bool FleetEngine::Handle::publish(RequestOutcome outcome,
 FleetEngine::FleetEngine(FleetConfig config)
     : config_(std::move(config)),
       ring_(config_.shards, config_.virtualNodes),
-      health_(config_.health),
       healthMon_(config_.healthMonitor, config_.shards) {
   HPLMXP_REQUIRE(config_.shards > 0, "fleet needs >= 1 shard");
   HPLMXP_REQUIRE(config_.groupSize > 0, "fleet shards need >= 1 rank");
   HPLMXP_REQUIRE(config_.failoverLimit >= 0,
                  "failover limit must be >= 0");
-  HPLMXP_REQUIRE(config_.health.enabled,
-                 "fleet shard-health breaker cannot be disabled");
   shards_.reserve(static_cast<std::size_t>(config_.shards));
   for (index_t s = 0; s < config_.shards; ++s) {
     auto shard = std::make_unique<Shard>();
     shard->id = s;
-    // Sentinel keys live in n < 0 space so they can never collide with a
-    // servable key (admission rejects n <= 0).
-    shard->sentinel.n = -1 - s;
     shard->group = std::make_unique<simmpi::RankGroup>(s, config_.groupSize,
                                                        config_.groupOptions);
     shard->slowRanks = std::make_unique<SlowRankMonitor>(
@@ -151,10 +145,10 @@ Factorization FleetEngine::groupFactor(index_t shard, const ProblemKey& key) {
     });
     HPLMXP_REQUIRE(out.n == key.n,
                    "fleet factor job produced no factorization");
-    health_.onSuccess(sh.sentinel);
+    healthMon_.onJobOutcome(shard, true, now());
     return out;
   } catch (...) {
-    health_.onFailure(sh.sentinel, now());
+    healthMon_.onJobOutcome(shard, false, now());
     if (!sh.group->alive()) {
       markCrashed(shard);
     }
@@ -176,39 +170,23 @@ void FleetEngine::markCrashed(index_t shard) {
   }
 }
 
+bool FleetEngine::shardAlive(index_t shard) const {
+  const Shard& sh = *shards_[static_cast<std::size_t>(shard)];
+  return !sh.crashed.load(std::memory_order_relaxed) && sh.group->alive();
+}
+
 bool FleetEngine::shardRoutable(index_t shard) {
-  Shard& sh = *shards_[static_cast<std::size_t>(shard)];
-  if (sh.crashed.load(std::memory_order_relaxed) || !sh.group->alive()) {
-    return false;
-  }
-  // The health breaker is the drain gate: an open circuit routes nothing
-  // (in-flight requests still finish on the shard), a half-open one
-  // admits its probe quota, a closed one routes freely.
-  return health_.allow(sh.sentinel, now());
+  return shardAlive(shard) && !healthMon_.excluded(shard);
 }
 
 index_t FleetEngine::pickShard(const ProblemKey& key, std::uint64_t count,
                                const std::vector<index_t>& tried) {
   const double t = now();
-  // Two-tier health: `hard` excludes shards that cannot serve (crashed
-  // grid, open breaker); `preferred` additionally steers off shards the
-  // phi detector has quarantined. The hard tier is the fallback, so
-  // gray-failure quarantine deprioritizes but can never starve routing.
-  const auto hard = [&](index_t s) {
-    return !contains(tried, s) && shardRoutable(s);
+  const auto alive = [&](index_t s) {
+    return !contains(tried, s) && shardAlive(s);
   };
   const auto preferred = [&](index_t s) {
-    return hard(s) && healthMon_.routable(s, t);
-  };
-  const auto finish = [&](index_t chosen) {
-    if (chosen >= 0) {
-      const index_t allUp = ring_.route(key, nullptr);
-      if (chosen != allUp && allUp >= 0 &&
-          healthMon_.state(allUp, t) == HealthState::kQuarantined) {
-        healthDetours_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    return chosen;
+    return alive(s) && healthMon_.routable(s, t);
   };
 
   // Hot keys spread round-robin across their ring successors so one
@@ -218,10 +196,14 @@ index_t FleetEngine::pickShard(const ProblemKey& key, std::uint64_t count,
     std::vector<index_t> replicas =
         ring_.successors(key, config_.hotReplicas, preferred);
     if (replicas.empty()) {
-      replicas = ring_.successors(key, config_.hotReplicas, hard);
+      replicas = ring_.successors(key, config_.hotReplicas, [&](index_t s) {
+        return alive(s) && !healthMon_.excluded(s);
+      });
     }
     if (!replicas.empty()) {
-      return finish(replicas[count % replicas.size()]);
+      const index_t chosen = replicas[count % replicas.size()];
+      healthMon_.noteRoute(ring_, key, chosen, t);
+      return chosen;
     }
   }
 
@@ -229,19 +211,17 @@ index_t FleetEngine::pickShard(const ProblemKey& key, std::uint64_t count,
   for (const index_t s : index_.placements(key)) {
     if (preferred(s)) {
       affinityHits_.fetch_add(1, std::memory_order_relaxed);
-      return finish(s);
+      healthMon_.noteRoute(ring_, key, s, t);
+      return s;
     }
   }
 
-  index_t chosen = ring_.route(key, preferred);
-  if (chosen < 0) {
-    chosen = ring_.route(key, hard);  // quarantine never starves the fleet
-  }
+  const index_t chosen = healthMon_.route(ring_, key, alive, t);
   if (chosen >= 0 && chosen != ring_.route(key, nullptr)) {
     // Routed off the all-up primary: the degraded-fleet detour counter.
     reroutes_.fetch_add(1, std::memory_order_relaxed);
   }
-  return finish(chosen);
+  return chosen;
 }
 
 FleetEngine::HandlePtr FleetEngine::submit(const SolveRequest& request) {
@@ -295,14 +275,11 @@ void FleetEngine::routeToShard(index_t shard, const SolveRequest& request,
                        shardHandle]() mutable {
     RequestOutcome o = shardHandle->outcome();
     // Completions are the shard's heartbeat stream: a slow-but-alive
-    // shard reports late, the phi detector notices, and the shard drains
-    // long before the breaker would trip. Failures only matter here as
-    // probe verdicts; the breaker owns them otherwise.
-    if (o.status == RequestStatus::kCompleted) {
-      healthMon_.onOutcome(shard, true, now());
-    } else if (o.status == RequestStatus::kFailed) {
-      healthMon_.onOutcome(shard, false, now());
-    }
+    // shard reports late and the phi detector notices. Any other outcome
+    // of a probe fails it, so a rejected probe cannot leave the shard
+    // probing with its quota spent.
+    healthMon_.onOutcome(shard, o.status == RequestStatus::kCompleted,
+                         now());
     if (!hedge && o.status == RequestStatus::kFailed &&
         failovers < config_.failoverLimit) {
       const index_t next =
@@ -487,17 +464,13 @@ void FleetEngine::stop() {
 }
 
 void FleetEngine::breakShard(index_t shard) {
-  Shard& sh = *shards_[static_cast<std::size_t>(shard)];
-  const double t = now();
-  for (index_t i = 0; i < config_.health.failureThreshold; ++i) {
-    health_.onFailure(sh.sentinel, t);
-  }
+  healthMon_.breakShard(shard, now());
   opsBreaks_.fetch_add(1, std::memory_order_relaxed);
-  logInfo("fleet: shard ", shard, " circuit-broken (draining)");
+  logInfo("fleet: shard ", shard, " broken (draining)");
 }
 
 void FleetEngine::unbreakShard(index_t shard) {
-  health_.onSuccess(shards_[static_cast<std::size_t>(shard)]->sentinel);
+  healthMon_.release(shard, now());
 }
 
 void FleetEngine::crashShard(index_t shard) {
@@ -509,7 +482,7 @@ void FleetEngine::resurrectShard(index_t shard) {
   Shard& sh = *shards_[static_cast<std::size_t>(shard)];
   sh.group->restart();
   sh.crashed.store(false, std::memory_order_relaxed);
-  health_.onSuccess(sh.sentinel);
+  healthMon_.release(shard, now());
   resurrections_.fetch_add(1, std::memory_order_relaxed);
   logInfo("fleet: shard ", shard, " resurrected (generation ",
           sh.group->generation(), ")");
@@ -558,7 +531,6 @@ FleetReport FleetEngine::report() const {
   r.shards = static_cast<index_t>(shards_.size());
 
   FactorCache::Stats cacheSum;
-  const std::vector<CircuitBreaker::KeySnapshot> health = health_.snapshot();
   for (const auto& sh : shards_) {
     ShardReport s;
     s.id = sh->id;
@@ -570,29 +542,15 @@ FleetReport FleetEngine::report() const {
     s.groupCrashes = gs.crashes;
     s.routed = sh->routed.load(std::memory_order_relaxed);
     s.report = sh->engine->report();
-    s.health = "healthy";
-    for (const auto& k : health) {
-      if (k.key == sh->sentinel) {
-        if (k.state == CircuitBreaker::State::kOpen) {
-          s.breakerState = "open";
-        } else if (k.state == CircuitBreaker::State::kHalfOpen) {
-          s.breakerState = "half-open";
-        }
-        s.breakerFailures = k.consecutiveFailures;
-        s.breakerTrips = k.trips;
-        s.breakerRejections = k.rejections;
-        break;
-      }
-    }
-    if (sh->crashed.load(std::memory_order_relaxed)) {
-      s.health = "crashed";
-    } else if (s.breakerState == "open") {
-      s.health = "broken";
-    } else if (s.breakerState == "half-open") {
-      s.health = "half-open";
-    }
     const ShardHealthMonitor::ShardSnapshot hs =
         healthMon_.shardSnapshot(sh->id, clock_.seconds());
+    if (sh->crashed.load(std::memory_order_relaxed)) {
+      s.health = "crashed";
+    } else if (!hs.excluded) {
+      s.health = "healthy";
+    } else {
+      s.health = hs.state == HealthState::kProbing ? "half-open" : "broken";
+    }
     s.healthState = toString(hs.state);
     s.phi = hs.phi;
     s.heartbeatAgeSeconds = hs.lastHeartbeatAge;
@@ -620,9 +578,9 @@ FleetReport FleetEngine::report() const {
   r.opsSlows = opsSlows_.load(std::memory_order_relaxed);
   r.crashes = crashes_.load(std::memory_order_relaxed);
   r.resurrections = resurrections_.load(std::memory_order_relaxed);
-  r.healthTrips = health_.trips();
+  r.healthTrips = healthMon_.trips();
   r.quarantines = healthMon_.quarantines();
-  r.healthDetours = healthDetours_.load(std::memory_order_relaxed);
+  r.healthDetours = healthMon_.detours();
   r.stragglerReports = healthMon_.stragglerReports();
   r.hedgesIssued = hedgesIssued_.load(std::memory_order_relaxed);
   r.hedgeWins = hedgeWins_.load(std::memory_order_relaxed);
@@ -741,10 +699,6 @@ std::string FleetReport::toJson() const {
     os << "      \"group_jobs\": " << s.groupJobs << ",\n";
     os << "      \"group_crashes\": " << s.groupCrashes << ",\n";
     os << "      \"routed\": " << s.routed << ",\n";
-    os << "      \"breaker_state\": " << jsonQuote(s.breakerState) << ",\n";
-    os << "      \"breaker_failures\": " << s.breakerFailures << ",\n";
-    os << "      \"breaker_trips\": " << s.breakerTrips << ",\n";
-    os << "      \"breaker_rejections\": " << s.breakerRejections << ",\n";
     os << "      \"health_state\": " << jsonQuote(s.healthState) << ",\n";
     os << "      \"phi\": " << s.phi << ",\n";
     os << "      \"heartbeat_age_seconds\": " << s.heartbeatAgeSeconds

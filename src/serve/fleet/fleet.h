@@ -14,16 +14,19 @@
 //        │               │               │         the shard's grid)
 //        └── Handle::onDone ── failover/publish ──┘
 //
-// Shard health is the existing serve/breaker state machine keyed by a
-// per-shard sentinel: factor-job failures feed onFailure, successes feed
-// onSuccess, and a shard whose circuit is open receives no new routes
-// (drain — its in-flight requests still finish) until the cool-down
-// half-opens it for a probe. A crashed shard (its rank group died, by an
-// injected fault or the ops hook) additionally loses its cached factors
-// and its fleet-index placements; resurrection restarts the group with a
-// bumped generation and closes the circuit, and the ring re-routes the
-// shard's keyspace back — no request is ever dropped or double-answered,
-// which the fleet report counts prove.
+// Shard health is one state machine per shard, the ShardHealthMonitor
+// (serve/fleet/health.h). Request completions feed its phi detector,
+// slow-rank verdicts its straggler channel, and factor-job outcomes and
+// the ops break its hard tier: three failed jobs in a row, or breakShard,
+// take the shard out of routing (drain — its in-flight requests still
+// finish). A failure-struck shard probes its way back after the dwell;
+// an ops break holds until unbreakShard or resurrectShard. A crashed
+// shard (its rank group died, by an injected fault or the ops hook)
+// additionally loses its cached factors and its fleet-index placements;
+// resurrection restarts the group with a bumped generation and lifts any
+// hard hold, and the ring re-routes the shard's keyspace back — no
+// request is ever dropped or double-answered, which the fleet report
+// counts prove.
 //
 // Completed answers are bitwise-identical across shard counts: a solution
 // is a pure function of (ProblemKey, rhsSeed, maxIr) on the single-device
@@ -91,12 +94,11 @@ struct FleetConfig {
   /// Per-shard engine template; cacheBytes is overridden by the fleet
   /// split and factorOverride is owned by the fleet.
   ServeConfig shard;
-  /// Shard-health breaker (per-shard sentinel keys; always enabled).
-  BreakerConfig health{true, 3, 0.050, 1};
-  /// Phi-accrual gray-failure detector (serve/fleet/health.h), fed by
-  /// shard completions. Quarantined shards are *deprioritized*, not
-  /// excluded: routing falls back to them when no preferred shard is
-  /// left, so the detector can never starve the fleet.
+  /// Shard health (serve/fleet/health.h). `enabled` switches its soft
+  /// tier, the phi detector fed by shard completions: a phi quarantine
+  /// *deprioritizes*, so routing falls back to the shard when no preferred
+  /// shard is left and the detector can never starve the fleet. Job
+  /// failures and ops breaks exclude a shard either way.
   HealthConfig healthMonitor;
   /// Speculative re-issue of slow requests (first answer wins).
   HedgeConfig hedge;
@@ -115,12 +117,7 @@ struct ShardReport {
   std::uint64_t routed = 0;   // requests routed here (incl. failovers in)
   std::uint64_t groupJobs = 0;
   std::uint64_t groupCrashes = 0;
-  // Circuit-breaker transitions for this shard's sentinel.
-  std::string breakerState = "closed";
-  index_t breakerFailures = 0;
-  std::uint64_t breakerTrips = 0;
-  std::uint64_t breakerRejections = 0;
-  // Phi-accrual detector view.
+  // Health state machine view.
   std::string healthState = "healthy";
   double phi = 0.0;
   double heartbeatAgeSeconds = 0.0;
@@ -148,7 +145,7 @@ struct FleetReport {
   std::uint64_t opsSlows = 0;      // slowShard invocations
   std::uint64_t crashes = 0;       // shards that lost their grid
   std::uint64_t resurrections = 0;
-  std::uint64_t healthTrips = 0;   // shard-health circuit trips
+  std::uint64_t healthTrips = 0;   // hard exclusions (job failures, breaks)
 
   // Gray-failure defense picture.
   std::uint64_t quarantines = 0;      // entries into health quarantine
@@ -215,16 +212,16 @@ class FleetEngine {
   void stop();
 
   // --- ops hooks (the chaos surface of the CLI and CI job) -------------
-  /// Trips the shard's health circuit: no new routes until the breaker's
-  /// cool-down half-opens it (in-flight work drains normally).
+  /// Excludes the shard from routing until unbreakShard or
+  /// resurrectShard (in-flight work drains normally).
   void breakShard(index_t shard);
-  /// Closes the shard's health circuit immediately.
+  /// Lifts the shard's hard health hold immediately.
   void unbreakShard(index_t shard);
   /// Kills the shard's rank group and drops its cached factors plus its
   /// fleet-index placements.
   void crashShard(index_t shard);
-  /// Restarts a crashed shard's group (new generation) and closes its
-  /// circuit; the ring rebalances its keyspace back on the next routes.
+  /// Restarts a crashed shard's group (new generation) and lifts its hard
+  /// health hold; the ring rebalances its keyspace back on the next routes.
   void resurrectShard(index_t shard);
   /// Arms a fault injector on the shard's rank group (organic crashes).
   void armShardFaults(index_t shard,
@@ -251,20 +248,20 @@ class FleetEngine {
   [[nodiscard]] index_t shardCount() const {
     return static_cast<index_t>(shards_.size());
   }
+  /// Alive and not excluded by hard health evidence.
   [[nodiscard]] bool shardRoutable(index_t shard);
   [[nodiscard]] const ServeEngine& shardEngine(index_t shard) const {
     return *shards_[static_cast<std::size_t>(shard)]->engine;
   }
   [[nodiscard]] const HashRing& ring() const { return ring_; }
   [[nodiscard]] const FleetCacheIndex& cacheIndex() const { return index_; }
-  /// Phi-accrual detector (mutable: snapshots advance its state machine).
+  /// Health state machine (mutable: snapshots advance it).
   [[nodiscard]] ShardHealthMonitor& healthMonitor() { return healthMon_; }
   [[nodiscard]] FleetReport report() const;
 
  private:
   struct Shard {
     index_t id = 0;
-    ProblemKey sentinel;  // shard-health breaker key (n < 0, never real)
     std::unique_ptr<simmpi::RankGroup> group;
     std::unique_ptr<ServeEngine> engine;  // after group: dtor order
     std::unique_ptr<SlowRankMonitor> slowRanks;
@@ -286,6 +283,7 @@ class FleetEngine {
   [[nodiscard]] Factorization groupFactor(index_t shard,
                                           const ProblemKey& key);
   void markCrashed(index_t shard);
+  [[nodiscard]] bool shardAlive(index_t shard) const;
   [[nodiscard]] index_t pickShard(const ProblemKey& key, std::uint64_t count,
                                   const std::vector<index_t>& tried);
   void routeToShard(index_t shard, const SolveRequest& request,
@@ -303,7 +301,6 @@ class FleetEngine {
   FleetConfig config_;
   HashRing ring_;
   FleetCacheIndex index_;
-  CircuitBreaker health_;
   /// mutable: report()/snapshots advance time-driven state transitions.
   mutable ShardHealthMonitor healthMon_;
   LatencyRecorder recorder_;
@@ -321,7 +318,6 @@ class FleetEngine {
   std::atomic<std::uint64_t> opsSlows_{0};
   std::atomic<std::uint64_t> crashes_{0};
   std::atomic<std::uint64_t> resurrections_{0};
-  std::atomic<std::uint64_t> healthDetours_{0};
   std::atomic<std::uint64_t> hedgesIssued_{0};
   std::atomic<std::uint64_t> hedgeWins_{0};
   std::atomic<std::uint64_t> hedgeWasted_{0};

@@ -25,7 +25,8 @@ ShardHealthMonitor::ShardHealthMonitor(HealthConfig config, index_t shards)
   entries_.resize(static_cast<std::size_t>(shards));
 }
 
-ShardHealthMonitor::Entry& ShardHealthMonitor::entry(index_t shard) {
+const ShardHealthMonitor::Entry& ShardHealthMonitor::entry(
+    index_t shard) const {
   HPLMXP_REQUIRE(shard >= 0 &&
                      shard < static_cast<index_t>(entries_.size()),
                  "health monitor: shard out of range");
@@ -52,9 +53,9 @@ void ShardHealthMonitor::meanStd(const Entry& e, double* mean,
 }
 
 double ShardHealthMonitor::phiLocked(const Entry& e, double now) const {
-  if (!e.seeded ||
+  if (!config_.enabled || !e.seeded ||
       e.heartbeats < static_cast<std::uint64_t>(config_.minSamples)) {
-    return 0.0;  // cold start: no basis for suspicion yet
+    return 0.0;  // soft tier off, or cold start: no basis for suspicion
   }
   const double since = now - e.lastArrival;
   if (since <= 0.0) {
@@ -78,7 +79,24 @@ void ShardHealthMonitor::enterQuarantine(Entry& e, double now) {
   e.state = HealthState::kQuarantined;
   e.quarantinedAt = now;
   e.probesUsed = 0;
-  ++e.quarantines;
+  ++(e.hold == Hold::kNone ? e.quarantines : e.trips);
+}
+
+void ShardHealthMonitor::trip(Entry& e, Hold hold, double now) {
+  if (e.hold != Hold::kOps) {
+    e.hold = hold;  // only release() lifts an ops break
+  }
+  enterQuarantine(e, now);
+}
+
+void ShardHealthMonitor::heal(Entry& e, double now) {
+  // The stale gap that put the shard here must not re-trip the detector,
+  // so the arrival clock restarts without contributing that interval.
+  e.state = HealthState::kHealthy;
+  e.hold = Hold::kNone;
+  e.jobFailures = 0;
+  e.stragglerStreak = 0;
+  e.lastArrival = now;
 }
 
 void ShardHealthMonitor::advance(Entry& e, double now) {
@@ -102,7 +120,8 @@ void ShardHealthMonitor::advance(Entry& e, double now) {
       break;
     }
     case HealthState::kQuarantined:
-      if (now - e.quarantinedAt >= config_.quarantineDwellSeconds) {
+      if (e.hold != Hold::kOps &&
+          now - e.quarantinedAt >= config_.quarantineDwellSeconds) {
         e.state = HealthState::kProbing;
         e.probesUsed = 0;
       }
@@ -112,12 +131,7 @@ void ShardHealthMonitor::advance(Entry& e, double now) {
   }
 }
 
-void ShardHealthMonitor::heartbeat(index_t shard, double now) {
-  if (!config_.enabled) {
-    return;
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  Entry& e = entry(shard);
+void ShardHealthMonitor::recordHeartbeat(Entry& e, double now) {
   if (e.seeded) {
     const double interval = std::max(0.0, now - e.lastArrival);
     if (static_cast<index_t>(e.window.size()) < config_.windowSize) {
@@ -132,6 +146,14 @@ void ShardHealthMonitor::heartbeat(index_t shard, double now) {
   ++e.heartbeats;
   e.stragglerStreak = 0;
   advance(e, now);
+}
+
+void ShardHealthMonitor::heartbeat(index_t shard, double now) {
+  if (!config_.enabled) {
+    return;
+  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  recordHeartbeat(entry(shard), now);
 }
 
 void ShardHealthMonitor::noteStraggler(index_t shard, double now) {
@@ -152,51 +174,50 @@ void ShardHealthMonitor::noteStraggler(index_t shard, double now) {
 }
 
 void ShardHealthMonitor::onOutcome(index_t shard, bool success, double now) {
-  if (!config_.enabled) {
-    return;
-  }
   std::lock_guard<std::mutex> lock(mutex_);
   Entry& e = entry(shard);
   if (e.state == HealthState::kProbing) {
     if (success) {
-      // Healed. The stale gap that put the shard here must not re-trip
-      // the detector, so the probe's completion re-seeds the arrival
-      // clock without contributing the quarantine-sized interval.
-      e.state = HealthState::kHealthy;
-      e.stragglerStreak = 0;
+      heal(e, now);
       e.seeded = true;
-      e.lastArrival = now;
       ++e.heartbeats;
     } else {
       enterQuarantine(e, now);
     }
     return;
   }
-  if (success) {
-    // Re-run heartbeat logic inline (the lock is not recursive).
-    if (e.seeded) {
-      const double interval = std::max(0.0, now - e.lastArrival);
-      if (static_cast<index_t>(e.window.size()) < config_.windowSize) {
-        e.window.push_back(interval);
-      } else {
-        e.window[static_cast<std::size_t>(e.windowNext)] = interval;
-        e.windowNext = (e.windowNext + 1) % config_.windowSize;
-      }
-    }
-    e.seeded = true;
-    e.lastArrival = now;
-    ++e.heartbeats;
-    e.stragglerStreak = 0;
-    advance(e, now);
+  if (success && config_.enabled) {
+    recordHeartbeat(e, now);
   }
-  // Non-probe failures are the CircuitBreaker's evidence, not ours: a
-  // failing-fast shard has a *healthy* heartbeat cadence.
+}
+
+void ShardHealthMonitor::onJobOutcome(index_t shard, bool success,
+                                      double now) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  Entry& e = entry(shard);
+  if (success) {
+    e.jobFailures = 0;
+  } else if (++e.jobFailures >= kJobFailureStrikes &&
+             e.hold == Hold::kNone) {
+    trip(e, Hold::kFailures, now);
+  }
+}
+
+void ShardHealthMonitor::breakShard(index_t shard, double now) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  trip(entry(shard), Hold::kOps, now);
+}
+
+void ShardHealthMonitor::release(index_t shard, double now) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  Entry& e = entry(shard);
+  if (e.hold != Hold::kNone) {
+    heal(e, now);
+  }
+  e.jobFailures = 0;
 }
 
 bool ShardHealthMonitor::routable(index_t shard, double now) {
-  if (!config_.enabled) {
-    return true;
-  }
   std::lock_guard<std::mutex> lock(mutex_);
   Entry& e = entry(shard);
   advance(e, now);
@@ -217,55 +238,72 @@ bool ShardHealthMonitor::routable(index_t shard, double now) {
   return true;
 }
 
-double ShardHealthMonitor::phi(index_t shard, double now) const {
-  if (!config_.enabled) {
-    return 0.0;
+bool ShardHealthMonitor::excluded(index_t shard) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return entry(shard).hold != Hold::kNone;
+}
+
+index_t ShardHealthMonitor::route(const HashRing& ring, const ProblemKey& key,
+                                  const HashRing::HealthFn& alive,
+                                  double now) {
+  // The fallback walk runs only after every alive shard failed
+  // routable(), so a held shard whose probe slot is free was already
+  // taken by the first walk: excluded() needs no probe accounting.
+  index_t chosen = ring.route(
+      key, [&](index_t s) { return alive(s) && routable(s, now); });
+  if (chosen < 0) {
+    chosen = ring.route(
+        key, [&](index_t s) { return alive(s) && !excluded(s); });
+  }
+  noteRoute(ring, key, chosen, now);
+  return chosen;
+}
+
+void ShardHealthMonitor::noteRoute(const HashRing& ring, const ProblemKey& key,
+                                   index_t chosen, double now) {
+  const index_t primary = ring.route(key, nullptr);
+  if (chosen < 0 || chosen == primary) {
+    return;
   }
   std::lock_guard<std::mutex> lock(mutex_);
-  HPLMXP_REQUIRE(shard >= 0 &&
-                     shard < static_cast<index_t>(entries_.size()),
-                 "health monitor: shard out of range");
-  return phiLocked(entries_[static_cast<std::size_t>(shard)], now);
+  Entry& e = entry(primary);
+  advance(e, now);
+  if (e.state == HealthState::kQuarantined) {
+    ++e.detours;
+  }
+}
+
+double ShardHealthMonitor::phi(index_t shard, double now) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return phiLocked(entry(shard), now);
 }
 
 HealthState ShardHealthMonitor::state(index_t shard, double now) {
-  if (!config_.enabled) {
-    return HealthState::kHealthy;
-  }
   std::lock_guard<std::mutex> lock(mutex_);
   Entry& e = entry(shard);
   advance(e, now);
   return e.state;
 }
 
-std::uint64_t ShardHealthMonitor::quarantines() const {
+std::uint64_t ShardHealthMonitor::total(
+    std::uint64_t Entry::*counter) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::uint64_t total = 0;
+  std::uint64_t n = 0;
   for (const Entry& e : entries_) {
-    total += e.quarantines;
+    n += e.*counter;
   }
-  return total;
-}
-
-std::uint64_t ShardHealthMonitor::stragglerReports() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::uint64_t total = 0;
-  for (const Entry& e : entries_) {
-    total += e.stragglers;
-  }
-  return total;
+  return n;
 }
 
 ShardHealthMonitor::ShardSnapshot ShardHealthMonitor::shardSnapshot(
     index_t shard, double now) {
   std::lock_guard<std::mutex> lock(mutex_);
   Entry& e = entry(shard);
-  if (config_.enabled) {
-    advance(e, now);
-  }
+  advance(e, now);
   ShardSnapshot s;
   s.shard = shard;
   s.state = e.state;
+  s.excluded = e.hold != Hold::kNone;
   s.phi = phiLocked(e, now);
   s.lastHeartbeatAge = e.seeded ? now - e.lastArrival : 0.0;
   double std = 0.0;

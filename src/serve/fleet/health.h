@@ -1,12 +1,12 @@
-// Phi-accrual shard health detection: the gray-failure half of the fleet's
-// defense, sitting in front of the terminal-failure CircuitBreaker.
+// Shard health: the fleet's one per-shard state machine, run by the live
+// FleetEngine and by fleetsim's ServeWorkload.
 //
-// The breaker only reacts to *failures*; a shard that is alive but 5x
-// slow never feeds it and quietly drags the fleet p99. The phi-accrual
-// detector (Hayashibara et al., the Akka/Cassandra lineage) instead
-// watches the shard's heartbeat cadence — here, completion events and
-// periodic pulses — and turns "how late is the next heartbeat" into a
-// continuous suspicion level:
+// Its soft evidence is the phi-accrual detector (Hayashibara et al., the
+// Akka/Cassandra lineage), for the shard that is alive but 5x slow: it
+// fails nothing, yet quietly drags the fleet p99. The detector watches
+// the shard's heartbeat cadence — here, completion events and periodic
+// pulses — and turns "how late is the next heartbeat" into a continuous
+// suspicion level:
 //
 //     phi(t) = -log10( P(interval > t) )
 //
@@ -25,29 +25,38 @@
 //                              │ probe fails: quarantined again
 //
 // A quarantined shard receives no new routes (its in-flight work drains
-// normally — the same drain contract as an open circuit); after the
-// dwell it admits `probeQuota` probe requests whose outcomes decide
-// between healing and another quarantine round. Slow-rank verdicts from
-// trace::SlowRankMonitor (a straggler *inside* the shard's grid) are fed
-// in as straggler evidence and short-circuit the phi ramp.
+// normally); after the dwell it admits `probeQuota` probe requests whose
+// outcomes decide between healing and another quarantine round. Slow-rank
+// verdicts from trace::SlowRankMonitor (a straggler *inside* the shard's
+// grid) are fed in as straggler evidence and short-circuit the phi ramp.
 //
-// Every method takes the current time explicitly — the CircuitBreaker
-// discipline — so the detector is a pure function of its inputs: unit
-// tests never sleep, fleetsim replays it on virtual time, and the same
-// thresholds tuned in simulation land unchanged in the live engine.
-// All methods are thread-safe.
+// Hard evidence — kJobFailureStrikes failed factor jobs in a row, or an
+// ops break — sends a shard from any state straight to quarantined. The
+// two kinds differ when no other shard is left: a soft quarantine only
+// deprioritizes, so route() falls back to the shard and the detector can
+// never starve the fleet, while hard evidence excludes it. An ops break
+// never dwells out: it holds until release().
+//
+// Every method takes the current time explicitly, so the machine is a
+// pure function of its inputs: unit tests never sleep, fleetsim replays
+// it on virtual time, and the same thresholds tuned in simulation land
+// unchanged in the live engine. All methods are thread-safe.
 #pragma once
 
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "serve/fleet/hash_ring.h"
 #include "util/common.h"
 
 namespace hplmxp::serve {
 
 struct HealthConfig {
+  /// The soft tier (phi and straggler evidence); hard evidence always
+  /// counts.
   bool enabled = true;
   /// Expected heartbeat cadence; seeds the interval window so a cold
   /// shard is judged against the configured pace, not an empty history.
@@ -87,15 +96,20 @@ enum class HealthState { kHealthy, kSuspect, kQuarantined, kProbing };
 
 class ShardHealthMonitor {
  public:
+  /// Consecutive factor-job failures that exclude a shard.
+  static constexpr index_t kJobFailureStrikes = 3;
+
   struct ShardSnapshot {
     index_t shard = 0;
     HealthState state = HealthState::kHealthy;
+    /// Hard evidence holds the shard out of routing (see excluded()).
+    bool excluded = false;
     double phi = 0.0;
     double lastHeartbeatAge = 0.0;
     double meanIntervalSeconds = 0.0;
     std::uint64_t heartbeats = 0;
     std::uint64_t stragglerReports = 0;
-    std::uint64_t quarantines = 0;  // entries into kQuarantined
+    std::uint64_t quarantines = 0;  // soft entries into kQuarantined
     std::uint64_t probes = 0;       // probe routes admitted
   };
 
@@ -113,17 +127,39 @@ class ShardHealthMonitor {
   /// intervening heartbeat.
   void noteStraggler(index_t shard, double now);
 
-  /// Outcome of a request routed to the shard. A success is a heartbeat
-  /// and (while probing) a probe success that heals the shard; a failure
-  /// is a probe failure that re-quarantines it. Outside probing,
-  /// failures are the CircuitBreaker's business and are ignored here.
+  /// Outcome of a request routed to the shard. While probing, a success
+  /// heals the shard and a failure quarantines it again. Otherwise a
+  /// success is a heartbeat and a failure is ignored: a failing-fast
+  /// shard has a *healthy* heartbeat cadence.
   void onOutcome(index_t shard, bool success, double now);
 
+  /// Hard evidence: a factor job on the shard's grid finished.
+  /// kJobFailureStrikes failures in a row quarantine and exclude the
+  /// shard; a success restarts the count.
+  void onJobOutcome(index_t shard, bool success, double now);
+  /// Hard evidence: an ops break, held past the dwell until release().
+  void breakShard(index_t shard, double now);
+  /// Lifts hard evidence (ops unbreak, resurrection); a shard it held
+  /// heals as a successful probe does.
+  void release(index_t shard, double now);
+
   /// Routing gate. Healthy and suspect shards route freely (suspect is a
-  /// warning level, not a drain — the breaker may still be routing to
-  /// it); quarantined shards route nothing; probing shards admit up to
-  /// `probeQuota` routes. Advances the state machine against `now`.
+  /// warning level, not a drain); quarantined shards route nothing;
+  /// probing shards admit up to `probeQuota` routes. Advances the state
+  /// machine against `now`.
   [[nodiscard]] bool routable(index_t shard, double now);
+  /// True while hard evidence holds the shard: no fallback reaches it.
+  [[nodiscard]] bool excluded(index_t shard) const;
+
+  /// The two-tier ring walk of the live fleet and fleetsim: the first
+  /// shard clockwise of `key` that `alive` accepts and routable() admits,
+  /// else the first alive one not excluded(). -1 when none is left.
+  [[nodiscard]] index_t route(const HashRing& ring, const ProblemKey& key,
+                              const HashRing::HealthFn& alive, double now);
+  /// Counts a detour when `chosen` is not the key's all-up primary and
+  /// that primary is quarantined; route() counts its own choices.
+  void noteRoute(const HashRing& ring, const ProblemKey& key, index_t chosen,
+                 double now);
 
   /// Current suspicion level against the shard's own interval history.
   [[nodiscard]] double phi(index_t shard, double now) const;
@@ -132,10 +168,16 @@ class ShardHealthMonitor {
   /// quarantine, dwell expiry) against `now`.
   [[nodiscard]] HealthState state(index_t shard, double now);
 
-  /// Total entries into quarantine across all shards.
-  [[nodiscard]] std::uint64_t quarantines() const;
-  /// Total straggler reports fed in across all shards.
-  [[nodiscard]] std::uint64_t stragglerReports() const;
+  /// Totals across shards: soft and hard entries into quarantine,
+  /// straggler reports fed in, and detours counted by noteRoute().
+  [[nodiscard]] std::uint64_t quarantines() const {
+    return total(&Entry::quarantines);
+  }
+  [[nodiscard]] std::uint64_t trips() const { return total(&Entry::trips); }
+  [[nodiscard]] std::uint64_t stragglerReports() const {
+    return total(&Entry::stragglers);
+  }
+  [[nodiscard]] std::uint64_t detours() const { return total(&Entry::detours); }
 
   [[nodiscard]] ShardSnapshot shardSnapshot(index_t shard, double now);
   [[nodiscard]] std::vector<ShardSnapshot> snapshot(double now);
@@ -143,8 +185,13 @@ class ShardHealthMonitor {
   [[nodiscard]] const HealthConfig& config() const { return config_; }
 
  private:
+  /// Hard evidence holding a shard out of routing.
+  enum class Hold { kNone, kFailures, kOps };
+
   struct Entry {
     HealthState state = HealthState::kHealthy;
+    Hold hold = Hold::kNone;
+    index_t jobFailures = 0;      // consecutive failed factor jobs
     double lastArrival = 0.0;
     bool seeded = false;          // first heartbeat only sets lastArrival
     std::vector<double> window;   // inter-arrival ring buffer
@@ -155,14 +202,23 @@ class ShardHealthMonitor {
     std::uint64_t heartbeats = 0;
     std::uint64_t stragglers = 0;
     std::uint64_t quarantines = 0;
+    std::uint64_t trips = 0;
     std::uint64_t probes = 0;
+    std::uint64_t detours = 0;  // routes off this primary while quarantined
   };
 
   [[nodiscard]] double phiLocked(const Entry& e, double now) const;
   void meanStd(const Entry& e, double* mean, double* std) const;
+  void recordHeartbeat(Entry& e, double now);
   void advance(Entry& e, double now);
   void enterQuarantine(Entry& e, double now);
-  Entry& entry(index_t shard);
+  void trip(Entry& e, Hold hold, double now);
+  void heal(Entry& e, double now);
+  [[nodiscard]] std::uint64_t total(std::uint64_t Entry::*counter) const;
+  [[nodiscard]] const Entry& entry(index_t shard) const;
+  Entry& entry(index_t shard) {
+    return const_cast<Entry&>(std::as_const(*this).entry(shard));
+  }
 
   HealthConfig config_;
   mutable std::mutex mutex_;

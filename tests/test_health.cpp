@@ -2,6 +2,8 @@
 // heartbeat silence, the healthy -> suspect -> quarantined -> probing ->
 // healthy state machine, straggler-strike escalation, probe-quota routing,
 // and bitwise determinism of the detector under identical call sequences.
+// Also the hard tier (job-failure strikes, ops breaks) and the two-tier
+// ring walk the fleet and fleetsim route with.
 //
 // Everything runs on an explicit clock (the `now` arguments) — no sleeps,
 // no wall time — which is the property that lets the fleetsim co-simulate
@@ -193,6 +195,86 @@ TEST(ShardHealthMonitorTest, DisabledMonitorNeverIntervenes) {
   EXPECT_DOUBLE_EQ(mon.phi(0, 100.0), 0.0);
   EXPECT_EQ(mon.state(0, 100.0), HealthState::kHealthy);
   EXPECT_EQ(mon.quarantines(), 0u);
+}
+
+TEST(ShardHealthMonitorTest, JobFailureStrikesExcludeEvenWithPhiOff) {
+  // Hard evidence needs neither heartbeats nor the soft tier: three failed
+  // factor jobs in a row exclude the shard, the dwell admits one probe,
+  // and the probe's verdict decides.
+  HealthConfig cfg;
+  cfg.enabled = false;
+  ShardHealthMonitor mon(cfg, 2);
+  mon.onJobOutcome(0, false, 0.000);
+  mon.onJobOutcome(0, false, 0.001);
+  mon.onJobOutcome(0, true, 0.002);  // a success restarts the count
+  mon.onJobOutcome(0, false, 0.003);
+  mon.onJobOutcome(0, false, 0.004);
+  EXPECT_FALSE(mon.excluded(0));
+  mon.onJobOutcome(0, false, 0.005);
+  EXPECT_TRUE(mon.excluded(0));
+  EXPECT_FALSE(mon.routable(0, 0.006));
+  EXPECT_EQ(mon.state(0, 0.006), HealthState::kQuarantined);
+  EXPECT_EQ(mon.trips(), 1u);
+  EXPECT_EQ(mon.quarantines(), 0u);
+
+  const double dwell = cfg.quarantineDwellSeconds;
+  const double tProbe = 0.005 + dwell + 0.001;
+  EXPECT_TRUE(mon.routable(0, tProbe));
+  EXPECT_FALSE(mon.routable(0, tProbe));
+  EXPECT_TRUE(mon.excluded(0));  // held until the probe's verdict
+  mon.onOutcome(0, /*success=*/false, tProbe + 0.001);
+  EXPECT_EQ(mon.state(0, tProbe + 0.001), HealthState::kQuarantined);
+  EXPECT_EQ(mon.trips(), 2u);
+
+  const double tProbe2 = tProbe + 0.001 + dwell + 0.001;
+  EXPECT_TRUE(mon.routable(0, tProbe2));
+  mon.onOutcome(0, /*success=*/true, tProbe2 + 0.001);
+  EXPECT_FALSE(mon.excluded(0));
+  EXPECT_EQ(mon.state(0, tProbe2 + 0.002), HealthState::kHealthy);
+  EXPECT_TRUE(mon.routable(1, tProbe2));  // shard 1 never noticed
+}
+
+TEST(ShardHealthMonitorTest, OpsBreakHoldsPastTheDwellUntilReleased) {
+  ShardHealthMonitor mon(HealthConfig{}, 2);
+  const double last = warmUp(mon, 0, 10);
+  mon.breakShard(0, last);
+  EXPECT_TRUE(mon.excluded(0));
+  // Far past any dwell: no probe is admitted.
+  EXPECT_FALSE(mon.routable(0, last + 60.0));
+  EXPECT_EQ(mon.state(0, last + 60.0), HealthState::kQuarantined);
+  // Release heals at once, and the hold's silence does not trip phi.
+  mon.release(0, last + 60.0);
+  EXPECT_FALSE(mon.excluded(0));
+  EXPECT_EQ(mon.state(0, last + 60.001), HealthState::kHealthy);
+  EXPECT_TRUE(mon.routable(0, last + 60.001));
+  EXPECT_EQ(mon.trips(), 1u);
+  EXPECT_EQ(mon.quarantines(), 0u);
+}
+
+TEST(ShardHealthMonitorTest, RouteFallsBackPastQuarantineButNotExclusion) {
+  const HashRing ring(2, 64);
+  ProblemKey k;
+  k.n = 64;
+  k.b = 16;
+  while (ring.route(k, nullptr) != 0) {
+    ++k.seed;
+  }
+  ShardHealthMonitor mon(HealthConfig{}, 2);
+  mon.noteStraggler(0, 0.0);
+  mon.noteStraggler(0, 0.0);  // two strikes: a soft quarantine
+  ASSERT_EQ(mon.state(0, 0.0), HealthState::kQuarantined);
+  const auto all = [](index_t) { return true; };
+  const auto only0 = [](index_t s) { return s == 0; };
+
+  // Steered off the quarantined primary, and counted as a detour.
+  EXPECT_EQ(mon.route(ring, k, all, 0.001), 1);
+  EXPECT_EQ(mon.detours(), 1u);
+  // With no other shard alive, quarantine never starves the key...
+  EXPECT_EQ(mon.route(ring, k, only0, 0.001), 0);
+  // ...but hard evidence does exclude the shard.
+  mon.breakShard(0, 0.002);
+  EXPECT_EQ(mon.route(ring, k, only0, 0.003), -1);
+  EXPECT_EQ(mon.detours(), 1u);
 }
 
 TEST(ShardHealthMonitorTest, SnapshotCarriesTheOpsPicture) {
