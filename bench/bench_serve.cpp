@@ -1,13 +1,16 @@
 // Serving benchmark: throughput/latency of the solver-as-a-service engine.
 //
-// Three sweeps, all on synthetic open-loop traces over repeated problem
+// Five sweeps, all on synthetic open-loop traces over repeated problem
 // keys (the serving analogue of the paper's factor-once economics):
-//   1. batching   — the same request stream with coalescing windows of
-//                   0 / 0.5 / 2 ms: what multi-RHS batching buys.
+//   1. batching   — a stream dense enough that requests queue while the
+//                   worker solves, with batch caps of 1 and 8: what
+//                   multi-RHS batching buys under work-conserving dispatch.
 //   2. cache      — key working set smaller vs. larger than the factor
 //                   cache budget: hit-rate and its latency cliff.
-//   3. chaos      — the delay and transient scenarios from the PR-1 fault
+//   3. chaos      — the delay and transient scenarios from the fault
 //                   harness: retries and deadline rejections, never hangs.
+//   4. breaker    — a poisoned key with and without its circuit breaker.
+//   5. fleet      — the same stream over 1/2/3 shards, one run degraded.
 //
 // Writes BENCH_serve.json: the final section of each sweep plus the full
 // latency report of the headline run (queue-wait and solve-time
@@ -102,22 +105,23 @@ int main() {
   const index_t kN = 96;
   const index_t kB = 16;
 
-  // Sweep 1: coalescing window.
-  Table batching({"batch delay", "mean batch", "throughput r/s", "p50 ms",
+  // Sweep 1: batch cap. Arrivals 20 us apart outpace the worker, so the
+  // requests that queue during one solve leave together in the next.
+  Table batching({"max batch", "mean batch", "throughput r/s", "p50 ms",
                   "p99 ms", "hit rate"});
   ServeReport headline;
-  for (const double delayUs : {0.0, 500.0, 2000.0}) {
+  for (const index_t maxBatch : {index_t{1}, index_t{8}}) {
     ServeConfig cfg;
-    cfg.maxBatchDelaySeconds = delayUs * 1e-6;
+    cfg.maxBatch = maxBatch;
     const ServeReport r =
-        replay(serve::makeSyntheticTrace(kRequests, kKeys, 0.25, kN, kB, 21),
+        replay(serve::makeSyntheticTrace(kRequests, kKeys, 0.02, kN, kB, 21),
                std::move(cfg));
-    batching.addRow({Table::num(delayUs, 0) + " us",
+    batching.addRow({Table::num((long long)maxBatch),
                      Table::num(r.meanBatchSize, 2),
                      Table::num(r.throughputRps, 1),
                      Table::num(r.total.p50Ms, 2), Table::num(r.total.p99Ms, 2),
                      Table::num(r.cache.hitRate() * 100.0, 1) + "%"});
-    if (delayUs == 500.0) {
+    if (maxBatch == 8) {
       headline = r;
     }
   }
@@ -131,7 +135,6 @@ int main() {
        {std::size_t{64} << 10, std::size_t{64} << 20}) {
     ServeConfig cfg;
     cfg.cacheBytes = budget;
-    cfg.maxBatchDelaySeconds = 500e-6;
     const ServeReport r =
         replay(serve::makeSyntheticTrace(kRequests, kKeys, 0.25, kN, kB, 21),
                std::move(cfg));
@@ -150,7 +153,6 @@ int main() {
                "inj delays", "inj transients"});
   for (const std::string scenario : {"none", "delay", "transient"}) {
     ServeConfig cfg;
-    cfg.maxBatchDelaySeconds = 500e-6;
     cfg.defaultDeadlineSeconds = 0.050;
     if (scenario != "none") {
       cfg.chaos = std::make_shared<simmpi::FaultInjector>(
@@ -199,7 +201,6 @@ int main() {
   for (const std::string scenario :
        {"baseline", "fault-no-breaker", "fault-breaker"}) {
     ServeConfig cfg;
-    cfg.maxBatchDelaySeconds = 500e-6;
     cfg.workers = 2;  // a lane for the poisoned key, a lane for the rest
     if (scenario != "baseline") {
       cfg.keyFaultHook = [kPoisonSeed](const serve::ProblemKey& k) {
@@ -248,7 +249,6 @@ int main() {
       serve::FleetConfig cfg;
       cfg.shards = shards;
       cfg.groupSize = 2;
-      cfg.shard.maxBatchDelaySeconds = 500e-6;
       const serve::FleetReport r = fleetReplay(
           serve::makeSyntheticTrace(kRequests, kKeys, 0.25, kN, kB, 21),
           std::move(cfg), degrade);

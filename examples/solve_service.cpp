@@ -21,7 +21,6 @@ int main() {
 
   ServeConfig config;
   config.maxBatch = 8;
-  config.maxBatchDelaySeconds = 0.001;  // 1 ms coalescing window
   config.startPaused = true;  // queue the whole burst, then release it
   ServeEngine engine(config);
 

@@ -835,8 +835,6 @@ int cmdServe(const Options& raw) {
       static_cast<std::size_t>(opts.getInt("serve.cache-mb", 64)) << 20;
   scfg.queueDepth = opts.getInt("serve.queue-depth", 64);
   scfg.maxBatch = opts.getInt("serve.batch", 8);
-  scfg.maxBatchDelaySeconds =
-      opts.getDouble("serve.batch-delay-us", 1000.0) * 1e-6;
   scfg.defaultDeadlineSeconds =
       opts.getDouble("serve.deadline-ms", 0.0) * 1e-3;
   scfg.workers = opts.getInt("serve.workers", 1);
@@ -1091,7 +1089,6 @@ int cmdFleetsim(const Options& raw) {
     cfg.serve.virtualNodes = opts.getInt("serve.shards.virtual-nodes", 64);
     cfg.serve.queueDepth = opts.getInt("serve.queue-depth", 64);
     cfg.serve.maxBatch = opts.getInt("serve.batch", 8);
-    cfg.serve.batchDelayUs = opts.getDouble("serve.batch-delay-us", 1000.0);
     cfg.serve.cacheMb =
         static_cast<double>(opts.getInt("serve.cache-mb", 64));
     cfg.serve.defaultDeadlineMs = opts.getDouble("serve.deadline-ms", 0.0);
@@ -1286,8 +1283,7 @@ std::string usage() {
       "           (--trace FILE | --requests --keys --gap-ms --n --b --seed\n"
       "            --speedup X --json FILE --verify N --max-ir\n"
       "            --serve.cache-mb --serve.queue-depth --serve.batch\n"
-      "            --serve.batch-delay-us --serve.deadline-ms\n"
-      "            --serve.workers --serve.retries\n"
+      "            --serve.deadline-ms --serve.workers --serve.retries\n"
       "            --serve.chaos none|delay|transient --serve.chaos-seed\n"
       "            sharded fleet: --shards N\n"
       "            --serve.shards.virtual-nodes --serve.shards.group-size\n"
@@ -1312,8 +1308,8 @@ std::string usage() {
       "            --serve on|off --trace FILE | --requests --keys\n"
       "            --gap-ms --n --b --seed --shards N --host-gflops\n"
       "            --ir-iters --serve.queue-depth --serve.batch\n"
-      "            --serve.batch-delay-us --serve.cache-mb\n"
-      "            --serve.deadline-ms --serve.shards.virtual-nodes\n"
+      "            --serve.cache-mb --serve.deadline-ms\n"
+      "            --serve.shards.virtual-nodes\n"
       "            --serve.shards.failover-limit\n"
       "            chaos (virtual ms): --crash-at-ms --crash-shard\n"
       "            --resurrect-at-ms --slow-at-ms --slow-shard\n"

@@ -31,7 +31,10 @@ enum class EventClass : std::uint8_t {
   kLuPanelArrival,   // the broadcast panel lands on a peer rank
   kLuDone,           // factorization finished
   kRequestArrival,   // a solve request reaches its shard
-  kBatchWindow,      // a batching window for one key expires
+  // An idle serve lane picks up its queued requests. The value and the
+  // "batch-window" name outlived the coalescing window they were named
+  // for: trace hashes and per-class event counts depend on them.
+  kBatchWindow,
   kSolveDone,        // a dispatched batch finishes on a shard
   kCrash,            // a shard/node dies
   kResurrect,        // a crashed shard/node returns

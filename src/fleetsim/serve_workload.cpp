@@ -12,7 +12,6 @@ void ServeWorkloadConfig::validate(const Topology& topology) const {
   HPLMXP_REQUIRE(virtualNodes >= 1, "need >= 1 virtual ring node");
   HPLMXP_REQUIRE(queueDepth >= 1, "queue depth must be >= 1");
   HPLMXP_REQUIRE(maxBatch >= 1, "max batch must be >= 1");
-  HPLMXP_REQUIRE(batchDelayUs >= 0.0, "negative batch delay");
   HPLMXP_REQUIRE(cacheMb > 0.0, "cache budget must be positive");
   HPLMXP_REQUIRE(failoverLimit >= 0, "negative failover limit");
   HPLMXP_REQUIRE(hostGflops > 0.0, "host rate must be positive");
@@ -123,7 +122,7 @@ void ServeWorkload::scheduleHeartbeat(Simulator& sim, index_t shardIndex) {
   const double interval =
       config_.heartbeatIntervalMs * 1e-3 / shard.slowFactor;
   sim.schedule(sim.now() + interval, shard.node, EventClass::kHeartbeat, me_,
-               shardIndex, shard.pulseGeneration);
+               shardIndex, shard.generation);
 }
 
 double ServeWorkload::hedgeDelaySeconds() const {
@@ -283,48 +282,52 @@ void ServeWorkload::evictForBudget(Shard& shard) {
   }
 }
 
-void ServeWorkload::dispatchBucket(Simulator& sim, index_t shardIndex,
-                                   index_t keyIndex) {
+void ServeWorkload::startNextBatch(Simulator& sim, index_t shardIndex) {
   Shard& shard = shards_[static_cast<std::size_t>(shardIndex)];
-  auto bucketIt = shard.buckets.find(keyIndex);
-  if (bucketIt == shard.buckets.end() || bucketIt->second.empty()) {
-    return;
-  }
-  std::vector<PendingRequest>& bucket = bucketIt->second;
-  const std::size_t take =
-      std::min<std::size_t>(bucket.size(),
-                            static_cast<std::size_t>(config_.maxBatch));
   const double now = sim.now();
 
   InFlightBatch batch;
   batch.shard = shardIndex;
-  batch.keyIndex = keyIndex;
+  batch.generation = shard.generation;
   batch.dispatchSeconds = now;
-  for (std::size_t i = 0; i < take; ++i) {
-    PendingRequest& req = bucket[i];
-    --shard.queuedRequests;
-    if (req.deadlineSeconds > 0.0 && now > req.deadlineSeconds) {
-      reject(req, serve::RequestStatus::kRejectedDeadline, now);
-      continue;
+  while (batch.requests.empty()) {
+    // The bucket whose head queued first, as the live engine's readyKey
+    // picks the key of its oldest request.
+    auto oldest = shard.buckets.end();
+    for (auto it = shard.buckets.begin(); it != shard.buckets.end(); ++it) {
+      if (oldest == shard.buckets.end() ||
+          it->second.front().queueSeq < oldest->second.front().queueSeq) {
+        oldest = it;
+      }
     }
-    batch.requests.push_back(req);
-  }
-  bucket.erase(bucket.begin(),
-               bucket.begin() + static_cast<std::ptrdiff_t>(take));
-  ++shard.bucketGeneration[keyIndex];
-  if (!bucket.empty()) {
-    // Remainder starts a fresh window.
-    sim.schedule(now + config_.batchDelayUs * 1e-6, shard.node,
-                 EventClass::kBatchWindow, me_, shardIndex, keyIndex,
-                 static_cast<double>(shard.bucketGeneration[keyIndex]));
-  }
-  if (batch.requests.empty()) {
-    return;  // every picked request was already past its deadline
+    if (oldest == shard.buckets.end()) {
+      return;  // nothing left to solve: the lane stays idle
+    }
+    batch.keyIndex = oldest->first;
+    std::vector<PendingRequest>& bucket = oldest->second;
+    const std::size_t take =
+        std::min<std::size_t>(bucket.size(),
+                              static_cast<std::size_t>(config_.maxBatch));
+    for (std::size_t i = 0; i < take; ++i) {
+      PendingRequest& req = bucket[i];
+      --shard.queuedRequests;
+      if (req.deadlineSeconds > 0.0 && now > req.deadlineSeconds) {
+        reject(req, serve::RequestStatus::kRejectedDeadline, now);
+        continue;
+      }
+      batch.requests.push_back(req);
+    }
+    bucket.erase(bucket.begin(),
+                 bucket.begin() + static_cast<std::ptrdiff_t>(take));
+    if (bucket.empty()) {
+      shard.buckets.erase(oldest);
+    }
   }
 
   // One cache lookup per dispatched batch — the single-flight contract's
   // accounting shape (hits + misses == lookups; a coalesced batch costs
   // at most one factorization).
+  const index_t keyIndex = batch.keyIndex;
   const serve::TraceRequest& proto =
       traceRequest(batch.requests.front().traceIndex);
   ++stats_.cacheLookups;
@@ -357,12 +360,9 @@ void ServeWorkload::dispatchBucket(Simulator& sim, index_t shardIndex,
   // Duplicates included: the hedge amplification gate reads this.
   stats_.solveWorkSeconds += batch.solveCost;
 
-  // One worker lane per shard: the batch queues behind whatever the lane
-  // is already solving. Queue wait = submission to lane start.
-  const double startAt = std::max(now, shard.busyUntil);
-  const double doneAt = startAt + batch.solveCost;
-  shard.busyUntil = doneAt;
-  batch.dispatchSeconds = startAt;
+  // The lane starts the batch now; queue wait = submission to lane start.
+  shard.busy = true;
+  shard.busyUntil = now + batch.solveCost;
 
   ++stats_.batches;
   stats_.batchedColumns += batch.requests.size();
@@ -370,7 +370,7 @@ void ServeWorkload::dispatchBucket(Simulator& sim, index_t shardIndex,
       stats_.maxBatchSize, static_cast<index_t>(batch.requests.size()));
 
   batches_.push_back(std::move(batch));
-  sim.schedule(doneAt, shard.node, EventClass::kSolveDone, me_,
+  sim.schedule(shard.busyUntil, shard.node, EventClass::kSolveDone, me_,
                static_cast<std::int64_t>(batches_.size() - 1));
 }
 
@@ -380,10 +380,12 @@ void ServeWorkload::crashShard(Simulator& sim, index_t shardIndex) {
     return;
   }
   shard.crashed = true;
-  ++shard.pulseGeneration;  // pending heartbeat pulses are now stale
-  // A crash loses the cached factors (a real node death does).
+  ++shard.generation;  // pending pulses, pick-ups and solve-dones are stale
+  // A crash loses the cached factors (a real node death does) and frees
+  // the lane: a batch in flight fails over when its solve-done fires.
   shard.cache.clear();
   shard.cacheBytes = 0.0;
+  shard.busy = false;
   shard.busyUntil = 0.0;
   // Queued requests fail over along the ring.
   for (const auto& [keyIndex, bucket] : shard.buckets) {
@@ -392,7 +394,6 @@ void ServeWorkload::crashShard(Simulator& sim, index_t shardIndex) {
     }
   }
   shard.buckets.clear();
-  shard.bucketGeneration.clear();
   shard.queuedRequests = 0;
 }
 
@@ -478,43 +479,42 @@ void ServeWorkload::handle(Simulator& sim, const Event& event) {
         reject(req, serve::RequestStatus::kRejectedQueueFull, now);
         break;
       }
-      std::vector<PendingRequest>& bucket = shard.buckets[keyIdx];
-      const bool wasEmpty = bucket.empty();
-      bucket.push_back(req);
+      req.queueSeq = nextQueueSeq_++;
+      shard.buckets[keyIdx].push_back(req);
       ++shard.queuedRequests;
       stats_.peakQueueDepth =
           std::max(stats_.peakQueueDepth, shard.queuedRequests);
-      if (static_cast<index_t>(bucket.size()) >= config_.maxBatch) {
-        dispatchBucket(sim, toShard, keyIdx);
-      } else if (wasEmpty) {
-        sim.schedule(now + config_.batchDelayUs * 1e-6, shard.node,
-                     EventClass::kBatchWindow, me_, toShard, keyIdx,
-                     static_cast<double>(shard.bucketGeneration[keyIdx]));
+      if (!shard.busy) {
+        // An idle lane picks up at once. The pick-up fires after every
+        // arrival already scheduled for this instant and node, so a
+        // simultaneous burst still coalesces.
+        shard.busy = true;
+        sim.schedule(now, shard.node, EventClass::kBatchWindow, me_, toShard,
+                     shard.generation);
       }
       break;
     }
     case EventClass::kBatchWindow: {
       const index_t shardIdx = static_cast<index_t>(event.a);
-      const index_t keyIdx = static_cast<index_t>(event.b);
       Shard& shard = shards_[static_cast<std::size_t>(shardIdx)];
-      if (shard.crashed) {
-        break;
+      if (event.b != shard.generation) {
+        break;  // armed before a crash
       }
-      const auto gen = static_cast<double>(shard.bucketGeneration[keyIdx]);
-      if (gen != event.x) {
-        break;  // the bucket this window armed for already dispatched
-      }
-      dispatchBucket(sim, shardIdx, keyIdx);
+      shard.busy = false;
+      startNextBatch(sim, shardIdx);
       break;
     }
     case EventClass::kSolveDone: {
       InFlightBatch& batch =
           batches_[static_cast<std::size_t>(event.a)];
-      Shard& shard = shards_[static_cast<std::size_t>(batch.shard)];
-      if (shard.crashed) {
-        // The shard died mid-solve; surviving requests fail over.
+      const index_t shardIdx = batch.shard;
+      Shard& shard = shards_[static_cast<std::size_t>(shardIdx)];
+      if (batch.generation != shard.generation) {
+        // The shard crashed mid-solve, and may have resurrected since: the
+        // batch's answers died with it, surviving requests fail over, and
+        // the lane belongs to whatever the shard runs now.
         for (const PendingRequest& req : batch.requests) {
-          failOver(sim, req, batch.shard, batch.keyIndex);
+          failOver(sim, req, shardIdx, batch.keyIndex);
         }
         batch.requests.clear();
         break;
@@ -524,9 +524,8 @@ void ServeWorkload::handle(Simulator& sim, const Event& event) {
       // arrivals would mask the stretched pulse cadence that IS the
       // gray-failure signal. Only the periodic pulse carries it.
       if (config_.health.enabled &&
-          healthMon_.state(batch.shard, now) ==
-              serve::HealthState::kProbing) {
-        healthMon_.onOutcome(batch.shard, true, now);
+          healthMon_.state(shardIdx, now) == serve::HealthState::kProbing) {
+        healthMon_.onOutcome(shardIdx, true, now);
       }
       for (const PendingRequest& req : batch.requests) {
         if (!markAnswered(req.traceIndex)) {
@@ -545,6 +544,10 @@ void ServeWorkload::handle(Simulator& sim, const Event& event) {
         pendingMeta_.erase(req.traceIndex);
       }
       batch.requests.clear();
+      // The freed lane takes the next batch at once (this may grow
+      // batches_, so `batch` is not used past this point).
+      shard.busy = false;
+      startNextBatch(sim, shardIdx);
       break;
     }
     case EventClass::kCrash:
@@ -552,9 +555,12 @@ void ServeWorkload::handle(Simulator& sim, const Event& event) {
       break;
     case EventClass::kResurrect: {
       Shard& shard = shards_[static_cast<std::size_t>(event.a)];
-      shard.crashed = false;  // cold cache, healthy again
+      if (!shard.crashed) {
+        break;  // a live shard has nothing to restore
+      }
+      shard.crashed = false;  // cold cache, idle lane, healthy again
       shard.busyUntil = now;
-      ++shard.pulseGeneration;
+      ++shard.generation;
       if (config_.health.enabled) {
         scheduleHeartbeat(sim, static_cast<index_t>(event.a));
       }
@@ -568,7 +574,7 @@ void ServeWorkload::handle(Simulator& sim, const Event& event) {
     case EventClass::kHeartbeat: {
       const index_t shardIdx = static_cast<index_t>(event.a);
       Shard& shard = shards_[static_cast<std::size_t>(shardIdx)];
-      if (shard.crashed || event.b != shard.pulseGeneration) {
+      if (shard.crashed || event.b != shard.generation) {
         break;  // stale pulse from before a crash/resurrect
       }
       healthMon_.heartbeat(shardIdx, now);

@@ -8,14 +8,24 @@
 // the shard's own `crashed` flag, as the live fleet's dead rank group
 // is; fleetsim runs no factor jobs, so the monitor's job-failure
 // evidence never fires here. The stateful per-shard machinery (byte-budget
-// LRU factor cache, batch window, bounded queue, worker lane) is
-// re-modelled as plain counters and maps: the simulator needs their
-// *timing and accounting* behavior, not their payloads. Accounting
-// mirrors the real engine so the validation against a measured
-// BENCH_serve.json compares like with like — one cache lookup per
-// dispatched batch (a coalesced batch costs exactly one factorization,
-// the single-flight contract), hits + misses == lookups, and the same
-// latency split (queue wait / solve / total).
+// LRU factor cache, bounded queue, worker lane) is re-modelled as plain
+// counters and maps: the simulator needs their *timing and accounting*
+// behavior, not their payloads. Accounting mirrors the real engine so the
+// validation against a measured BENCH_serve.json compares like with like —
+// one cache lookup per dispatched batch (a coalesced batch costs exactly
+// one factorization, the single-flight contract), hits + misses ==
+// lookups, and the same latency split (queue wait / solve / total).
+//
+// Each shard's lane dispatches the way the live engine's worker does,
+// work-conserving: a lane never idles while requests wait, and never
+// forms a batch while it is busy.
+//   - An arrival at an idle lane arms one pick-up (a kBatchWindow event)
+//     at the current instant; it fires after every arrival landing at the
+//     same instant, so a simultaneous burst still coalesces.
+//   - A solve-done hands the freed lane the bucket whose head queued
+//     first, up to maxBatch requests of that key.
+//   - So a batch holds more than one column only when requests of its key
+//     queued while the lane was busy.
 //
 // Chaos vocabulary matches the serve CLI: crash-at/crash-shard kills a
 // shard (cache and queue contents included), pending and future requests
@@ -49,7 +59,6 @@ struct ServeWorkloadConfig {
   index_t virtualNodes = 64;
   index_t queueDepth = 64;
   index_t maxBatch = 8;
-  double batchDelayUs = 1000.0;
   double cacheMb = 64.0;
   double defaultDeadlineMs = 0.0;  // 0 = none
   index_t failoverLimit = 2;
@@ -187,6 +196,7 @@ class ServeWorkload final : public Workload {
     double deadlineSeconds = 0.0;  // absolute; 0 = none
     index_t failovers = 0;
     bool hedgeCopy = false;  // this in-flight copy is the speculative one
+    std::uint64_t queueSeq = 0;  // shard-queue admission order (FIFO stamp)
   };
 
   /// Router-side fate of one trace request across all its copies: the
@@ -205,15 +215,17 @@ class ServeWorkload final : public Workload {
     index_t node = 0;
     bool crashed = false;
     double slowFactor = 1.0;
-    double busyUntil = 0.0;
+    bool busy = false;       // a batch or a pending pick-up holds the lane
+    double busyUntil = 0.0;  // when the lane's current batch ends
     std::uint64_t routed = 0;
     std::uint64_t completed = 0;
-    /// Heartbeat pulse generation: crash/resurrect bump it so stale
-    /// scheduled pulses are dropped instead of pulsing for a dead shard.
-    std::int64_t pulseGeneration = 0;
-    // Batching buckets: key index -> waiting requests (FIFO).
+    /// Crash/resurrect bump it: heartbeat pulses, pick-ups and solve-dones
+    /// scheduled under an older generation are stale and never act on the
+    /// shard as it is now.
+    std::int64_t generation = 0;
+    // Batching buckets: key index -> waiting requests (FIFO); a bucket is
+    // erased when it empties.
     std::map<index_t, std::vector<PendingRequest>> buckets;
-    std::map<index_t, std::uint64_t> bucketGeneration;
     index_t queuedRequests = 0;
     std::map<index_t, CacheEntry> cache;  // key index -> entry
     double cacheBytes = 0.0;
@@ -223,6 +235,7 @@ class ServeWorkload final : public Workload {
   struct InFlightBatch {
     index_t shard = 0;
     index_t keyIndex = 0;
+    std::int64_t generation = 0;  // the shard's generation at dispatch
     std::vector<PendingRequest> requests;
     double dispatchSeconds = 0.0;
     double solveCost = 0.0;  // factor + solve, for the latency split
@@ -233,7 +246,10 @@ class ServeWorkload final : public Workload {
   [[nodiscard]] index_t keyIndexOf(const serve::TraceRequest& r);
   [[nodiscard]] index_t routeShard(index_t keyIndex, double now);
   [[nodiscard]] double factorBytes(const serve::TraceRequest& r) const;
-  void dispatchBucket(Simulator& sim, index_t shardIndex, index_t keyIndex);
+  /// Hands an idle lane the bucket whose head queued first, up to
+  /// maxBatch requests; those past their deadline are rejected at
+  /// pick-up. The lane stays idle when nothing is left to solve.
+  void startNextBatch(Simulator& sim, index_t shardIndex);
   void crashShard(Simulator& sim, index_t shardIndex);
   /// Moves one copy off a crashed shard: a hedge copy, or a request
   /// another copy already answered, dies with it (wasted work); a primary
@@ -270,8 +286,7 @@ class ServeWorkload final : public Workload {
   double hedgeTokens_ = 0.0;
   double hedgeRefillAt_ = 0.0;
   index_t me_ = -1;
-  index_t outstanding_ = 0;  // submitted - terminally answered
-  bool arrivalsDone_ = false;
+  std::uint64_t nextQueueSeq_ = 0;
   ServeStats stats_;
   double cacheBudgetBytes_ = 0.0;
 };

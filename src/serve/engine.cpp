@@ -13,9 +13,9 @@ namespace hplmxp::serve {
 
 namespace {
 
-/// Smallest wait a worker parks for while a partial batch ages; guards
-/// against a zero-length wait_for spinning the lock.
-constexpr double kMinBatchWaitSeconds = 20e-6;
+/// Smallest wait a worker parks for while every queued request backs off;
+/// guards against a zero-length wait_for spinning the lock.
+constexpr double kMinBackoffWaitSeconds = 20e-6;
 
 std::chrono::duration<double> secondsOf(double s) {
   return std::chrono::duration<double>(s);
@@ -79,11 +79,11 @@ ServeEngine::ServeEngine(ServeConfig config, ThreadPool* pool)
     : config_(std::move(config)),
       pool_(pool != nullptr ? pool : &ThreadPool::global()),
       cache_(config_.cacheBytes),
-      batcher_(BatchPolicy{config_.maxBatch, config_.maxBatchDelaySeconds}),
       breaker_(config_.breaker),
       queue_(config_.queueDepth),
       paused_(config_.startPaused) {
   HPLMXP_REQUIRE(config_.workers > 0, "serve engine needs >= 1 worker");
+  HPLMXP_REQUIRE(config_.maxBatch > 0, "batch size must be positive");
   HPLMXP_REQUIRE(config_.maxRetries >= 0, "retry budget must be >= 0");
   HPLMXP_REQUIRE(config_.retryBackoffSeconds >= 0.0 &&
                      config_.retryBackoffMaxSeconds >= 0.0,
@@ -253,38 +253,27 @@ void ServeEngine::workerLoop(index_t lane) {
       cv_.wait(lock);
       continue;
     }
+    // Work-conserving dispatch: an idle worker takes the oldest ready key
+    // at once. Stop-flush ignores backoff eligibility: every admitted
+    // request must terminate.
     const double t = now();
-    Batcher::Decision d = batcher_.decide(queue_, t);
-    const bool isDegraded = degraded();
-    if (isDegraded && !d.dispatch) {
-      // Degraded mode drops the coalescing window: dispatch any ready key
-      // immediately (backoff eligibility still applies).
-      double submit = 0.0;
-      double nextReady = 0.0;
-      const ProblemKey* ready = queue_.readyKey(t, &submit, &nextReady);
-      if (ready != nullptr) {
-        d.dispatch = true;
-        d.key = *ready;
-      }
-    }
-    if (!d.dispatch && !stopping_) {
-      // Hold the partial batch open for the rest of its coalescing
-      // window (or until the earliest backed-off retry matures); new
-      // arrivals notify and re-decide.
-      cv_.wait_for(lock,
-                   secondsOf(std::max(d.waitSeconds, kMinBatchWaitSeconds)));
+    double nextReady = 0.0;
+    const ProblemKey* ready = stopping_
+                                  ? queue_.oldestKey(nullptr)
+                                  : queue_.readyKey(t, nullptr, &nextReady);
+    if (ready == nullptr) {
+      // Every queued request is backing off: sleep until the earliest one
+      // matures; new arrivals notify.
+      cv_.wait_for(lock, secondsOf(std::max(nextReady - t,
+                                            kMinBackoffWaitSeconds)));
       continue;
     }
-    // Dispatch (or stop-flush without waiting out the window). Stop-flush
-    // ignores backoff eligibility: every admitted request must terminate.
-    const index_t cap = isDegraded ? 1 : config_.maxBatch;
+    const ProblemKey key = *ready;
+    const index_t cap = degraded() ? 1 : config_.maxBatch;
     std::vector<QueuedRequest> batch =
-        stopping_ ? queue_.take(d.key, cap) : queue_.take(d.key, cap, t);
-    if (batch.empty()) {
-      continue;
-    }
+        stopping_ ? queue_.take(key, cap) : queue_.take(key, cap, t);
     lock.unlock();
-    executeBatch(lane, d.key, std::move(batch));
+    executeBatch(lane, key, std::move(batch));
     lock.lock();
   }
 }

@@ -3,16 +3,23 @@
 //
 // Architecture (one box per module):
 //
-//   submit() ──admission──▶ RequestQueue ──Batcher──▶ worker loop(s)
-//                │ reject: queue full /                  │
-//                ▼ deadline already passed               ▼
-//           Handle(done)                      FactorCache.getOrFactor
-//                                             (single-flight, LRU)
-//                                                        │
-//                                             solveManyMixedSingle
-//                                             (blocked multi-RHS IR)
-//                                                        │
-//                                             Handle(done) + metrics
+//   submit() ──admission──▶ RequestQueue ──readyKey──▶ idle worker loop
+//                │ reject: queue full /                     │ oldest key,
+//                ▼ deadline already passed                  ▼ <= maxBatch
+//           Handle(done)                         FactorCache.getOrFactor
+//                                                (single-flight, LRU)
+//                                                           │
+//                                                solveManyMixedSingle
+//                                                (blocked multi-RHS IR)
+//                                                           │
+//                                                Handle(done) + metrics
+//
+// Dispatch is work-conserving: an idle worker takes the key of the oldest
+// ready request at once, with up to `maxBatch` requests of that key. A
+// batch therefore holds more than one column only when requests queued
+// while every worker was busy; nobody waits on an idle worker for
+// batch-mates. Batching never changes answers (each column is bitwise a
+// k=1 solve), only how many refinements share one pass over the factors.
 //
 // Worker loops run on dedicated std::threads owned by the engine — NOT as
 // ThreadPool::enqueue tasks, because the pool spawns lanes-1 worker
@@ -43,7 +50,6 @@
 #include <vector>
 
 #include "device/device.h"
-#include "serve/batcher.h"
 #include "serve/breaker.h"
 #include "serve/factor_cache.h"
 #include "serve/metrics.h"
@@ -59,7 +65,6 @@ struct ServeConfig {
   std::size_t cacheBytes = std::size_t{64} << 20;  // factor-cache budget
   index_t queueDepth = 64;       // admission bound (backpressure)
   index_t maxBatch = 8;          // RHS columns per coalesced solve
-  double maxBatchDelaySeconds = 0.001;  // coalescing window
   double defaultDeadlineSeconds = 0.0;  // request deadline when unset; 0 = none
   index_t workers = 1;           // concurrent worker loops on the pool
   index_t maxRetries = 2;        // per-request retry budget under chaos
@@ -82,10 +87,10 @@ struct ServeConfig {
   double retryBackoffMaxSeconds = 0.250;
 
   /// Degraded mode: when at least this many circuits are open at once the
-  /// engine stops coalescing (batch size 1, no window) and shrinks the
-  /// default deadline of new admissions by `degradedDeadlineScale` —
-  /// shedding optional latency optimizations to keep healthy keys moving
-  /// while part of the keyspace is burning. 0 disables.
+  /// engine stops coalescing (batch size 1) and shrinks the default
+  /// deadline of new admissions by `degradedDeadlineScale` — shedding
+  /// optional latency optimizations to keep healthy keys moving while part
+  /// of the keyspace is burning. 0 disables.
   index_t degradedOpenBreakers = 0;
   double degradedDeadlineScale = 0.5;
 
@@ -196,7 +201,6 @@ class ServeEngine {
   ThreadPool* pool_;
   std::atomic<double> serviceStretch_{1.0};
   FactorCache cache_;
-  Batcher batcher_;
   CircuitBreaker breaker_;
   LatencyRecorder recorder_;
   Timer clock_;  // engine-relative monotonic clock

@@ -4,8 +4,9 @@
 // when the pending depth reaches the bound, new requests are rejected
 // immediately (kRejectedQueueFull) instead of growing an unbounded queue
 // whose tail latency no deadline could honor. Within the bound, requests
-// are bucketed per ProblemKey in FIFO order so the Batcher can coalesce
-// compatible solves without reordering any single key's stream.
+// are bucketed per ProblemKey in FIFO order so a worker that frees up can
+// take a key's queued requests as one batch without reordering any single
+// key's stream.
 //
 // The queue is a passive, lock-protected structure; blocking/wakeup
 // policy lives in the ServeEngine, which pairs it with a condition

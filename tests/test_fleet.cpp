@@ -620,7 +620,7 @@ TEST(FleetEngineTest, StragglerVerdictsQuarantineAndDetourTheShard) {
 
   EXPECT_EQ(fleet.healthMonitor().stragglerReports(), 2u);
   EXPECT_EQ(fleet.healthMonitor().quarantines(), 1u);
-  // Quarantine deprioritizes, it does not hard-exclude: the breaker tier
+  // Quarantine deprioritizes, it does not hard-exclude: the hard tier
   // still admits the shard (so the detector can never starve the fleet),
   // but preferred routing steers off it — witnessed by the detour below.
   EXPECT_TRUE(fleet.shardRoutable(0));

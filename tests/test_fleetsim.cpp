@@ -279,8 +279,8 @@ TEST(ServeWorkloadTest, BackToBackBurstCoalescesIntoBatches) {
 }
 
 TEST(ServeWorkloadTest, QueueBoundRejectsAtDepth) {
-  // A burst larger than the queue with a batch cap that never drains it
-  // inside the window: depth fills, the overflow is rejected.
+  // A burst larger than the queue lands at one instant, before the idle
+  // lane's pick-up fires: depth fills, the overflow is rejected.
   FleetSimConfig cfg = serveConfig(100, 1, 0.0, 1);
   cfg.serve.queueDepth = 10;
   cfg.serve.maxBatch = 64;
@@ -294,17 +294,112 @@ TEST(ServeWorkloadTest, QueueBoundRejectsAtDepth) {
 }
 
 TEST(ServeWorkloadTest, DeadlinesRejectLateRequests) {
-  // All 20 requests queue at t=0 under a batch window that fires at 1ms,
-  // past their 0.5ms deadline: every request is rejected at dispatch.
-  FleetSimConfig cfg = serveConfig(20, 1, 0.0, 1);
-  cfg.serve.maxBatch = 64;
+  // The first request's cold solve (a 64^3 factorization at 0.1 GFLOP/s,
+  // about 2 ms) holds the lane while 20 more arrive 10 us apart. Their
+  // 0.5 ms deadline passes while they queue, so the freed lane rejects
+  // every one of them at pick-up instead of solving any of them late.
+  FleetSimConfig cfg = serveConfig(21, 1, 0.01, 1);
+  cfg.serve.hostGflops = 0.1;
   cfg.serve.defaultDeadlineMs = 0.5;
   FleetSession session(cfg);
   session.sim().run();
   const ServeStats& stats = session.serve()->stats();
+  EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.rejectedDeadline, 20u);
-  EXPECT_EQ(stats.completed, 0u);
-  EXPECT_EQ(stats.batches, 0u);  // nothing survived to dispatch
+  EXPECT_EQ(stats.batches, 1u);  // only the first request was solved
+  EXPECT_TRUE(session.serve()->done());
+}
+
+/// The shard one-key traffic lands on (every request shares the key).
+index_t hotShard(const FleetSimConfig& cfg) {
+  FleetSession probe(cfg);
+  probe.sim().run();
+  for (index_t s = 0; s < cfg.serve.shards; ++s) {
+    if (probe.serve()->shardView(s).routed > 0) {
+      return s;
+    }
+  }
+  return -1;
+}
+
+TEST(ServeWorkloadTest, LoneArrivalWaitsOnlyItsWireHop) {
+  // Requests 5 ms apart each find their lane idle and start the instant
+  // they land: the queue wait is the router-to-shard hop and nothing more,
+  // with no coalescing hold on top.
+  const FleetSimConfig cfg = serveConfig(4, 1, 5.0, 2);
+  const index_t hot = hotShard(cfg);
+  ASSERT_GE(hot, 0);
+  FleetSession session(cfg);
+  session.sim().run();
+  const ServeStats& stats = session.serve()->stats();
+  const double hop = session.topology().transferSeconds(
+      0, session.serve()->shardNode(hot), cfg.serve.requestBytes,
+      cfg.serve.shards);
+  EXPECT_GT(hop, 0.0);  // the key lands off the router's node
+  EXPECT_EQ(stats.batches, 4u);
+  ASSERT_EQ(stats.queueWaitSeconds.size(), 4u);
+  for (const double wait : stats.queueWaitSeconds) {
+    EXPECT_NEAR(wait, hop, 1e-12);  // (t + hop) - t rounds
+  }
+}
+
+TEST(ServeWorkloadTest, ArrivalsDuringASolveCoalesceIntoTheNextBatch) {
+  // The first request starts alone on the idle lane; the next three (20 us
+  // apart) arrive during its cold solve and leave together as one batch
+  // when the lane frees: two batches, one factorization, one cache hit.
+  FleetSession session(serveConfig(4, 1, 0.02, 1));
+  session.sim().run();
+  const ServeStats& stats = session.serve()->stats();
+  EXPECT_EQ(stats.completed, 4u);
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.maxBatchSize, 3);
+  EXPECT_EQ(stats.factorCount, 1u);
+  EXPECT_EQ(stats.cacheHits, 1u);
+}
+
+TEST(ServeWorkloadTest, FreedLaneTakesTheBucketWhoseHeadQueuedFirst) {
+  // Key A's cold solve (about 0.2 ms) holds the lane while a B and then a
+  // second A arrive. The freed lane must take B, whose head queued first:
+  // B's 0.25 ms deadline holds only if it does not also wait out A's
+  // cached-factor solve (about 0.11 ms).
+  FleetSimConfig cfg = serveConfig(1, 1, 0.0, 1);
+  cfg.topology.variability.spread = 0.0;  // node multipliers exactly 1.0
+  const serve::TraceRequest a = cfg.serve.trace.requests.front();
+  serve::TraceRequest b = a;
+  b.seed = a.seed + 1;
+  b.atMs = 0.01;
+  b.deadlineMs = 0.25;
+  serve::TraceRequest a2 = a;
+  a2.atMs = 0.02;
+  a2.rhsSeed = a.rhsSeed + 1;
+  cfg.serve.trace.requests = {a, b, a2};
+  FleetSession session(cfg);
+  session.sim().run();
+  const ServeStats& stats = session.serve()->stats();
+  EXPECT_EQ(stats.completed, 3u);
+  EXPECT_EQ(stats.rejectedDeadline, 0u);
+  EXPECT_EQ(stats.batches, 3u);
+}
+
+TEST(ServeWorkloadTest, CrashThenResurrectFailsTheInFlightBatchOver) {
+  // A 64^3 factorization at 0.001 GFLOP/s takes about 175 ms. The shard
+  // crashes 10 ms into it and resurrects at 20 ms, long before the
+  // solve-done fires: that batch ran on the pre-crash factors and the
+  // pre-crash lane, so it fails over and the request is factored afresh.
+  FleetSimConfig cfg = serveConfig(1, 1, 0.0, 2);
+  cfg.serve.hostGflops = 0.001;
+  const index_t hot = hotShard(cfg);
+  ASSERT_GE(hot, 0);
+  cfg.serve.chaos.push_back(
+      {ChaosAction::Kind::kCrash, /*atMs=*/10.0, hot, 0.0});
+  cfg.serve.chaos.push_back(
+      {ChaosAction::Kind::kResurrect, /*atMs=*/20.0, hot, 0.0});
+  FleetSession session(cfg);
+  session.sim().run();
+  const ServeStats& stats = session.serve()->stats();
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.failovers, 1u);
+  EXPECT_EQ(stats.factorCount, 2u);
   EXPECT_TRUE(session.serve()->done());
 }
 
@@ -372,7 +467,7 @@ FleetSimConfig grayConfig(bool defense) {
   cfg.serve.trace = serve::makeSyntheticTrace(600, 8, 0.3, 96, 16, 42);
   cfg.serve.shards = 2;
   cfg.serve.queueDepth = 256;
-  cfg.serve.batchDelayUs = 200.0;
+  cfg.serve.maxBatch = 1;  // solo solves: the defense alone drains the tail
   cfg.serve.hostGflops = 0.5;
   cfg.serve.chaos.push_back(
       {ChaosAction::Kind::kSlow, /*atMs=*/60.0, /*shard=*/1, 0.2});
@@ -478,6 +573,9 @@ TEST(DeterminismTest, GoldenHashOfServeOnlyConfig) {
   // on trace offsets and rate divisions (no libm), so the hash is stable
   // across compilers. If this fails, either the event schedule changed
   // (intended? update the constant) or determinism broke (fix that).
+  // Re-pinned when dispatch became work-conserving: an idle lane's
+  // pick-up replaced the 1 ms batch window, so every solve starts earlier
+  // and the pick-up events carry different payloads.
   FleetSimConfig cfg;
   cfg.topology.nodes = 8;
   cfg.topology.radix = 4;
@@ -487,7 +585,7 @@ TEST(DeterminismTest, GoldenHashOfServeOnlyConfig) {
   cfg.serve.shards = 2;
   FleetSession session(cfg);
   session.sim().run();
-  EXPECT_EQ(session.sim().traceHash(), 0xa4e4158235f718deull);
+  EXPECT_EQ(session.sim().traceHash(), 0xa080573ab4bc2ac9ull);
 }
 
 TEST(DeterminismTest, DifferentTracesDiverge) {
