@@ -164,7 +164,7 @@ struct IterationTrace {
   double trsmSeconds = 0.0;    // panel solves
   double castSeconds = 0.0;    // CAST / TRANS_CAST
   double bcastSeconds = 0.0;   // panel broadcasts (includes wait time)
-  double gemmSeconds = 0.0;    // trailing update
+  double gemmSeconds = 0.0;    // trailing update (look-ahead: strips + bulk)
   index_t abftEvents = 0;      // ABFT corrections applied this step (rank 0)
 };
 

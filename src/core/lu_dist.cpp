@@ -368,29 +368,29 @@ void DistLU::updateFull(const StepGeom& g, int bufIdx, float* localA,
 }
 
 void DistLU::updateStrips(const StepGeom& g, const StepGeom& next, int bufIdx,
-                          float* localA, index_t lda) {
+                          float* localA, index_t lda, IterationTrace* trace) {
+  Timer t;
   // Row strip: the local rows of global block row k+1, across the full
   // trailing width — they are the first trailing block row on their owner.
-  const bool ownNextRow = ctx_.myRow() == next.pir;
-  const bool ownNextCol = ctx_.myCol() == next.pic;
-  if (ownNextRow) {
+  if (next.ownRow) {
     updateRegion(g, bufIdx, localA, lda, g.iStartBlk, g.jStartBlk, 1, -1);
   }
-  if (ownNextCol) {
+  if (next.ownCol) {
     // Skip the corner block if this rank owns both strips (it was covered
     // by the row strip above).
-    const index_t iBlk0 = g.iStartBlk + (ownNextRow ? 1 : 0);
+    const index_t iBlk0 = g.iStartBlk + (next.ownRow ? 1 : 0);
     updateRegion(g, bufIdx, localA, lda, iBlk0, g.jStartBlk, -1, 1);
+  }
+  if (trace != nullptr) {
+    trace->gemmSeconds += t.seconds();
   }
 }
 
 void DistLU::updateBulk(const StepGeom& g, const StepGeom& next, int bufIdx,
                         float* localA, index_t lda, IterationTrace* trace) {
   Timer t;
-  const index_t iBlk0 =
-      g.iStartBlk + (ctx_.myRow() == next.pir ? 1 : 0);
-  const index_t jBlk0 =
-      g.jStartBlk + (ctx_.myCol() == next.pic ? 1 : 0);
+  const index_t iBlk0 = g.iStartBlk + (next.ownRow ? 1 : 0);
+  const index_t jBlk0 = g.jStartBlk + (next.ownCol ? 1 : 0);
   updateRegion(g, bufIdx, localA, lda, iBlk0, jBlk0, -1, -1);
   if (trace != nullptr) {
     trace->gemmSeconds += t.seconds();
@@ -489,7 +489,11 @@ std::vector<IterationTrace> DistLU::factor(float* localA, index_t lda) {
   HPLMXP_REQUIRE(recovery_ == nullptr || !config_.recovery.enabled,
                  "crash recovery requires look-ahead off");
 
-  // Look-ahead pipeline.
+  // Look-ahead pipeline. A rank does step k+1's panel work before its bulk
+  // GEMM only when a peer waits on its panels; every other rank runs the
+  // bulk first (the header says why either order is safe).
+  const bool colPeers = ctx_.layout().pr() > 1;
+  const bool rowPeers = ctx_.layout().pc() > 1;
   StepGeom g = geometry(0);
   panelsPhase(g, 0, localA, lda, traceAt(0));
   for (index_t k = 0; k < nb; ++k) {
@@ -497,9 +501,14 @@ std::vector<IterationTrace> DistLU::factor(float* localA, index_t lda) {
     const int buf = static_cast<int>(k % 2);
     if (k + 1 < nb) {
       const StepGeom next = geometry(k + 1);
-      updateStrips(g, next, buf, localA, lda);
-      panelsPhase(next, 1 - buf, localA, lda, traceAt(k + 1));
-      updateBulk(g, next, buf, localA, lda, traceAt(k));
+      updateStrips(g, next, buf, localA, lda, traceAt(k));
+      if ((colPeers && next.ownRow) || (rowPeers && next.ownCol)) {
+        panelsPhase(next, 1 - buf, localA, lda, traceAt(k + 1));
+        updateBulk(g, next, buf, localA, lda, traceAt(k));
+      } else {
+        updateBulk(g, next, buf, localA, lda, traceAt(k));
+        panelsPhase(next, 1 - buf, localA, lda, traceAt(k + 1));
+      }
       g = next;
     } else {
       updateFull(g, buf, localA, lda, traceAt(k));

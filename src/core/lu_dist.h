@@ -14,12 +14,26 @@
 //   (1c) Update Trailing Matrix: mixed-precision GEMM
 //        A22 -= L21 * U12 with FP16 operands and FP32 accumulation.
 //
-// Look-ahead (Sec. IV-B): iteration k's trailing update is split so the
-// strips needed by iteration k+1 (global block row/column k+1) are updated
-// first, iteration k+1's diagonal/panel work and panel broadcast are
-// started, and only then is the bulk of iteration k's GEMM performed —
-// overlapping the panel broadcast with the dominant computation. The
-// factored matrix is bitwise identical with look-ahead on or off (each
+// Look-ahead (Sec. IV-B): iteration k's trailing update is split into the
+// strips iteration k+1 needs (global block row/column k+1), updated first,
+// and the bulk. Each rank then orders iteration k+1's diagonal/panel work
+// and panel broadcast against the bulk GEMM by the grid geometry alone. A
+// rank that a peer waits on (the next row owner when Pr > 1, the next
+// column owner when Pc > 1) does its panel work first, so its sends leave
+// before its bulk GEMM. Every other rank (a pure receiver, a ring or tree
+// forwarder, the 1x1 grid) runs the bulk first and only then takes the
+// panels, which have usually landed by then. Either order is safe:
+//   - simmpi sends are eager, so a panel-first owner never waits for a
+//     bulk-first receiver;
+//   - the panels are double-buffered: the bulk reads set k%2 while the
+//     panel work writes the other set;
+//   - the bulk region skips the k+1 row and column strips, the only tiles
+//     the panel work reads or writes, and the diagonal and ABFT checksum
+//     scratch belong to the panel work (the bulk uses only its own GEMM
+//     carry-check scratch);
+//   - the bulk makes no comm call, so each rank's sequence of comm ops, and
+//     every op-indexed fault plan with it, is the same in either order.
+// The factored matrix is bitwise identical with look-ahead on or off (each
 // element's update is a single dot product either way), which
 // tests/test_lookahead_equiv.cpp checks.
 #pragma once
@@ -117,9 +131,10 @@ class DistLU {
   void updateFull(const StepGeom& g, int bufIdx, float* localA, index_t lda,
                   IterationTrace* trace);
 
-  /// Look-ahead split: strips for step k+1, then the bulk.
+  /// Look-ahead split: the strips step k+1 needs, then the bulk. Both add
+  /// to the step's gemmSeconds.
   void updateStrips(const StepGeom& g, const StepGeom& next, int bufIdx,
-                    float* localA, index_t lda);
+                    float* localA, index_t lda, IterationTrace* trace);
   void updateBulk(const StepGeom& g, const StepGeom& next, int bufIdx,
                   float* localA, index_t lda, IterationTrace* trace);
 

@@ -98,6 +98,16 @@ TEST(LookaheadEquiv, BitwiseAcrossGridsShapesAndBcasts) {
       {144, 16, 2, 3, simmpi::BcastStrategy::kRing1M},
       {128, 32, 2, 2, simmpi::BcastStrategy::kIbcast},
       {192, 32, 3, 3, simmpi::BcastStrategy::kRing2M},
+      // Grids where a rank off the next panel's path runs its bulk GEMM
+      // before the panel receives: 2x1 is mxp_solve's grid, 4x1 with
+      // kBcast has a tree forwarder (root-relative rank 1 sends to 3), and
+      // the rings chain bulk-first forwarders.
+      {128, 16, 2, 1, simmpi::BcastStrategy::kBcast},
+      {128, 16, 1, 2, simmpi::BcastStrategy::kBcast},
+      {128, 16, 4, 1, simmpi::BcastStrategy::kBcast},
+      {128, 16, 4, 1, simmpi::BcastStrategy::kRing1},
+      {128, 16, 1, 4, simmpi::BcastStrategy::kRing1M},
+      {160, 16, 4, 2, simmpi::BcastStrategy::kRing2M},
   };
   for (const Case& c : cases) {
     HplaiConfig cfg = baseConfig(c.n, c.b, c.pr, c.pc);
@@ -312,27 +322,35 @@ TEST(LookaheadDeadlock, UnevenBlockDistributionTerminates) {
 TEST(LookaheadDeadlock, StalledRankTerminatesOrFailsStructured) {
   // A chaos `stall` fault parks one rank inside comm ops. With a comm
   // timeout armed the look-ahead run must either complete with correct
-  // factors or fail with a structured error — never hang ctest.
-  HplaiConfig cfg = baseConfig(96, 16, 2, 2);
-  cfg.lookahead = true;
+  // factors or fail with a structured error — never hang ctest. The 4x1
+  // Ring1 grid puts the stall inside a chain of bulk-first forwarders.
+  HplaiConfig grids[] = {baseConfig(96, 16, 2, 2),
+                         baseConfig(128, 16, 4, 1)};
+  grids[1].panelBcast = simmpi::BcastStrategy::kRing1;
+  for (HplaiConfig cfg : grids) {
+    SCOPED_TRACE("grid=" + std::to_string(cfg.pr) + "x" +
+                 std::to_string(cfg.pc) + " bcast=" +
+                 simmpi::toString(cfg.panelBcast));
+    cfg.lookahead = true;
 
-  simmpi::FaultConfig faults = simmpi::faultScenario("stall", 3, 4);
-  simmpi::RunOptions opts;
-  opts.faults = std::make_shared<simmpi::FaultInjector>(faults, 4);
-  opts.timeout = std::chrono::milliseconds(2000);
+    simmpi::FaultConfig faults = simmpi::faultScenario("stall", 3, 4);
+    simmpi::RunOptions opts;
+    opts.faults = std::make_shared<simmpi::FaultInjector>(faults, 4);
+    opts.timeout = std::chrono::milliseconds(2000);
 
-  bool structuredError = false;
-  std::vector<std::vector<float>> locals;
-  try {
-    locals = factorAllRanks(cfg, opts);
-  } catch (const CheckError&) {
-    structuredError = true;  // CommTimeoutError / MultiRankError etc.
-  }
-  if (!structuredError) {
-    // Completed despite the stall: results must be correct.
-    cfg.lookahead = false;
-    const auto clean = factorAllRanks(cfg);
-    expectBitwiseEqual(clean, locals, "stall-completed");
+    bool structuredError = false;
+    std::vector<std::vector<float>> locals;
+    try {
+      locals = factorAllRanks(cfg, opts);
+    } catch (const CheckError&) {
+      structuredError = true;  // CommTimeoutError / MultiRankError etc.
+    }
+    if (!structuredError) {
+      // Completed despite the stall: results must be correct.
+      cfg.lookahead = false;
+      const auto clean = factorAllRanks(cfg);
+      expectBitwiseEqual(clean, locals, "stall-completed");
+    }
   }
   SUCCEED();  // reaching here at all proves termination
 }
