@@ -233,12 +233,12 @@ int main() {
               breakerP99, baselineP99,
               baselineP99 > 0.0 ? breakerP99 / baselineP99 : 0.0);
 
-  // Sweep 5: the sharded fleet. The same stream over 1/2/3 shards (each
-  // on its own rank grid), plus a degraded 3-shard run with shard 0
-  // circuit-broken for the middle third of the arrivals. Answers are
-  // bitwise-invariant to sharding (tests/test_fleet.cpp proves it); this
-  // sweep records what sharding costs and what degradation does to the
-  // ledger — dropped must be 0 in every row.
+  // Sweep 5: the sharded fleet. The same stream over 1/2/3 shards, plus a
+  // degraded 3-shard run with shard 0 circuit-broken for the middle third
+  // of the arrivals. Answers are bitwise-invariant to sharding
+  // (tests/test_fleet.cpp proves it); this sweep records what sharding
+  // costs and what degradation does to the ledger — dropped must be 0 in
+  // every row.
   Table fleetSweep({"fleet", "completed", "p50 ms", "p99 ms", "hit rate",
                     "reroutes", "dropped"});
   for (const index_t shards : {index_t{1}, index_t{2}, index_t{3}}) {
@@ -248,7 +248,6 @@ int main() {
       }
       serve::FleetConfig cfg;
       cfg.shards = shards;
-      cfg.groupSize = 2;
       const serve::FleetReport r = fleetReplay(
           serve::makeSyntheticTrace(kRequests, kKeys, 0.25, kN, kB, 21),
           std::move(cfg), degrade);

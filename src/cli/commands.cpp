@@ -866,9 +866,9 @@ int cmdServe(const Options& raw) {
   const index_t verifyCount = opts.getInt("verify", 0);
 
   // Sharded fleet (--shards > 1): the same trace fans out over N
-  // ServeEngines behind the consistent-hash router, each on its own
-  // simmpi rank grid. The chaos schedule breaks/crashes/resurrects
-  // shards at request indices so CI can replay through degradation.
+  // ServeEngines behind the consistent-hash router. The chaos schedule
+  // breaks/crashes/resurrects shards at request indices so CI can replay
+  // through degradation.
   const index_t shards = opts.getInt("shards", 1);
   serve::FleetConfig fcfg;
   index_t breakAt = -1;
@@ -882,13 +882,10 @@ int cmdServe(const Options& raw) {
   if (shards > 1) {
     fcfg.shards = shards;
     fcfg.virtualNodes = opts.getInt("serve.shards.virtual-nodes", 64);
-    fcfg.groupSize = opts.getInt("serve.shards.group-size", 2);
     fcfg.fleetCacheBytes = scfg.cacheBytes;  // fleet-wide, split per shard
     fcfg.hotKeyRequests = opts.getInt("serve.shards.hot-requests", 0);
     fcfg.hotReplicas = opts.getInt("serve.shards.hot-replicas", 2);
     fcfg.failoverLimit = opts.getInt("serve.shards.failover-limit", 2);
-    fcfg.groupOptions.timeout = std::chrono::milliseconds(
-        opts.getInt("serve.shards.timeout-ms", 5000));
     // Gray-failure defense: phi-accrual health monitor + hedged requests.
     fcfg.healthMonitor.enabled = opts.getBool("serve.shards.health", true);
     fcfg.healthMonitor.suspectPhi =
@@ -1286,9 +1283,9 @@ std::string usage() {
       "            --serve.deadline-ms --serve.workers --serve.retries\n"
       "            --serve.chaos none|delay|transient --serve.chaos-seed\n"
       "            sharded fleet: --shards N\n"
-      "            --serve.shards.virtual-nodes --serve.shards.group-size\n"
+      "            --serve.shards.virtual-nodes\n"
       "            --serve.shards.hot-requests --serve.shards.hot-replicas\n"
-      "            --serve.shards.failover-limit --serve.shards.timeout-ms\n"
+      "            --serve.shards.failover-limit\n"
       "            shard health: --serve.shards.dwell-ms (quarantine\n"
       "            before a probe); its phi tier --serve.shards.health\n"
       "            on|off --serve.shards.suspect-phi\n"

@@ -148,7 +148,8 @@ Event Simulator::heapPop() {
 }
 
 namespace {
-std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t value) {
+/// One FNV-1a step per byte of `value`, low byte first.
+std::uint64_t fnvMix(std::uint64_t hash, std::uint64_t value) {
   for (int byte = 0; byte < 8; ++byte) {
     hash ^= (value >> (8 * byte)) & 0xffu;
     hash *= 1099511628211ull;  // FNV prime
@@ -167,14 +168,14 @@ std::uint64_t doubleBits(double value) {
 void Simulator::execute(const Event& event) {
   clock_.advanceTo(event.time);
   ++executed_;
-  traceHash_ = fnv1a(traceHash_, doubleBits(event.time));
-  traceHash_ = fnv1a(traceHash_, static_cast<std::uint64_t>(event.node));
-  traceHash_ = fnv1a(traceHash_, event.seq);
-  traceHash_ = fnv1a(traceHash_, static_cast<std::uint64_t>(event.cls));
-  traceHash_ = fnv1a(traceHash_, static_cast<std::uint64_t>(event.workload));
-  traceHash_ = fnv1a(traceHash_, static_cast<std::uint64_t>(event.a));
-  traceHash_ = fnv1a(traceHash_, static_cast<std::uint64_t>(event.b));
-  traceHash_ = fnv1a(traceHash_, doubleBits(event.x));
+  traceHash_ = fnvMix(traceHash_, doubleBits(event.time));
+  traceHash_ = fnvMix(traceHash_, static_cast<std::uint64_t>(event.node));
+  traceHash_ = fnvMix(traceHash_, event.seq);
+  traceHash_ = fnvMix(traceHash_, static_cast<std::uint64_t>(event.cls));
+  traceHash_ = fnvMix(traceHash_, static_cast<std::uint64_t>(event.workload));
+  traceHash_ = fnvMix(traceHash_, static_cast<std::uint64_t>(event.a));
+  traceHash_ = fnvMix(traceHash_, static_cast<std::uint64_t>(event.b));
+  traceHash_ = fnvMix(traceHash_, doubleBits(event.x));
   if (traceLimit_ > 0) {
     trace_.push_back(event);
     while (trace_.size() > traceLimit_) {

@@ -5,9 +5,8 @@
 // already pure functions of an explicit clock — the consistent-hash
 // router (serve::HashRing) and the shard-health state machine with its
 // two-tier ring walk (serve::ShardHealthMonitor). A crash is modelled by
-// the shard's own `crashed` flag, as the live fleet's dead rank group
-// is; fleetsim runs no factor jobs, so the monitor's job-failure
-// evidence never fires here. The stateful per-shard machinery (byte-budget
+// the shard's own `crashed` flag, as in the live fleet; fleetsim runs no
+// factor jobs, so the monitor's job-failure evidence never fires here. The stateful per-shard machinery (byte-budget
 // LRU factor cache, bounded queue, worker lane) is re-modelled as plain
 // counters and maps: the simulator needs their *timing and accounting*
 // behavior, not their payloads. Accounting mirrors the real engine so the

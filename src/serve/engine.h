@@ -100,10 +100,10 @@ struct ServeConfig {
   std::function<bool(const ProblemKey&)> keyFaultHook;
 
   /// When set, cache misses run this instead of the built-in single-device
-  /// factorization. The fleet tier points it at a simmpi rank-group job so
-  /// a shard's factorizations execute on (and crash with) its rank grid.
-  /// Must produce a Factorization for exactly the given key; exceptions
-  /// flow through the normal retry-then-breaker path.
+  /// factorization. The fleet tier points it at the shard's factor job,
+  /// which reports to shard health and fails on a crashed shard. Must
+  /// produce a Factorization for exactly the given key; exceptions flow
+  /// through the normal retry-then-breaker path.
   std::function<Factorization(const ProblemKey&)> factorOverride;
 };
 

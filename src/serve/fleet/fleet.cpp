@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <sstream>
 #include <utility>
 
@@ -13,27 +12,6 @@
 namespace hplmxp::serve {
 
 namespace {
-
-/// FNV-1a over the replicated factor panel, one 64-bit word per step (a
-/// byte per step for any tail): peers verify the broadcast arrived intact
-/// (an injected bit flip fails the job, which counts against the shard's
-/// health like any other grid fault). For a fixed word each step is a
-/// bijection of the state, so payloads that differ in exactly one word —
-/// as every injected flip does — always hash apart.
-std::uint64_t fnv1a(const void* data, std::size_t bytes) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  std::size_t i = 0;
-  for (; i + sizeof(std::uint64_t) <= bytes; i += sizeof(std::uint64_t)) {
-    std::uint64_t word = 0;
-    std::memcpy(&word, p + i, sizeof(word));
-    h = (h ^ word) * 0x100000001B3ull;
-  }
-  for (; i < bytes; ++i) {
-    h = (h ^ p[i]) * 0x100000001B3ull;
-  }
-  return h;
-}
 
 bool contains(const std::vector<index_t>& v, index_t x) {
   return std::find(v.begin(), v.end(), x) != v.end();
@@ -76,22 +54,17 @@ FleetEngine::FleetEngine(FleetConfig config)
       ring_(config_.shards, config_.virtualNodes),
       healthMon_(config_.healthMonitor, config_.shards) {
   HPLMXP_REQUIRE(config_.shards > 0, "fleet needs >= 1 shard");
-  HPLMXP_REQUIRE(config_.groupSize > 0, "fleet shards need >= 1 rank");
   HPLMXP_REQUIRE(config_.failoverLimit >= 0,
                  "failover limit must be >= 0");
   shards_.reserve(static_cast<std::size_t>(config_.shards));
   for (index_t s = 0; s < config_.shards; ++s) {
     auto shard = std::make_unique<Shard>();
     shard->id = s;
-    shard->group = std::make_unique<simmpi::RankGroup>(s, config_.groupSize,
-                                                       config_.groupOptions);
-    shard->slowRanks = std::make_unique<SlowRankMonitor>(
-        config_.groupSize, config_.slowRankPolicy);
     ServeConfig cfg = config_.shard;
     cfg.cacheBytes = config_.fleetCacheBytes /
                      static_cast<std::size_t>(config_.shards);
     cfg.factorOverride = [this, s](const ProblemKey& key) {
-      return groupFactor(s, key);
+      return shardFactor(s, key);
     };
     shard->engine = std::make_unique<ServeEngine>(std::move(cfg));
     shard->engine->setCacheEvictionListener(
@@ -115,64 +88,50 @@ FleetEngine::FleetEngine(FleetConfig config)
 
 FleetEngine::~FleetEngine() { stop(); }
 
-Factorization FleetEngine::groupFactor(index_t shard, const ProblemKey& key) {
+Factorization FleetEngine::shardFactor(index_t shard, const ProblemKey& key) {
   Shard& sh = *shards_[static_cast<std::size_t>(shard)];
   try {
-    Factorization out;
-    sh.group->runJob([&](simmpi::Comm& comm) {
-      const index_t n = key.n;
-      if (comm.rank() == 0) {
-        ProblemGenerator gen(key.seed, n);
-        Factorization f = factorStorageSingle(gen, key.b,
-                                              config_.shard.vendor,
-                                              key.precision);
-        if (comm.size() > 1) {
-          std::uint64_t sum = fnv1a(f.lu.data(), f.lu.bytes());
-          comm.bcast(0, f.lu.data(), n * n);
-          comm.bcast(0, &sum, 1);
-        }
-        out = std::move(f);
-      } else {
-        // Peers hold a verified replica of the panel: the broadcast is
-        // the crash/corruption surface an injected grid fault hits.
-        Buffer<float> replica(n * n);
-        comm.bcast(0, replica.data(), n * n);
-        std::uint64_t sum = 0;
-        comm.bcast(0, &sum, 1);
-        HPLMXP_REQUIRE(fnv1a(replica.data(), replica.bytes()) == sum,
-                       "fleet factor replication checksum mismatch");
+    index_t generation = 0;
+    std::function<void(const ProblemKey&)> fault;
+    {
+      std::lock_guard<std::mutex> lock(sh.mutex);
+      if (sh.crashed) {
+        throw CheckError("fleet shard " + std::to_string(shard) +
+                         " is down (generation " +
+                         std::to_string(sh.generation) + ")");
       }
-    });
-    HPLMXP_REQUIRE(out.n == key.n,
-                   "fleet factor job produced no factorization");
+      generation = sh.generation;
+      fault = sh.fault;
+    }
+    sh.factorJobs.fetch_add(1, std::memory_order_relaxed);
+    if (fault) {
+      fault(key);
+    }
+    const ProblemGenerator gen(key.seed, key.n);
+    Factorization f =
+        factorStorageSingle(gen, key.b, config_.shard.vendor, key.precision);
+    {
+      // A crash that caught the job in flight cleared the shard's cache
+      // while this entry was still in flight, so returning the factors
+      // would cache them on the dead shard: fail the job instead.
+      std::lock_guard<std::mutex> lock(sh.mutex);
+      if (sh.crashed || sh.generation != generation) {
+        throw CheckError("fleet shard " + std::to_string(shard) +
+                         " crashed during a factor job");
+      }
+    }
     healthMon_.onJobOutcome(shard, true, now());
-    return out;
+    return f;
   } catch (...) {
     healthMon_.onJobOutcome(shard, false, now());
-    if (!sh.group->alive()) {
-      markCrashed(shard);
-    }
     throw;
   }
 }
 
-void FleetEngine::markCrashed(index_t shard) {
-  Shard& sh = *shards_[static_cast<std::size_t>(shard)];
-  if (!sh.crashed.exchange(true)) {
-    // A dead grid takes its resident factors with it: drop the shard's
-    // cache and withdraw its fleet-index placements so the router stops
-    // chasing factors that no longer exist.
-    sh.engine->clearCache();
-    index_.dropShard(shard);
-    crashes_.fetch_add(1, std::memory_order_relaxed);
-    logWarn("fleet: shard ", shard, " crashed (generation ",
-            sh.group->generation(), ")");
-  }
-}
-
 bool FleetEngine::shardAlive(index_t shard) const {
-  const Shard& sh = *shards_[static_cast<std::size_t>(shard)];
-  return !sh.crashed.load(std::memory_order_relaxed) && sh.group->alive();
+  Shard& sh = *shards_[static_cast<std::size_t>(shard)];
+  std::lock_guard<std::mutex> lock(sh.mutex);
+  return !sh.crashed;
 }
 
 bool FleetEngine::shardRoutable(index_t shard) {
@@ -302,7 +261,8 @@ void FleetEngine::routeToShard(index_t shard, const SolveRequest& request,
     o.shard = shard;
     o.failovers = failovers;
     o.totalSeconds = now() - submitAt;  // fleet view: failover time counts
-    if (o.status == RequestStatus::kCompleted) {
+    if (o.status == RequestStatus::kCompleted && shardAlive(shard)) {
+      // A shard that crashed after solving holds no factors to place.
       index_.notePlacement(request.key, shard);
     }
     publishOutcome(handle, std::move(o),
@@ -474,24 +434,49 @@ void FleetEngine::unbreakShard(index_t shard) {
 }
 
 void FleetEngine::crashShard(index_t shard) {
-  shards_[static_cast<std::size_t>(shard)]->group->kill("ops crash");
-  markCrashed(shard);
+  Shard& sh = *shards_[static_cast<std::size_t>(shard)];
+  index_t generation = 0;
+  {
+    std::lock_guard<std::mutex> lock(sh.mutex);
+    if (sh.crashed) {
+      return;
+    }
+    sh.crashed = true;
+    generation = sh.generation;
+  }
+  // A crashed shard takes its resident factors with it: drop the shard's
+  // cache and withdraw its fleet-index placements so the router stops
+  // chasing factors that no longer exist.
+  sh.engine->clearCache();
+  index_.dropShard(shard);
+  crashes_.fetch_add(1, std::memory_order_relaxed);
+  logWarn("fleet: shard ", shard, " crashed (generation ", generation, ")");
 }
 
 void FleetEngine::resurrectShard(index_t shard) {
   Shard& sh = *shards_[static_cast<std::size_t>(shard)];
-  sh.group->restart();
-  sh.crashed.store(false, std::memory_order_relaxed);
+  index_t generation = 0;
+  {
+    std::lock_guard<std::mutex> lock(sh.mutex);
+    if (sh.crashed) {
+      // The shard comes back clean: a fault hook that killed it is spent.
+      sh.crashed = false;
+      ++sh.generation;
+      sh.fault = nullptr;
+    }
+    generation = sh.generation;
+  }
   healthMon_.release(shard, now());
   resurrections_.fetch_add(1, std::memory_order_relaxed);
-  logInfo("fleet: shard ", shard, " resurrected (generation ",
-          sh.group->generation(), ")");
+  logInfo("fleet: shard ", shard, " resurrected (generation ", generation,
+          ")");
 }
 
 void FleetEngine::armShardFaults(
-    index_t shard, std::shared_ptr<simmpi::FaultInjector> faults) {
-  shards_[static_cast<std::size_t>(shard)]->group->setFaults(
-      std::move(faults));
+    index_t shard, std::function<void(const ProblemKey&)> fault) {
+  Shard& sh = *shards_[static_cast<std::size_t>(shard)];
+  std::lock_guard<std::mutex> lock(sh.mutex);
+  sh.fault = std::move(fault);
 }
 
 void FleetEngine::slowShard(index_t shard, double stretch) {
@@ -502,30 +487,6 @@ void FleetEngine::slowShard(index_t shard, double stretch) {
           Table::num(stretch, 2));
 }
 
-bool FleetEngine::reportRankWaits(index_t shard, index_t k,
-                                  const std::vector<double>& waits) {
-  Shard& sh = *shards_[static_cast<std::size_t>(shard)];
-  bool terminate = false;
-  {
-    std::lock_guard<std::mutex> lock(sh.slowMutex);
-    sh.slowRanks->observe(k, waits);
-    terminate = sh.slowRanks->shouldTerminate();
-  }
-  if (terminate) {
-    // A struck-out rank inside the grid is straggler evidence against the
-    // whole shard: the grid is only as fast as its slowest rank.
-    healthMon_.noteStraggler(shard, now());
-  }
-  return terminate;
-}
-
-std::function<bool(index_t, const std::vector<double>&)>
-FleetEngine::rankProgressHook(index_t shard) {
-  return [this, shard](index_t k, const std::vector<double>& waits) {
-    return reportRankWaits(shard, k, waits);
-  };
-}
-
 FleetReport FleetEngine::report() const {
   FleetReport r;
   r.shards = static_cast<index_t>(shards_.size());
@@ -534,17 +495,18 @@ FleetReport FleetEngine::report() const {
   for (const auto& sh : shards_) {
     ShardReport s;
     s.id = sh->id;
-    s.groupAlive = sh->group->alive();
-    const simmpi::RankGroup::Stats gs = sh->group->stats();
-    s.generation = gs.generation;
-    s.groupSize = sh->group->size();
-    s.groupJobs = gs.jobs;
-    s.groupCrashes = gs.crashes;
+    bool crashed = false;
+    {
+      std::lock_guard<std::mutex> lock(sh->mutex);
+      crashed = sh->crashed;
+      s.generation = sh->generation;
+    }
+    s.groupJobs = sh->factorJobs.load(std::memory_order_relaxed);
     s.routed = sh->routed.load(std::memory_order_relaxed);
     s.report = sh->engine->report();
     const ShardHealthMonitor::ShardSnapshot hs =
         healthMon_.shardSnapshot(sh->id, clock_.seconds());
-    if (sh->crashed.load(std::memory_order_relaxed)) {
+    if (crashed) {
       s.health = "crashed";
     } else if (!hs.excluded) {
       s.health = "healthy";
@@ -557,7 +519,6 @@ FleetReport FleetEngine::report() const {
     s.heartbeats = hs.heartbeats;
     s.quarantines = hs.quarantines;
     s.probes = hs.probes;
-    s.stragglerReports = hs.stragglerReports;
     const FactorCache::Stats cs = s.report.cache;
     cacheSum.lookups += cs.lookups;
     cacheSum.hits += cs.hits;
@@ -581,7 +542,6 @@ FleetReport FleetEngine::report() const {
   r.healthTrips = healthMon_.trips();
   r.quarantines = healthMon_.quarantines();
   r.healthDetours = healthMon_.detours();
-  r.stragglerReports = healthMon_.stragglerReports();
   r.hedgesIssued = hedgesIssued_.load(std::memory_order_relaxed);
   r.hedgeWins = hedgeWins_.load(std::memory_order_relaxed);
   r.hedgeWasted = hedgeWasted_.load(std::memory_order_relaxed);
@@ -620,10 +580,9 @@ Table FleetReport::toTable() const {
   t.addRow({"crashes / resurrections", Table::num((long long)crashes) +
                                            " / " +
                                            Table::num((long long)resurrections)});
-  t.addRow({"quarantines / detours / stragglers",
+  t.addRow({"quarantines / detours",
             Table::num((long long)quarantines) + " / " +
-                Table::num((long long)healthDetours) + " / " +
-                Table::num((long long)stragglerReports)});
+                Table::num((long long)healthDetours)});
   t.addRow({"hedges issued / won / wasted / denied",
             Table::num((long long)hedgesIssued) + " / " +
                 Table::num((long long)hedgeWins) + " / " +
@@ -672,7 +631,6 @@ std::string FleetReport::toJson() const {
   os << "  \"health_trips\": " << healthTrips << ",\n";
   os << "  \"quarantines\": " << quarantines << ",\n";
   os << "  \"health_detours\": " << healthDetours << ",\n";
-  os << "  \"straggler_reports\": " << stragglerReports << ",\n";
   os << "  \"hedges_issued\": " << hedgesIssued << ",\n";
   os << "  \"hedge_wins\": " << hedgeWins << ",\n";
   os << "  \"hedge_wasted\": " << hedgeWasted << ",\n";
@@ -692,12 +650,8 @@ std::string FleetReport::toJson() const {
     os << "    {\n";
     os << "      \"id\": " << s.id << ",\n";
     os << "      \"health\": " << jsonQuote(s.health) << ",\n";
-    os << "      \"group_alive\": " << (s.groupAlive ? "true" : "false")
-       << ",\n";
     os << "      \"generation\": " << s.generation << ",\n";
-    os << "      \"group_size\": " << s.groupSize << ",\n";
     os << "      \"group_jobs\": " << s.groupJobs << ",\n";
-    os << "      \"group_crashes\": " << s.groupCrashes << ",\n";
     os << "      \"routed\": " << s.routed << ",\n";
     os << "      \"health_state\": " << jsonQuote(s.healthState) << ",\n";
     os << "      \"phi\": " << s.phi << ",\n";
@@ -706,7 +660,6 @@ std::string FleetReport::toJson() const {
     os << "      \"heartbeats\": " << s.heartbeats << ",\n";
     os << "      \"quarantines\": " << s.quarantines << ",\n";
     os << "      \"probes\": " << s.probes << ",\n";
-    os << "      \"straggler_reports\": " << s.stragglerReports << ",\n";
     os << "      \"report\": " << s.report.toJson();
     os << "    }" << (i + 1 < perShard.size() ? "," : "") << "\n";
   }

@@ -1,5 +1,5 @@
-// Sharded serve fabric: many ServeEngines, each backed by its own simmpi
-// rank group, behind one consistent-hash router.
+// Sharded serve fabric: many ServeEngines behind one consistent-hash
+// router; each shard factors its own misses.
 //
 //                         FleetEngine::submit
 //                                │
@@ -9,24 +9,23 @@
 //                                │
 //        ┌───────────────┬───────┴───────┬───────────────┐
 //     shard 0         shard 1         shard 2          ...
-//   ServeEngine     ServeEngine     ServeEngine
-//   + RankGroup     + RankGroup     + RankGroup   (factor jobs run on
-//        │               │               │         the shard's grid)
+//   ServeEngine     ServeEngine     ServeEngine   (a miss is one factor
+//        │               │               │         job on the shard's
+//        │               │               │         own worker thread)
 //        └── Handle::onDone ── failover/publish ──┘
 //
 // Shard health is one state machine per shard, the ShardHealthMonitor
-// (serve/fleet/health.h). Request completions feed its phi detector,
-// slow-rank verdicts its straggler channel, and factor-job outcomes and
-// the ops break its hard tier: three failed jobs in a row, or breakShard,
-// take the shard out of routing (drain — its in-flight requests still
-// finish). A failure-struck shard probes its way back after the dwell;
-// an ops break holds until unbreakShard or resurrectShard. A crashed
-// shard (its rank group died, by an injected fault or the ops hook)
-// additionally loses its cached factors and its fleet-index placements;
-// resurrection restarts the group with a bumped generation and lifts any
-// hard hold, and the ring re-routes the shard's keyspace back — no
-// request is ever dropped or double-answered, which the fleet report
-// counts prove.
+// (serve/fleet/health.h). Request completions feed its phi detector, and
+// factor-job outcomes and the ops break its hard tier: three failed jobs
+// in a row, or breakShard, take the shard out of routing (drain — its
+// in-flight requests still finish). A failure-struck shard probes its way
+// back after the dwell; an ops break holds until unbreakShard or
+// resurrectShard. A crashed shard (crashShard, from the ops hook or from a
+// fault hook mid-job) fails its factor jobs, the one in flight included,
+// and loses its cached factors and its fleet-index placements;
+// resurrection bumps the shard's generation and lifts any hard hold, and
+// the ring re-routes the shard's keyspace back — no request is ever
+// dropped or double-answered, which the fleet report counts prove.
 //
 // Completed answers are bitwise-identical across shard counts: a solution
 // is a pure function of (ProblemKey, rhsSeed, maxIr) on the single-device
@@ -47,8 +46,6 @@
 #include "serve/fleet/fleet_cache.h"
 #include "serve/fleet/hash_ring.h"
 #include "serve/fleet/health.h"
-#include "simmpi/rank_group.h"
-#include "trace/slow_node.h"
 
 namespace hplmxp::serve {
 
@@ -74,11 +71,10 @@ struct HedgeConfig {
 struct FleetConfig {
   index_t shards = 2;
   index_t virtualNodes = 64;   // ring points per shard
-  index_t groupSize = 2;       // simmpi ranks per shard's grid
-  /// RunOptions for every shard's rank group. A blocking-wait timeout here
-  /// keeps a half-crashed grid from hanging its surviving peers forever;
-  /// per-shard fault injectors are armed via armShardFaults instead.
-  simmpi::RunOptions groupOptions;
+  /// Unread: a shard factors on its own worker thread, not on a rank
+  /// group. perfbench's serve_zipf still assigns it, so the name stays
+  /// until that benchmark is next changed.
+  index_t groupSize = 2;
   /// Fleet-wide factor-cache budget, split evenly across the per-shard
   /// FactorCaches (which stay the eviction authority; the fleet index
   /// mirrors their residency through eviction listeners).
@@ -102,21 +98,16 @@ struct FleetConfig {
   HealthConfig healthMonitor;
   /// Speculative re-issue of slow requests (first answer wins).
   HedgeConfig hedge;
-  /// Slow-rank detection inside each shard's grid; verdicts feed the
-  /// health monitor as straggler evidence (reportRankWaits).
-  SlowRankPolicy slowRankPolicy;
 };
 
 /// One shard's row in the fleet report.
 struct ShardReport {
   index_t id = 0;
   std::string health;         // healthy | broken | half-open | crashed
-  bool groupAlive = true;
-  index_t generation = 1;
-  index_t groupSize = 1;
+  index_t generation = 1;     // bumped by each resurrection
   std::uint64_t routed = 0;   // requests routed here (incl. failovers in)
+  /// Factor jobs the shard attempted (perfbench reads it under this name).
   std::uint64_t groupJobs = 0;
-  std::uint64_t groupCrashes = 0;
   // Health state machine view.
   std::string healthState = "healthy";
   double phi = 0.0;
@@ -124,7 +115,6 @@ struct ShardReport {
   std::uint64_t heartbeats = 0;
   std::uint64_t quarantines = 0;
   std::uint64_t probes = 0;
-  std::uint64_t stragglerReports = 0;
   ServeReport report;
 };
 
@@ -143,14 +133,13 @@ struct FleetReport {
   std::uint64_t affinityHits = 0;  // routed to a shard already holding key
   std::uint64_t opsBreaks = 0;     // breakShard invocations
   std::uint64_t opsSlows = 0;      // slowShard invocations
-  std::uint64_t crashes = 0;       // shards that lost their grid
+  std::uint64_t crashes = 0;       // shard crashes (ops hook or mid-job)
   std::uint64_t resurrections = 0;
   std::uint64_t healthTrips = 0;   // hard exclusions (job failures, breaks)
 
   // Gray-failure defense picture.
   std::uint64_t quarantines = 0;      // entries into health quarantine
   std::uint64_t healthDetours = 0;    // routes steered off quarantined shards
-  std::uint64_t stragglerReports = 0; // slow-rank verdicts fed to health
   std::uint64_t hedgesIssued = 0;
   std::uint64_t hedgeWins = 0;     // hedge published first
   std::uint64_t hedgeWasted = 0;   // loser finished after the winner
@@ -217,33 +206,23 @@ class FleetEngine {
   void breakShard(index_t shard);
   /// Lifts the shard's hard health hold immediately.
   void unbreakShard(index_t shard);
-  /// Kills the shard's rank group and drops its cached factors plus its
-  /// fleet-index placements.
+  /// Crashes the shard: its factor jobs fail, the one in flight included,
+  /// and it drops its cached factors plus its fleet-index placements.
   void crashShard(index_t shard);
-  /// Restarts a crashed shard's group (new generation) and lifts its hard
-  /// health hold; the ring rebalances its keyspace back on the next routes.
+  /// Brings a crashed shard back (new generation, fault hook disarmed)
+  /// and lifts its hard health hold; the ring rebalances its keyspace back
+  /// on the next routes.
   void resurrectShard(index_t shard);
-  /// Arms a fault injector on the shard's rank group (organic crashes).
+  /// Runs `fault` at the start of each of the shard's factor jobs (null
+  /// disarms it). Throwing from it fails the job; calling crashShard from
+  /// it kills the shard mid-job.
   void armShardFaults(index_t shard,
-                      std::shared_ptr<simmpi::FaultInjector> faults);
+                      std::function<void(const ProblemKey&)> fault);
   /// Gray fault: stretches the shard's service times by `stretch` (e.g.
   /// 5.0 = every batch takes 5x as long) WITHOUT failing anything — the
   /// slow-but-alive scenario the phi detector and hedging exist for.
   /// 1.0 restores full speed.
   void slowShard(index_t shard, double stretch);
-
-  // --- gray-failure instrumentation ------------------------------------
-  /// Feeds one distributed-LU step's per-rank barrier waits from the
-  /// shard's grid into its SlowRankMonitor; returns true when the monitor
-  /// wants the step terminated (a rank struck out). The verdict also
-  /// lands in the shard's health stream as straggler evidence — the loop
-  /// core/config.h's rankProgressCallback comment asks for.
-  bool reportRankWaits(index_t shard, index_t k,
-                       const std::vector<double>& waits);
-  /// Adapter bound to `shard`, directly pluggable into
-  /// HplaiConfig::rankProgressCallback.
-  [[nodiscard]] std::function<bool(index_t, const std::vector<double>&)>
-  rankProgressHook(index_t shard);
 
   [[nodiscard]] index_t shardCount() const {
     return static_cast<index_t>(shards_.size());
@@ -262,12 +241,15 @@ class FleetEngine {
  private:
   struct Shard {
     index_t id = 0;
-    std::unique_ptr<simmpi::RankGroup> group;
-    std::unique_ptr<ServeEngine> engine;  // after group: dtor order
-    std::unique_ptr<SlowRankMonitor> slowRanks;
-    std::mutex slowMutex;  // SlowRankMonitor is not thread-safe
-    std::atomic<bool> crashed{false};
+    /// Guards the crash state and the fault hook, which the ops hooks
+    /// change while the shard's worker runs factor jobs.
+    std::mutex mutex;
+    bool crashed = false;
+    index_t generation = 1;  // bumped when a crashed shard is resurrected
+    std::function<void(const ProblemKey&)> fault;
+    std::atomic<std::uint64_t> factorJobs{0};
     std::atomic<std::uint64_t> routed{0};
+    std::unique_ptr<ServeEngine> engine;  // last: its workers use the above
   };
 
   /// One armed speculative re-issue, waiting for its fire time.
@@ -280,9 +262,8 @@ class FleetEngine {
   };
 
   [[nodiscard]] double now() const { return clock_.seconds(); }
-  [[nodiscard]] Factorization groupFactor(index_t shard,
+  [[nodiscard]] Factorization shardFactor(index_t shard,
                                           const ProblemKey& key);
-  void markCrashed(index_t shard);
   [[nodiscard]] bool shardAlive(index_t shard) const;
   [[nodiscard]] index_t pickShard(const ProblemKey& key, std::uint64_t count,
                                   const std::vector<index_t>& tried);

@@ -15,7 +15,6 @@ void HealthConfig::validate() const {
                  "need 0 < suspectPhi < quarantinePhi");
   HPLMXP_REQUIRE(quarantineDwellSeconds >= 0.0, "negative quarantine dwell");
   HPLMXP_REQUIRE(probeQuota >= 1, "probing needs >= 1 probe");
-  HPLMXP_REQUIRE(stragglerStrikes >= 1, "straggler strikes must be >= 1");
 }
 
 ShardHealthMonitor::ShardHealthMonitor(HealthConfig config, index_t shards)
@@ -95,7 +94,6 @@ void ShardHealthMonitor::heal(Entry& e, double now) {
   e.state = HealthState::kHealthy;
   e.hold = Hold::kNone;
   e.jobFailures = 0;
-  e.stragglerStreak = 0;
   e.lastArrival = now;
 }
 
@@ -114,7 +112,7 @@ void ShardHealthMonitor::advance(Entry& e, double now) {
       const double p = phiLocked(e, now);
       if (p >= config_.quarantinePhi) {
         enterQuarantine(e, now);
-      } else if (p < config_.suspectPhi && e.stragglerStreak == 0) {
+      } else if (p < config_.suspectPhi) {
         e.state = HealthState::kHealthy;
       }
       break;
@@ -144,7 +142,6 @@ void ShardHealthMonitor::recordHeartbeat(Entry& e, double now) {
   e.seeded = true;
   e.lastArrival = now;
   ++e.heartbeats;
-  e.stragglerStreak = 0;
   advance(e, now);
 }
 
@@ -154,23 +151,6 @@ void ShardHealthMonitor::heartbeat(index_t shard, double now) {
   }
   std::lock_guard<std::mutex> lock(mutex_);
   recordHeartbeat(entry(shard), now);
-}
-
-void ShardHealthMonitor::noteStraggler(index_t shard, double now) {
-  if (!config_.enabled) {
-    return;
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  Entry& e = entry(shard);
-  ++e.stragglers;
-  ++e.stragglerStreak;
-  if (e.state == HealthState::kHealthy) {
-    e.state = HealthState::kSuspect;
-  }
-  if (e.state == HealthState::kSuspect &&
-      e.stragglerStreak >= config_.stragglerStrikes) {
-    enterQuarantine(e, now);
-  }
 }
 
 void ShardHealthMonitor::onOutcome(index_t shard, bool success, double now) {
@@ -309,7 +289,6 @@ ShardHealthMonitor::ShardSnapshot ShardHealthMonitor::shardSnapshot(
   double std = 0.0;
   meanStd(e, &s.meanIntervalSeconds, &std);
   s.heartbeats = e.heartbeats;
-  s.stragglerReports = e.stragglers;
   s.quarantines = e.quarantines;
   s.probes = e.probes;
   return s;

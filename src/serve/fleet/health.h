@@ -15,20 +15,18 @@
 // under the shard's own history"; phi == 3 means 0.1%. Thresholds on phi
 // drive a four-state routing machine:
 //
-//     healthy ──(phi >= suspectPhi)──▶ suspect ──(phi >= quarantinePhi
-//        ▲                               │        or straggler strikes)
-//        │                               ▼                 │
-//        │ phi recovers            back to healthy         ▼
-//        │                                            quarantined
+//     healthy ──(phi >= suspectPhi)──▶ suspect ──(phi >= quarantinePhi)
+//        ▲                               │                 │
+//        │                               ▼                 ▼
+//        │ phi recovers            back to healthy    quarantined
+//        │                                                 │
 //        │ probe succeeds                                  │ dwell
 //        └───────────────── probing ◀──────────────────────┘
 //                              │ probe fails: quarantined again
 //
 // A quarantined shard receives no new routes (its in-flight work drains
 // normally); after the dwell it admits `probeQuota` probe requests whose
-// outcomes decide between healing and another quarantine round. Slow-rank
-// verdicts from trace::SlowRankMonitor (a straggler *inside* the shard's
-// grid) are fed in as straggler evidence and short-circuit the phi ramp.
+// outcomes decide between healing and another quarantine round.
 //
 // Hard evidence — kJobFailureStrikes failed factor jobs in a row, or an
 // ops break — sends a shard from any state straight to quarantined. The
@@ -55,8 +53,7 @@
 namespace hplmxp::serve {
 
 struct HealthConfig {
-  /// The soft tier (phi and straggler evidence); hard evidence always
-  /// counts.
+  /// The soft tier (the phi detector); hard evidence always counts.
   bool enabled = true;
   /// Expected heartbeat cadence; seeds the interval window so a cold
   /// shard is judged against the configured pace, not an empty history.
@@ -75,9 +72,6 @@ struct HealthConfig {
   double quarantineDwellSeconds = 0.100;
   /// Routes admitted while probing, before a verdict.
   index_t probeQuota = 1;
-  /// Straggler reports (slow-rank verdicts) while suspect that escalate
-  /// to quarantine. The first report alone forces suspect.
-  index_t stragglerStrikes = 2;
 
   void validate() const;
 };
@@ -108,7 +102,6 @@ class ShardHealthMonitor {
     double lastHeartbeatAge = 0.0;
     double meanIntervalSeconds = 0.0;
     std::uint64_t heartbeats = 0;
-    std::uint64_t stragglerReports = 0;
     std::uint64_t quarantines = 0;  // soft entries into kQuarantined
     std::uint64_t probes = 0;       // probe routes admitted
   };
@@ -116,16 +109,9 @@ class ShardHealthMonitor {
   ShardHealthMonitor(HealthConfig config, index_t shards);
 
   /// Healthy-liveness evidence: a completion or a periodic pulse from the
-  /// shard at `now`. Records the inter-arrival interval and clears any
-  /// straggler streak. Does NOT heal a quarantined shard — that must
-  /// pass through probing.
+  /// shard at `now`. Records the inter-arrival interval. Does NOT heal a
+  /// quarantined shard — that must pass through probing.
   void heartbeat(index_t shard, double now);
-
-  /// A slow-rank verdict from inside the shard's grid (the distributed-LU
-  /// straggler loop): forces at least kSuspect immediately and escalates
-  /// to quarantine after `stragglerStrikes` reports without an
-  /// intervening heartbeat.
-  void noteStraggler(index_t shard, double now);
 
   /// Outcome of a request routed to the shard. While probing, a success
   /// heals the shard and a failure quarantines it again. Otherwise a
@@ -133,7 +119,7 @@ class ShardHealthMonitor {
   /// shard has a *healthy* heartbeat cadence.
   void onOutcome(index_t shard, bool success, double now);
 
-  /// Hard evidence: a factor job on the shard's grid finished.
+  /// Hard evidence: a factor job on the shard finished.
   /// kJobFailureStrikes failures in a row quarantine and exclude the
   /// shard; a success restarts the count.
   void onJobOutcome(index_t shard, bool success, double now);
@@ -168,15 +154,12 @@ class ShardHealthMonitor {
   /// quarantine, dwell expiry) against `now`.
   [[nodiscard]] HealthState state(index_t shard, double now);
 
-  /// Totals across shards: soft and hard entries into quarantine,
-  /// straggler reports fed in, and detours counted by noteRoute().
+  /// Totals across shards: soft and hard entries into quarantine, and
+  /// detours counted by noteRoute().
   [[nodiscard]] std::uint64_t quarantines() const {
     return total(&Entry::quarantines);
   }
   [[nodiscard]] std::uint64_t trips() const { return total(&Entry::trips); }
-  [[nodiscard]] std::uint64_t stragglerReports() const {
-    return total(&Entry::stragglers);
-  }
   [[nodiscard]] std::uint64_t detours() const { return total(&Entry::detours); }
 
   [[nodiscard]] ShardSnapshot shardSnapshot(index_t shard, double now);
@@ -198,9 +181,7 @@ class ShardHealthMonitor {
     index_t windowNext = 0;
     double quarantinedAt = 0.0;
     index_t probesUsed = 0;
-    index_t stragglerStreak = 0;
     std::uint64_t heartbeats = 0;
-    std::uint64_t stragglers = 0;
     std::uint64_t quarantines = 0;
     std::uint64_t trips = 0;
     std::uint64_t probes = 0;

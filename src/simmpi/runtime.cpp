@@ -40,9 +40,8 @@ void run(index_t worldSize, const std::function<void(Comm&)>& fn) {
   run(worldSize, fn, RunOptions{});
 }
 
-namespace detail {
-
-std::vector<Comm> makeJobWorld(index_t worldSize, const RunOptions& options) {
+void run(index_t worldSize, const std::function<void(Comm&)>& fn,
+         const RunOptions& options) {
   HPLMXP_REQUIRE(worldSize > 0, "world size must be positive");
   auto world = Comm::makeWorld(worldSize);
   world[0].setTimeout(options.timeout);
@@ -53,15 +52,35 @@ std::vector<Comm> makeJobWorld(index_t worldSize, const RunOptions& options) {
   if (options.replayLog) {
     world[0].enableReplayLog();
   }
-  return world;
-}
 
-void rethrowRankFailures(const std::vector<std::exception_ptr>& rankExc,
-                         const RunOptions& options) {
+  if (worldSize == 1) {
+    bindThreadRank(0);
+    fn(world[0]);
+    return;
+  }
+
+  std::vector<std::exception_ptr> rankExc(
+      static_cast<std::size_t>(worldSize));
+  std::vector<std::thread> threads;
+  threads.reserve(static_cast<std::size_t>(worldSize));
+  for (index_t r = 0; r < worldSize; ++r) {
+    threads.emplace_back([&, r] {
+      bindThreadRank(r);
+      try {
+        fn(world[static_cast<std::size_t>(r)]);
+      } catch (...) {
+        rankExc[static_cast<std::size_t>(r)] = std::current_exception();
+      }
+    });
+  }
+  for (auto& t : threads) {
+    t.join();
+  }
+
   std::vector<RankFailure> failures;
   std::exception_ptr single;
-  for (std::size_t r = 0; r < rankExc.size(); ++r) {
-    const auto& exc = rankExc[r];
+  for (index_t r = 0; r < worldSize; ++r) {
+    const auto& exc = rankExc[static_cast<std::size_t>(r)];
     if (!exc) {
       continue;
     }
@@ -71,9 +90,9 @@ void rethrowRankFailures(const std::vector<std::exception_ptr>& rankExc,
     try {
       std::rethrow_exception(exc);
     } catch (const std::exception& e) {
-      failures.push_back({static_cast<index_t>(r), e.what()});
+      failures.push_back({r, e.what()});
     } catch (...) {
-      failures.push_back({static_cast<index_t>(r), "unknown exception"});
+      failures.push_back({r, "unknown exception"});
     }
   }
   if (failures.size() == 1) {
@@ -101,38 +120,6 @@ void rethrowRankFailures(const std::vector<std::exception_ptr>& rankExc,
     }
     throw MultiRankError(std::move(failures));
   }
-}
-
-}  // namespace detail
-
-void run(index_t worldSize, const std::function<void(Comm&)>& fn,
-         const RunOptions& options) {
-  auto world = detail::makeJobWorld(worldSize, options);
-
-  if (worldSize == 1) {
-    bindThreadRank(0);
-    fn(world[0]);
-    return;
-  }
-
-  std::vector<std::exception_ptr> rankExc(
-      static_cast<std::size_t>(worldSize));
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(worldSize));
-  for (index_t r = 0; r < worldSize; ++r) {
-    threads.emplace_back([&, r] {
-      bindThreadRank(r);
-      try {
-        fn(world[static_cast<std::size_t>(r)]);
-      } catch (...) {
-        rankExc[static_cast<std::size_t>(r)] = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : threads) {
-    t.join();
-  }
-  detail::rethrowRankFailures(rankExc, options);
 }
 
 }  // namespace hplmxp::simmpi

@@ -1,11 +1,10 @@
 // Sharded serve fabric: consistent-hash routing, the fleet-level factor
-// index, shard health (break/drain, crash/failover, resurrection), the
-// no-lost-answer ledger, and bitwise equivalence of fleet answers across
-// shard counts. Also the rank-group proofs: concurrent groups with
-// independent fault injectors never see each other's faults, recovery, or
-// replay-log state, and a group's jobs run on threads it keeps.
+// index, shard health (break/drain, crash/failover, resurrection, failed
+// factor jobs, phi quarantine), the no-lost-answer ledger, and bitwise
+// equivalence of fleet answers across shard counts.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -17,7 +16,6 @@
 #include "gen/matgen.h"
 #include "serve/fleet/fleet.h"
 #include "serve/json.h"
-#include "simmpi/rank_group.h"
 
 namespace hplmxp::serve {
 namespace {
@@ -191,9 +189,6 @@ TEST(FleetCacheIndexTest, DropShardWithdrawsEverythingItHeld) {
 FleetConfig fleetConfig(index_t shards) {
   FleetConfig cfg;
   cfg.shards = shards;
-  cfg.groupSize = 2;
-  // Half-crashed grids must fail fast, not hang their peers.
-  cfg.groupOptions.timeout = std::chrono::milliseconds(2000);
   return cfg;
 }
 
@@ -272,12 +267,17 @@ TEST(FleetEngineTest, RepeatedKeysStickToTheirPlacementShard) {
   fleet.drain();
   const FleetReport report = fleet.report();
   // One factorization in the whole fleet: the index kept routing the key
-  // to the shard already holding its factors.
+  // to the shard already holding its factors. With no fault, every factor
+  // job the shards ran is a cache factorization (perfbench checks the same
+  // sums under the names group_jobs and factors).
   std::uint64_t factorCount = 0;
+  std::uint64_t factorJobs = 0;
   for (const ShardReport& s : report.perShard) {
     factorCount += s.report.cache.factorCount;
+    factorJobs += s.groupJobs;
   }
   EXPECT_EQ(factorCount, 1u);
+  EXPECT_EQ(factorJobs, factorCount);
   EXPECT_GE(report.affinityHits, 4u);
   EXPECT_EQ(fleet.cacheIndex().placements(k).size(), 1u);
 }
@@ -334,7 +334,7 @@ TEST(FleetEngineTest, BrokenShardDrainsAndReroutesUntilUnbroken) {
 
 TEST(FleetEngineTest, OrganicCrashFailsOverThenResurrectionRebalances) {
   FleetConfig cfg = fleetConfig(2);
-  cfg.shard.maxRetries = 0;  // first grid failure fails over immediately
+  cfg.shard.maxRetries = 0;  // the first failed job fails over at once
   cfg.failoverLimit = 2;
   FleetEngine fleet(cfg);
   const ProblemKey k = key(32, 16, 24);
@@ -342,14 +342,12 @@ TEST(FleetEngineTest, OrganicCrashFailsOverThenResurrectionRebalances) {
   const index_t other = 1 - primary;
   const std::vector<double> want = soloSolution(k, 888);
 
-  // The peer rank crashes receiving the factor replica: an organic grid
-  // death mid-request, not an ops hook.
-  simmpi::FaultConfig fc;
-  fc.seed = 0xF1EE7;
-  fc.crashRank = 1;
-  fc.crashAtOp = 1;
-  fleet.armShardFaults(primary,
-                       std::make_shared<simmpi::FaultInjector>(fc, 2));
+  // The shard dies inside its factor job: an organic death mid-request,
+  // not an ops hook between requests.
+  fleet.armShardFaults(primary, [&fleet, primary](const ProblemKey&) {
+    fleet.crashShard(primary);
+    throw CheckError("injected shard crash");
+  });
 
   const auto h = fleet.submit(request(k, 888));
   const RequestOutcome& o = h->wait();
@@ -358,22 +356,20 @@ TEST(FleetEngineTest, OrganicCrashFailsOverThenResurrectionRebalances) {
   EXPECT_GE(o.failovers, 1);
   expectBitwise(h->solution(), want, "failed-over answer");
 
-  // The grid death latched: the shard is crashed, not just unlucky.
+  // The death latched: the shard is crashed, not just unlucky.
   EXPECT_FALSE(fleet.shardRoutable(primary));
   FleetReport report = fleet.report();
   EXPECT_EQ(report.crashes, 1u);
   EXPECT_GE(report.failovers, 1u);
   EXPECT_EQ(report.perShard[static_cast<std::size_t>(primary)].health,
             "crashed");
-  EXPECT_EQ(report.perShard[static_cast<std::size_t>(primary)].groupCrashes,
-            1u);
 
   // Resurrection: new generation, circuit closed, keyspace routes back.
   fleet.resurrectShard(primary);
   EXPECT_TRUE(fleet.shardRoutable(primary));
   // The failed-over key keeps its cache affinity (its factors now live on
   // the survivor), but fresh keys in the resurrected shard's keyspace
-  // route back to it — and its cleared fault plan is gone.
+  // route back to it — and its fault hook is disarmed.
   const auto h2 = fleet.submit(request(k, 889));
   ASSERT_EQ(h2->wait().status, RequestStatus::kCompleted)
       << h2->wait().error;
@@ -389,7 +385,7 @@ TEST(FleetEngineTest, OrganicCrashFailsOverThenResurrectionRebalances) {
   const auto h3 = fleet.submit(request(fresh, 890));
   ASSERT_EQ(h3->wait().status, RequestStatus::kCompleted)
       << h3->wait().error;
-  EXPECT_EQ(h3->wait().shard, primary);  // rebalanced back, gen 2 grid
+  EXPECT_EQ(h3->wait().shard, primary);  // rebalanced back, gen 2 shard
   expectBitwise(h3->solution(), soloSolution(fresh, 890), "rebalanced key");
   fleet.drain();
 
@@ -400,32 +396,28 @@ TEST(FleetEngineTest, OrganicCrashFailsOverThenResurrectionRebalances) {
   EXPECT_EQ(report.perShard[static_cast<std::size_t>(primary)].generation, 2);
 }
 
-TEST(FleetEngineTest, ReplicaBitFlipFailsOverWithoutCrashing) {
+TEST(FleetEngineTest, FailedFactorJobFailsOverWithoutCrashing) {
   FleetConfig cfg = fleetConfig(2);
   cfg.shard.maxRetries = 0;
   cfg.failoverLimit = 2;
+  std::atomic<int> faults{0};
   FleetEngine fleet(cfg);
   const ProblemKey k = key(32, 16, 31);
   const index_t primary = fleet.ring().route(k, nullptr);
 
-  // Every bulk payload gets one FP32 exponent bit flipped: the factor
-  // replica arrives corrupt, the peer's checksum rejects it, and the job
-  // fails as a grid fault that leaves the group alive.
-  simmpi::FaultConfig fc;
-  fc.seed = 0xF11B;
-  fc.bitflipProbability = 1.0;
-  fc.bitflipMinBytes = 1024;
-  fc.flipFp32Words = true;
-  const auto inj = std::make_shared<simmpi::FaultInjector>(fc, 2);
-  fleet.armShardFaults(primary, inj);
+  // Every factor job on the primary fails, and the shard stays alive.
+  fleet.armShardFaults(primary, [&faults](const ProblemKey&) {
+    faults.fetch_add(1);
+    throw CheckError("injected factor-job fault");
+  });
 
   const auto h = fleet.submit(request(k, 777));
   const RequestOutcome& o = h->wait();
   ASSERT_EQ(o.status, RequestStatus::kCompleted) << o.error;
   EXPECT_EQ(o.shard, 1 - primary);
   EXPECT_GE(o.failovers, 1);
-  EXPECT_GE(inj->stats().bitflips, 1u);
-  expectBitwise(h->solution(), soloSolution(k, 777), "flipped-replica answer");
+  EXPECT_GE(faults.load(), 1);
+  expectBitwise(h->solution(), soloSolution(k, 777), "failed-over answer");
   fleet.drain();
 
   const FleetReport report = fleet.report();
@@ -436,8 +428,8 @@ TEST(FleetEngineTest, ReplicaBitFlipFailsOverWithoutCrashing) {
 
 TEST(FleetEngineTest, RepeatedJobFailuresExcludeThenProbeBack) {
   // Factor-job failures are hard evidence: three in a row take the shard
-  // out of routing entirely (no fallback reaches it), and once the grid is
-  // cured a single probe after the cool-down brings it back.
+  // out of routing entirely (no fallback reaches it), and once the shard
+  // is cured a single probe after the cool-down brings it back.
   FleetConfig cfg = fleetConfig(2);
   cfg.shard.maxRetries = 0;
   cfg.failoverLimit = 2;
@@ -450,14 +442,11 @@ TEST(FleetEngineTest, RepeatedJobFailuresExcludeThenProbeBack) {
     }
   }
 
-  // The replica bit flip of ReplicaBitFlipFailsOverWithoutCrashing: every
-  // factor job on shard 0 fails while its grid stays alive.
-  simmpi::FaultConfig fc;
-  fc.seed = 0xF11B;
-  fc.bitflipProbability = 1.0;
-  fc.bitflipMinBytes = 1024;
-  fc.flipFp32Words = true;
-  fleet.armShardFaults(0, std::make_shared<simmpi::FaultInjector>(fc, 2));
+  // The fault of FailedFactorJobFailsOverWithoutCrashing: every factor
+  // job on shard 0 fails while the shard stays alive.
+  fleet.armShardFaults(0, [](const ProblemKey&) {
+    throw CheckError("injected factor-job fault");
+  });
 
   for (std::size_t i = 0; i < 3; ++i) {
     const auto h = fleet.submit(request(victims[i], 700 + i));
@@ -476,7 +465,7 @@ TEST(FleetEngineTest, RepeatedJobFailuresExcludeThenProbeBack) {
   EXPECT_EQ(h4->wait().failovers, 0);
   EXPECT_EQ(fleet.report().perShard[0].health, "broken");
 
-  // Cure the grid and outlast the cool-down: the next key for shard 0 is
+  // Cure the shard and outlast the cool-down: the next key for shard 0 is
   // its probe, and the probe's success heals it.
   fleet.armShardFaults(0, nullptr);
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
@@ -488,6 +477,39 @@ TEST(FleetEngineTest, RepeatedJobFailuresExcludeThenProbeBack) {
 
   const FleetReport report = fleet.report();
   EXPECT_EQ(report.perShard[0].health, "healthy");
+  EXPECT_EQ(report.dropped, 0u);
+  EXPECT_EQ(report.doubleAnswered, 0u);
+}
+
+TEST(FleetEngineTest, CrashDuringAFactorJobLeavesNothingOnTheDeadShard) {
+  // The shard crashes while its factor job runs, and the job itself
+  // carries on. Its factors must not reach the cache the crash cleared,
+  // nor the fleet index: the request fails over instead.
+  FleetConfig cfg = fleetConfig(2);
+  cfg.shard.maxRetries = 0;
+  cfg.failoverLimit = 2;
+  FleetEngine fleet(cfg);
+  const ProblemKey k = key(32, 16, 32);
+  const index_t primary = fleet.ring().route(k, nullptr);
+  fleet.armShardFaults(primary, [&fleet, primary](const ProblemKey&) {
+    fleet.crashShard(primary);
+  });
+
+  const auto h = fleet.submit(request(k, 779));
+  const RequestOutcome& o = h->wait();
+  ASSERT_EQ(o.status, RequestStatus::kCompleted) << o.error;
+  EXPECT_EQ(o.shard, 1 - primary);
+  EXPECT_GE(o.failovers, 1);
+  expectBitwise(h->solution(), soloSolution(k, 779), "failed-over answer");
+  fleet.drain();
+
+  EXPECT_EQ(fleet.shardEngine(primary).cache().size(), 0u);
+  EXPECT_EQ(fleet.cacheIndex().placements(k),
+            (std::vector<index_t>{1 - primary}));
+  const FleetReport report = fleet.report();
+  EXPECT_EQ(report.crashes, 1u);
+  EXPECT_EQ(report.perShard[static_cast<std::size_t>(primary)].health,
+            "crashed");
   EXPECT_EQ(report.dropped, 0u);
   EXPECT_EQ(report.doubleAnswered, 0u);
 }
@@ -600,48 +622,46 @@ TEST(FleetEngineTest, HedgedReplayUnderGrayFailureLosesNoAnswer) {
   }
 }
 
-TEST(FleetEngineTest, StragglerVerdictsQuarantineAndDetourTheShard) {
-  // The rankProgressHook path: slow-rank verdicts from a shard's grid are
-  // straggler evidence against the whole shard. Enough strikes quarantine
-  // it, and new routes detour to a replica instead of waiting on it.
+TEST(FleetEngineTest, SilentShardIsQuarantinedAndDetoured) {
+  // The phi tier at fleet level: shard 0 answers a run of requests, then
+  // falls silent. The detector quarantines it, and new routes for its
+  // keyspace detour to shard 1 instead of waiting on it. Shard 1 stays
+  // cold (fewer heartbeats than minSamples), so phi never judges it; the
+  // slow configured cadence keeps the warm-up from tripping the detector,
+  // and the long dwell keeps shard 0 quarantined for the rest of the test.
   FleetConfig cfg = fleetConfig(2);
-  cfg.slowRankPolicy.minLagSeconds = 0.002;
-  cfg.slowRankPolicy.medianFactor = 4.0;
-  cfg.slowRankPolicy.strikes = 2;
-  // healthMonitor.stragglerStrikes defaults to 2: two verdicts condemn.
+  cfg.healthMonitor.heartbeatIntervalSeconds = 0.100;
+  cfg.healthMonitor.quarantineDwellSeconds = 60.0;
   FleetEngine fleet(cfg);
+  std::vector<ProblemKey> keys;  // ring primary: shard 0
+  for (std::uint64_t seed = 40; keys.size() < 2; ++seed) {
+    const ProblemKey k = key(32, 16, seed);
+    if (fleet.ring().route(k, nullptr) == 0) {
+      keys.push_back(k);
+    }
+  }
 
-  // Rank 0 paces the grid (arrives last, waits ~0) while rank 1 idles.
-  const std::vector<double> waits = {0.05, 0.0001};
-  const auto hook = fleet.rankProgressHook(0);
-  EXPECT_FALSE(hook(0, waits));  // strike one: observed, not terminal
-  EXPECT_TRUE(hook(1, waits));   // strike two: verdict -> straggler report
-  EXPECT_TRUE(fleet.reportRankWaits(0, 2, waits));  // second report
-
-  EXPECT_EQ(fleet.healthMonitor().stragglerReports(), 2u);
-  EXPECT_EQ(fleet.healthMonitor().quarantines(), 1u);
-  // Quarantine deprioritizes, it does not hard-exclude: the hard tier
-  // still admits the shard (so the detector can never starve the fleet),
-  // but preferred routing steers off it — witnessed by the detour below.
-  EXPECT_TRUE(fleet.shardRoutable(0));
+  // Warm shard 0's heartbeat history with completions.
+  for (std::uint64_t rhs = 1; rhs <= 6; ++rhs) {
+    const auto h = fleet.submit(request(keys[0], rhs));
+    ASSERT_EQ(h->wait().status, RequestStatus::kCompleted) << h->wait().error;
+    ASSERT_EQ(h->wait().shard, 0);
+  }
+  // Silence, far past the warmed cadence.
+  std::this_thread::sleep_for(std::chrono::milliseconds(1000));
 
   // A key whose ring primary is the quarantined shard detours to its
   // replica — and still answers bitwise right.
-  ProblemKey victim;
-  for (std::uint64_t seed = 40;; ++seed) {
-    victim = key(32, 16, seed);
-    if (fleet.ring().route(victim, nullptr) == 0) {
-      break;
-    }
-  }
-  const auto h = fleet.submit(request(victim, 321));
+  const auto h = fleet.submit(request(keys[1], 321));
   ASSERT_EQ(h->wait().status, RequestStatus::kCompleted) << h->wait().error;
   EXPECT_EQ(h->wait().shard, 1);
-  expectBitwise(h->solution(), soloSolution(victim, 321), "detoured answer");
+  expectBitwise(h->solution(), soloSolution(keys[1], 321), "detoured answer");
   fleet.drain();
 
+  // Quarantine deprioritizes, it does not hard-exclude: the hard tier
+  // still admits the shard, so the detector can never starve the fleet.
+  EXPECT_TRUE(fleet.shardRoutable(0));
   const FleetReport report = fleet.report();
-  EXPECT_EQ(report.stragglerReports, 2u);
   EXPECT_EQ(report.quarantines, 1u);
   EXPECT_GE(report.healthDetours, 1u);
   EXPECT_EQ(report.dropped, 0u);
@@ -663,7 +683,6 @@ TEST(FleetEngineTest, ReportJsonCarriesGrayFailureFields) {
   EXPECT_DOUBLE_EQ(v.get("ops_slows").asNumber(), 1.0);
   EXPECT_GE(v.get("quarantines").asNumber(), 0.0);
   EXPECT_GE(v.get("health_detours").asNumber(), 0.0);
-  EXPECT_GE(v.get("straggler_reports").asNumber(), 0.0);
   EXPECT_GE(v.get("hedges_issued").asNumber(), 0.0);
   EXPECT_GE(v.get("hedge_wins").asNumber(), 0.0);
   EXPECT_GE(v.get("hedge_wasted").asNumber(), 0.0);
@@ -679,214 +698,6 @@ TEST(FleetEngineTest, ReportJsonCarriesGrayFailureFields) {
   }
   // The completion fed the winner shard's heartbeat stream.
   EXPECT_GE(heartbeats, 1.0);
-}
-
-// ---------------------------------------- rank-group isolation (simmpi) --
-
-/// One deterministic "grid job": a send/recv swap plus a barrier, returning
-/// a value that proves both directions delivered intact.
-int swapJob(simmpi::Comm& comm, int base) {
-  int got = 0;
-  const int mine = base + static_cast<int>(comm.rank());
-  const index_t peer = 1 - comm.rank();
-  if (comm.rank() == 0) {
-    comm.send(peer, 40, &mine, 1);
-    comm.recv(peer, 41, &got, 1);
-  } else {
-    comm.recv(peer, 40, &got, 1);
-    comm.send(peer, 41, &mine, 1);
-  }
-  comm.barrier();
-  return got;
-}
-
-TEST(RankGroupTest, ConcurrentGroupsKeepFaultsAndReplayLogsIsolated) {
-  // Group A is armed to crash; group B runs clean with the replay log on.
-  // They run concurrently: A's faults, death, and recovery state must be
-  // invisible to B, and B's replay-log counters must count only B's ops.
-  simmpi::FaultConfig fc;
-  fc.seed = 0xAB1E;
-  fc.crashRank = 1;
-  fc.crashAtOp = 4;
-  auto injA = std::make_shared<simmpi::FaultInjector>(fc, 2);
-  auto injB = std::make_shared<simmpi::FaultInjector>(simmpi::FaultConfig{}, 2);
-
-  simmpi::RunOptions optsA;
-  optsA.faults = injA;
-  optsA.timeout = std::chrono::milliseconds(2000);
-  simmpi::RunOptions optsB;
-  optsB.faults = injB;
-  optsB.replayLog = true;
-
-  simmpi::RankGroup groupA(0, 2, optsA);
-  simmpi::RankGroup groupB(1, 2, optsB);
-
-  std::atomic<int> aJobsBeforeCrash{0};
-  std::atomic<bool> aCrashed{false};
-  std::thread threadA([&] {
-    for (int j = 0; j < 16; ++j) {
-      try {
-        groupA.runJob([&](simmpi::Comm& comm) { (void)swapJob(comm, 100); });
-        aJobsBeforeCrash.fetch_add(1);
-      } catch (...) {
-        aCrashed.store(true);
-        break;
-      }
-    }
-  });
-
-  constexpr int kJobsB = 12;
-  std::atomic<int> bCorrect{0};
-  std::thread threadB([&] {
-    for (int j = 0; j < kJobsB; ++j) {
-      groupB.runJob([&](simmpi::Comm& comm) {
-        EXPECT_TRUE(comm.replayLogEnabled());
-        const int got = swapJob(comm, 200 + 10 * j);
-        const index_t peer = 1 - comm.rank();
-        if (got == 200 + 10 * j + static_cast<int>(peer)) {
-          bCorrect.fetch_add(1);
-        }
-        // Each job is its own world, so the log holds exactly this job's
-        // ops for this rank — concurrent group A contributes nothing.
-        const simmpi::ReplayCounters c = comm.replayCounters(comm.rank());
-        EXPECT_EQ(c.sends, 1u);
-        EXPECT_EQ(c.recvs, 1u);
-        EXPECT_EQ(c.barriers, 1u);
-      });
-    }
-  });
-  threadA.join();
-  threadB.join();
-
-  // A crashed on schedule and latched dead...
-  EXPECT_TRUE(aCrashed.load());
-  EXPECT_FALSE(groupA.alive());
-  EXPECT_EQ(injA->stats().crashes, 1u);
-  const simmpi::RankGroup::Stats sa = groupA.stats();
-  EXPECT_EQ(sa.crashes, 1u);
-  EXPECT_EQ(sa.jobs,
-            static_cast<std::uint64_t>(aJobsBeforeCrash.load()) + 1u);
-  EXPECT_THROW(groupA.runJob([](simmpi::Comm&) {}), simmpi::GroupDownError);
-
-  // ...while B saw none of it: every answer correct, no faults observed,
-  // group alive, zero failures.
-  EXPECT_EQ(bCorrect.load(), 2 * kJobsB);  // both ranks of every job
-  EXPECT_TRUE(groupB.alive());
-  const simmpi::RankGroup::Stats sb = groupB.stats();
-  EXPECT_EQ(sb.jobs, static_cast<std::uint64_t>(kJobsB));
-  EXPECT_EQ(sb.failures, 0u);
-  const simmpi::FaultStats fsB = injB->stats();
-  EXPECT_EQ(fsB.crashes, 0u);
-  EXPECT_EQ(fsB.delays + fsB.transientFailures + fsB.bitflips + fsB.stalls,
-            0u);
-
-  // Restart rearms A on a fresh generation with the spent plan cleared.
-  groupA.restart();
-  EXPECT_TRUE(groupA.alive());
-  EXPECT_EQ(groupA.generation(), 2);
-  int recovered = 0;
-  groupA.runJob([&](simmpi::Comm& comm) {
-    const int got = swapJob(comm, 300);
-    if (comm.rank() == 0) {
-      recovered = got;
-    }
-  });
-  EXPECT_EQ(recovered, 301);
-}
-
-TEST(RankGroupTest, JobsRunOnTheGroupsOwnThreads) {
-  // The group keeps its rank threads: every job, across a kill and a
-  // restart, runs each rank on the same thread, never on the caller's.
-  // A thread-local job count backs the ids up, since the OS may hand a
-  // joined thread's id to a new one.
-  simmpi::RankGroup group(3, 2);
-  std::vector<std::thread::id> ids(2);
-  std::vector<int> jobsOnThread(2, 0);
-  const auto job = [&](simmpi::Comm& comm) {
-    static thread_local int jobsHere = 0;
-    const auto r = static_cast<std::size_t>(comm.rank());
-    ids[r] = std::this_thread::get_id();
-    jobsOnThread[r] = ++jobsHere;
-    comm.barrier();
-  };
-  group.runJob(job);
-  const std::vector<std::thread::id> first = ids;
-  EXPECT_NE(first[0], first[1]);
-  EXPECT_NE(first[0], std::this_thread::get_id());
-  EXPECT_NE(first[1], std::this_thread::get_id());
-  for (int j = 2; j <= 20; ++j) {
-    group.runJob(job);
-    EXPECT_EQ(ids, first) << "job " << j;
-    EXPECT_EQ(jobsOnThread, (std::vector<int>{j, j})) << "job " << j;
-  }
-  group.kill("maintenance");
-  group.restart();
-  group.runJob(job);
-  EXPECT_EQ(ids, first) << "after restart";
-  EXPECT_EQ(jobsOnThread, (std::vector<int>{21, 21}));
-}
-
-TEST(RankGroupTest, FailuresKeepTheirTypeAndProvenance) {
-  // A job fails exactly as simmpi::run fails: rank 1 crashes at its first
-  // op while rank 0's send completes, so the lone failure keeps its type.
-  simmpi::FaultConfig crash;
-  crash.crashRank = 1;
-  crash.crashAtOp = 0;
-  simmpi::RunOptions opts;
-  opts.faults = std::make_shared<simmpi::FaultInjector>(crash, 2);
-  opts.timeout = std::chrono::milliseconds(2000);
-  simmpi::RankGroup group(4, 2, opts);
-  const auto handoff = [](simmpi::Comm& comm) {
-    int x = 5;
-    if (comm.rank() == 0) {
-      comm.send(1, 7, &x, 1);
-    } else {
-      comm.recv(0, 7, &x, 1);
-    }
-  };
-  EXPECT_THROW(group.runJob(handoff), simmpi::InjectedCrashError);
-  EXPECT_FALSE(group.alive());
-
-  group.restart();
-  group.runJob(handoff);
-  EXPECT_EQ(group.stats().failures, 1u);
-
-  // Several failures become one MultiRankError, each tagged with the
-  // armed plan's seed and the rank's op count.
-  simmpi::FaultConfig plan;
-  plan.seed = 0x5EED;
-  group.setFaults(std::make_shared<simmpi::FaultInjector>(plan, 2));
-  try {
-    group.runJob([](simmpi::Comm& comm) {
-      throw CheckError("rank " + std::to_string(comm.rank()) + " gave up");
-    });
-    ADD_FAILURE() << "two throwing ranks must fail the job";
-  } catch (const simmpi::MultiRankError& e) {
-    ASSERT_EQ(e.failures().size(), 2u);
-    for (const simmpi::RankFailure& f : e.failures()) {
-      EXPECT_NE(f.message.find("gave up [fault plan seed " +
-                               std::to_string(plan.seed)),
-                std::string::npos)
-          << f.message;
-    }
-  }
-  EXPECT_TRUE(group.alive());  // no crash among the failures
-
-  // A group that never ran a job stops its parked threads on destruction.
-  { simmpi::RankGroup idle(5, 3); }
-}
-
-TEST(RankGroupTest, OpsKillFailsFastUntilRestart) {
-  simmpi::RankGroup group(7, 2);
-  group.runJob([](simmpi::Comm& comm) { comm.barrier(); });
-  group.kill("maintenance");
-  EXPECT_FALSE(group.alive());
-  EXPECT_THROW(group.runJob([](simmpi::Comm&) {}), simmpi::GroupDownError);
-  group.restart();
-  EXPECT_TRUE(group.alive());
-  EXPECT_EQ(group.generation(), 2);
-  group.runJob([](simmpi::Comm& comm) { comm.barrier(); });
-  EXPECT_EQ(group.stats().jobs, 2u);  // killed-window attempt not counted
 }
 
 }  // namespace

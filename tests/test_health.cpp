@@ -1,7 +1,7 @@
 // Phi-accrual shard health detector: cold-start grace, phi growth under
 // heartbeat silence, the healthy -> suspect -> quarantined -> probing ->
-// healthy state machine, straggler-strike escalation, probe-quota routing,
-// and bitwise determinism of the detector under identical call sequences.
+// healthy state machine, probe-quota routing, and bitwise determinism of
+// the detector under identical call sequences.
 // Also the hard tier (job-failure strikes, ops breaks) and the two-tier
 // ring walk the fleet and fleetsim route with.
 //
@@ -41,7 +41,6 @@ TEST(HealthConfigTest, ValidateRejectsDegenerateKnobs) {
   reject([](HealthConfig& c) { c.suspectPhi = c.quarantinePhi; });
   reject([](HealthConfig& c) { c.quarantineDwellSeconds = -1.0; });
   reject([](HealthConfig& c) { c.probeQuota = 0; });
-  reject([](HealthConfig& c) { c.stragglerStrikes = 0; });
   HealthConfig ok;
   EXPECT_NO_THROW(ok.validate());
 }
@@ -139,27 +138,6 @@ TEST(ShardHealthMonitorTest, FailedProbeGoesBackToQuarantine) {
   EXPECT_EQ(mon.quarantines(), 2u);
 }
 
-TEST(ShardHealthMonitorTest, StragglerStrikesEscalateWithoutSilence) {
-  // The SlowRankMonitor path: the shard's heartbeats look fine (it is
-  // alive and completing), but its grid keeps producing slow-rank
-  // verdicts. Strikes alone must escalate it.
-  ShardHealthMonitor mon(HealthConfig{}, 1);  // stragglerStrikes = 2
-  const double last = warmUp(mon, 0, 10);
-
-  mon.noteStraggler(0, last + 0.001);
-  EXPECT_EQ(mon.state(0, last + 0.002), HealthState::kSuspect);
-  // One healthy heartbeat clears the streak and the suspicion.
-  mon.heartbeat(0, last + 0.010);
-  EXPECT_EQ(mon.state(0, last + 0.011), HealthState::kHealthy);
-
-  // Two consecutive strikes with no heartbeat in between: quarantined.
-  mon.noteStraggler(0, last + 0.012);
-  mon.noteStraggler(0, last + 0.013);
-  EXPECT_EQ(mon.state(0, last + 0.014), HealthState::kQuarantined);
-  EXPECT_EQ(mon.quarantines(), 1u);
-  EXPECT_EQ(mon.stragglerReports(), 3u);
-}
-
 TEST(ShardHealthMonitorTest, ShardsAreJudgedIndependently) {
   ShardHealthMonitor mon(HealthConfig{}, 3);
   double t = 0.0;
@@ -187,9 +165,8 @@ TEST(ShardHealthMonitorTest, DisabledMonitorNeverIntervenes) {
   HealthConfig cfg;
   cfg.enabled = false;
   ShardHealthMonitor mon(cfg, 2);
-  mon.heartbeat(0, 0.0);
-  mon.noteStraggler(0, 1.0);
-  mon.noteStraggler(0, 2.0);
+  // A warm cadence, then silence that quarantines an enabled monitor.
+  warmUp(mon, 0, 10);
   mon.onOutcome(0, false, 3.0);
   EXPECT_TRUE(mon.routable(0, 100.0));
   EXPECT_DOUBLE_EQ(mon.phi(0, 100.0), 0.0);
@@ -260,20 +237,19 @@ TEST(ShardHealthMonitorTest, RouteFallsBackPastQuarantineButNotExclusion) {
     ++k.seed;
   }
   ShardHealthMonitor mon(HealthConfig{}, 2);
-  mon.noteStraggler(0, 0.0);
-  mon.noteStraggler(0, 0.0);  // two strikes: a soft quarantine
-  ASSERT_EQ(mon.state(0, 0.0), HealthState::kQuarantined);
+  const double t = warmUp(mon, 0, 10) + 0.040;  // silence: a soft quarantine
+  ASSERT_EQ(mon.state(0, t), HealthState::kQuarantined);
   const auto all = [](index_t) { return true; };
   const auto only0 = [](index_t s) { return s == 0; };
 
   // Steered off the quarantined primary, and counted as a detour.
-  EXPECT_EQ(mon.route(ring, k, all, 0.001), 1);
+  EXPECT_EQ(mon.route(ring, k, all, t + 0.001), 1);
   EXPECT_EQ(mon.detours(), 1u);
   // With no other shard alive, quarantine never starves the key...
-  EXPECT_EQ(mon.route(ring, k, only0, 0.001), 0);
+  EXPECT_EQ(mon.route(ring, k, only0, t + 0.001), 0);
   // ...but hard evidence does exclude the shard.
-  mon.breakShard(0, 0.002);
-  EXPECT_EQ(mon.route(ring, k, only0, 0.003), -1);
+  mon.breakShard(0, t + 0.002);
+  EXPECT_EQ(mon.route(ring, k, only0, t + 0.003), -1);
   EXPECT_EQ(mon.detours(), 1u);
 }
 
