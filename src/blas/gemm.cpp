@@ -237,7 +237,7 @@ void gemmCore(Trans ta, Trans tb, index_t m, index_t n, index_t k, TAcc alpha,
   }
 
   // beta-scale all of C once, up front (element-wise, order-free). The
-  // blocked TRSM's updates run with beta == 1 and skip the dispatch.
+  // LU's trailing updates run with beta == 1 and skip the dispatch.
   if (beta != TAcc{1}) {
     pool->parallelForChunked(0, n, [&](index_t jLo, index_t jHi) {
       for (index_t j = jLo; j < jHi; ++j) {

@@ -2,7 +2,7 @@
 //
 // The hot kernels of Algorithm 1 — the packed FP32-accumulate GEMM
 // (sgemm, gemmMixed/gemmLowp), binary16 CAST and TRANS_CAST, and the
-// blocked FP32 TRSM with the LU panel around it — each have a portable
+// FP32 panel TRSM with the LU panel around it — each have a portable
 // scalar path and an AVX-512 path, picked once from CPUID (util/isa.h).
 // Both paths do the same arithmetic per element (a multiply, then an add,
 // in ascending k; binary16 rounding to nearest even), so they produce
@@ -41,13 +41,13 @@ void transCastToHalf(Isa isa, index_t m, index_t n, const float* src,
                      ThreadPool* pool);
 
 /// strsm (no transpose) on path `isa`: (Left, Lower) and (Right, Upper)
-/// are blocked, the other two run strsmUnblocked.
+/// run the lane kernel, the other two run strsmUnblocked.
 void strsm(Isa isa, Side side, Uplo uplo, Diag diag, index_t m, index_t n,
            float alpha, const float* a, index_t lda, float* b, index_t ldb,
            ThreadPool* pool);
 
 /// The unblocked stripe substitution over the whole triangle: the
-/// in-block solver of the blocked strsm, and its reference.
+/// solver of the other two variants, and the lane kernel's reference.
 void strsmUnblocked(Isa isa, Side side, Uplo uplo, Diag diag, index_t m,
                     index_t n, float alpha, const float* a, index_t lda,
                     float* b, index_t ldb, ThreadPool* pool);

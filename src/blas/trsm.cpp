@@ -1,8 +1,8 @@
 #include "blas/trsm.h"
 
+#include <algorithm>
 #include <type_traits>
 
-#include "blas/gemm.h"
 #include "blas/isa.h"
 #include "util/simd.h"
 
@@ -12,9 +12,6 @@ namespace {
 
 // Number of RHS columns (kLeft) or rows (kRight) per parallel task.
 constexpr index_t kStripe = 32;
-
-// Order of the diagonal blocks of the blocked strsm.
-constexpr index_t kTrsmBlock = 32;
 
 template <typename T>
 void scaleColumns(T* b, index_t ldb, index_t m, index_t j0, index_t j1,
@@ -304,79 +301,343 @@ void trsmCore(Isa isa, Side side, Uplo uplo, Trans trans, Diag diag,
   }
 }
 
-/// A one-lane pool for the work inside a blocked solve's chunk, whose
-/// chunks already occupy every lane of the caller's pool. Concurrent
-/// chunks share it safely: a one-lane parallel-for runs inline, and each
-/// caller leases its own pack arena.
-ThreadPool& oneLanePool() {
-  static ThreadPool pool(1);
-  return pool;
+// ---------------------------------------------------------------------------
+// The lane kernel of the two panel solves.
+//
+// (Right, Upper) solves X U = B row by row, and (Left, Lower) solves
+// L X = B column by column, that is X^T L^T = B^T. Both are Y U = C with U
+// upper, for independent rows of Y. A tile of kLaneRows such rows sits in
+// the lanes of a slab, l-major (slab[l * kLaneRows + r] = Y(r, l)), so a
+// column of the tile is two 16-float vectors. The kernel walks U in blocks
+// of kLaneCols columns, left-looking: it holds the block's columns of the
+// tile in registers, subtracts X(:, l) * U(l, c) for every solved column
+// l < j0, then runs the in-block triangle and, for NonUnit, the divide.
+// So every element receives its products in ascending l, one multiply then
+// one subtract, and then its divide: strsmUnblocked's sequence, bit for
+// bit.
+// ---------------------------------------------------------------------------
+
+constexpr index_t kLaneRows = 32;  // independent solves per tile
+constexpr index_t kLaneCols = 8;   // columns of U per register block
+constexpr index_t kLaneVec = 16;   // floats per vector and transpose block
+
+/// Packs U once per call in blocks of kLaneCols columns: block j0 holds
+/// rows l < j0 + kLaneCols of its columns, row-major (dst[l * kLaneCols +
+/// c] = U(l, j0 + c)), so the kernel broadcasts a row of the block from
+/// one cache line. U is A for (Right, Upper) and L^T for (Left, Lower); the
+/// unused triangle is never read. Columns past the order k pad the last
+/// block with zeros and a unit diagonal.
+void packTriangle(Side side, index_t k, const float* a, index_t lda,
+                  float* dst) {
+  for (index_t j0 = 0; j0 < k; j0 += kLaneCols) {
+    for (index_t l = 0; l < j0 + kLaneCols; ++l) {
+      for (index_t c = 0; c < kLaneCols; ++c) {
+        const index_t j = j0 + c;
+        float u = 0.0f;
+        if (j >= k) {
+          u = l == j ? 1.0f : 0.0f;
+        } else if (l <= j) {
+          u = side == Side::kRight ? a[l + j * lda] : a[j + l * lda];
+        }
+        *dst++ = u;
+      }
+    }
+  }
 }
 
-/// Blocked (Left, Lower) or (Right, Upper) solve: the stripe substitution
-/// solves each kTrsmBlock diagonal block, and one GEMM per block applies
-/// the solved block to the rest, C += A * (-X) with beta = 1. Every element
-/// still receives its updates one at a time in ascending l, and
-/// acc + a * (-x) == acc - a * x exactly, so the result is bitwise the
-/// unblocked solve's. Right-hand sides are independent, so each lane runs
-/// the whole blocked solve on its own columns (kLeft) or rows (kRight):
-/// one dispatch per solve, however many blocks it has.
-void strsmBlocked(Isa isa, Side side, Diag diag, index_t m, index_t n,
-                  float alpha, const float* a, index_t lda, float* b,
-                  index_t ldb, ThreadPool* pool) {
-  if (pool == nullptr) {
-    pool = &ThreadPool::global();
+/// (Right, Upper): rows [0, rows) of b, times alpha, into the slab's first
+/// k columns. Lanes past `rows` and columns past k are zero.
+void gatherRows(const float* b, index_t ldb, index_t k, index_t rows,
+                float alpha, index_t slabCols, float* slab) {
+  for (index_t l = 0; l < slabCols; ++l) {
+    float* dst = slab + l * kLaneRows;
+    index_t i = 0;
+    if (l < k) {
+      const float* src = b + l * ldb;
+      for (; i < rows; ++i) {
+        dst[i] = alpha == 1.0f ? src[i] : src[i] * alpha;
+      }
+    }
+    for (; i < kLaneRows; ++i) {
+      dst[i] = 0.0f;
+    }
   }
-  if (alpha != 1.0f) {
-    pool->parallelForChunked(
-        0, n,
-        [&](index_t j0, index_t j1) {
-          scaleColumns(b, ldb, m, j0, j1, alpha);
-        },
-        ceilDiv(n, kStripe));
+}
+
+void scatterRows(const float* slab, index_t k, index_t rows, float* b,
+                 index_t ldb) {
+  for (index_t l = 0; l < k; ++l) {
+    const float* src = slab + l * kLaneRows;
+    float* dst = b + l * ldb;
+    for (index_t i = 0; i < rows; ++i) {
+      dst[i] = src[i];
+    }
   }
-  ThreadPool* lane = &oneLanePool();
-  if (side == Side::kLeft) {
-    pool->parallelForChunked(
-        0, n,
-        [&](index_t j0, index_t j1) {
-          float* x = b + j0 * ldb;
-          for (index_t p = 0; p < m; p += kTrsmBlock) {
-            const index_t pb = std::min(kTrsmBlock, m - p);
-            trsmCore<float>(isa, Side::kLeft, Uplo::kLower, Trans::kNoTrans,
-                            diag, pb, j1 - j0, 1.0f, a + p + p * lda, lda,
-                            x + p, ldb, lane);
-            const index_t rest = m - p - pb;
-            if (rest > 0) {
-              detail::gemm<float>(isa, Trans::kNoTrans, Trans::kNoTrans,
-                                  rest, j1 - j0, pb, -1.0f,
-                                  a + p + pb + p * lda, lda, x + p, ldb, 1.0f,
-                                  x + p + pb, ldb, lane);
+}
+
+/// The scalar lane kernel: the algorithm on float arrays, where the
+/// AVX-512 kernel holds a vector.
+struct ScalarLanes {
+  /// (Left, Lower): columns [0, cols) of b, times alpha, transposed into
+  /// the slab's first k columns. Lanes past `cols` and columns past k are
+  /// zero.
+  static void gatherCols(const float* b, index_t ldb, index_t k,
+                         index_t cols, float alpha, index_t slabCols,
+                         float* slab) {
+    std::fill(slab, slab + slabCols * kLaneRows, 0.0f);
+    for (index_t r = 0; r < cols; ++r) {
+      const float* src = b + r * ldb;
+      for (index_t l = 0; l < k; ++l) {
+        slab[l * kLaneRows + r] = alpha == 1.0f ? src[l] : src[l] * alpha;
+      }
+    }
+  }
+
+  static void scatterCols(const float* slab, index_t k, index_t cols,
+                          float* b, index_t ldb) {
+    for (index_t r = 0; r < cols; ++r) {
+      float* dst = b + r * ldb;
+      for (index_t l = 0; l < k; ++l) {
+        dst[l] = slab[l * kLaneRows + r];
+      }
+    }
+  }
+
+  /// Solves the tile in the slab against the packed triangle u of order
+  /// kPad (a multiple of kLaneCols).
+  static void solve(Diag diag, index_t kPad, const float* u, float* slab) {
+    for (index_t j0 = 0; j0 < kPad; j0 += kLaneCols) {
+      float acc[kLaneCols][kLaneRows];
+      float* y = slab + j0 * kLaneRows;
+      for (index_t c = 0; c < kLaneCols; ++c) {
+        for (index_t i = 0; i < kLaneRows; ++i) {
+          acc[c][i] = y[c * kLaneRows + i];
+        }
+      }
+      for (index_t l = 0; l < j0; ++l) {
+        const float* x = slab + l * kLaneRows;
+        const float* ul = u + l * kLaneCols;
+        for (index_t c = 0; c < kLaneCols; ++c) {
+          const float uv = ul[c];
+          for (index_t i = 0; i < kLaneRows; ++i) {
+            acc[c][i] -= x[i] * uv;
+          }
+        }
+      }
+      const float* ub = u + j0 * kLaneCols;
+      for (index_t c = 0; c < kLaneCols; ++c) {
+        for (index_t p = 0; p < c; ++p) {
+          const float uv = ub[p * kLaneCols + c];
+          for (index_t i = 0; i < kLaneRows; ++i) {
+            acc[c][i] -= acc[p][i] * uv;
+          }
+        }
+        if (diag == Diag::kNonUnit) {
+          const float pivot = ub[c * kLaneCols + c];
+          for (index_t i = 0; i < kLaneRows; ++i) {
+            acc[c][i] /= pivot;
+          }
+        }
+      }
+      for (index_t c = 0; c < kLaneCols; ++c) {
+        for (index_t i = 0; i < kLaneRows; ++i) {
+          y[c * kLaneRows + i] = acc[c][i];
+        }
+      }
+      u += (j0 + kLaneCols) * kLaneCols;
+    }
+  }
+};
+
+#if HPLMXP_HAVE_AVX512
+/// The AVX-512 lane kernel: the scalar kernel's arithmetic with a tile
+/// column in two zmm registers, so a 32 x 8 block of the tile lives in 16
+/// accumulators. Per update it does _mm512_mul_ps then _mm512_sub_ps,
+/// never an FMA, and its divide is _mm512_div_ps, so it rounds exactly
+/// like the scalar kernel. (Left, Lower) tiles move between B and the slab
+/// through in-register 16 x 16 transposes.
+struct Avx512Lanes {
+  static constexpr index_t kHalves = kLaneRows / kLaneVec;
+
+  /// Lanes [0, n) of a 16-lane mask, for n in [0, 16] or more.
+  static __mmask16 lowLanes(index_t n) {
+    return n >= kLaneVec ? __mmask16{0xFFFF}
+                         : static_cast<__mmask16>((1u << n) - 1u);
+  }
+
+  /// Transposes the 16 x 16 block whose row i is v[i]. The zero-masked
+  /// shuffles with a full mask are the unmasked instructions; the unmasked
+  /// intrinsics trip a GCC 12 -Wmaybe-uninitialized false positive on
+  /// their undefined pass-through.
+  [[gnu::always_inline]] HPLMXP_AVX512 static inline void transpose16(
+      __m512* v) {
+    constexpr __mmask16 kAll = 0xFFFF;
+    __m512 t[kLaneVec];
+    for (int i = 0; i < 16; i += 2) {
+      t[i] = _mm512_maskz_unpacklo_ps(kAll, v[i], v[i + 1]);
+      t[i + 1] = _mm512_maskz_unpackhi_ps(kAll, v[i], v[i + 1]);
+    }
+    for (int i = 0; i < 16; i += 4) {
+      v[i] = _mm512_maskz_shuffle_ps(kAll, t[i], t[i + 2], 0x44);
+      v[i + 1] = _mm512_maskz_shuffle_ps(kAll, t[i], t[i + 2], 0xEE);
+      v[i + 2] = _mm512_maskz_shuffle_ps(kAll, t[i + 1], t[i + 3], 0x44);
+      v[i + 3] = _mm512_maskz_shuffle_ps(kAll, t[i + 1], t[i + 3], 0xEE);
+    }
+    for (int i = 0; i < 4; ++i) {
+      t[i] = _mm512_maskz_shuffle_f32x4(kAll, v[i], v[i + 4], 0x88);
+      t[i + 4] = _mm512_maskz_shuffle_f32x4(kAll, v[i], v[i + 4], 0xDD);
+      t[i + 8] = _mm512_maskz_shuffle_f32x4(kAll, v[i + 8], v[i + 12], 0x88);
+      t[i + 12] =
+          _mm512_maskz_shuffle_f32x4(kAll, v[i + 8], v[i + 12], 0xDD);
+    }
+    for (int i = 0; i < 8; ++i) {
+      v[i] = _mm512_maskz_shuffle_f32x4(kAll, t[i], t[i + 8], 0x88);
+      v[i + 8] = _mm512_maskz_shuffle_f32x4(kAll, t[i], t[i + 8], 0xDD);
+    }
+  }
+
+  HPLMXP_AVX512 static void gatherCols(const float* b, index_t ldb,
+                                       index_t k, index_t cols, float alpha,
+                                       index_t slabCols, float* slab) {
+    const __m512 av = _mm512_set1_ps(alpha);
+    for (index_t g = 0; g < kLaneRows; g += kLaneVec) {
+      for (index_t l0 = 0; l0 < slabCols; l0 += kLaneVec) {
+        const __mmask16 live = lowLanes(k - l0);
+        __m512 v[kLaneVec];
+        for (index_t r = 0; r < kLaneVec; ++r) {
+          v[r] = g + r < cols
+                     ? _mm512_maskz_loadu_ps(live, b + (g + r) * ldb + l0)
+                     : _mm512_setzero_ps();
+        }
+        transpose16(v);
+        for (index_t i = 0; i < kLaneVec; ++i) {
+          _mm512_store_ps(slab + (l0 + i) * kLaneRows + g,
+                          alpha == 1.0f ? v[i] : _mm512_mul_ps(v[i], av));
+        }
+      }
+    }
+  }
+
+  HPLMXP_AVX512 static void scatterCols(const float* slab, index_t k,
+                                        index_t cols, float* b,
+                                        index_t ldb) {
+    for (index_t g = 0; g < cols; g += kLaneVec) {
+      for (index_t l0 = 0; l0 < k; l0 += kLaneVec) {
+        const __mmask16 live = lowLanes(k - l0);
+        __m512 v[kLaneVec];
+        for (index_t i = 0; i < kLaneVec; ++i) {
+          v[i] = _mm512_load_ps(slab + (l0 + i) * kLaneRows + g);
+        }
+        transpose16(v);
+        for (index_t r = 0; r < kLaneVec && g + r < cols; ++r) {
+          _mm512_mask_storeu_ps(b + (g + r) * ldb + l0, live, v[r]);
+        }
+      }
+    }
+  }
+
+  HPLMXP_AVX512 static void solve(Diag diag, index_t kPad, const float* u,
+                                  float* slab) {
+    for (index_t j0 = 0; j0 < kPad; j0 += kLaneCols) {
+      __m512 acc[kLaneCols][kHalves];
+      float* y = slab + j0 * kLaneRows;
+      for (index_t c = 0; c < kLaneCols; ++c) {
+        for (index_t h = 0; h < kHalves; ++h) {
+          acc[c][h] = _mm512_load_ps(y + c * kLaneRows + h * kLaneVec);
+        }
+      }
+      for (index_t l = 0; l < j0; ++l) {
+        __m512 x[kHalves];
+        for (index_t h = 0; h < kHalves; ++h) {
+          x[h] = _mm512_load_ps(slab + l * kLaneRows + h * kLaneVec);
+        }
+        const float* ul = u + l * kLaneCols;
+#pragma GCC unroll 8
+        for (index_t c = 0; c < kLaneCols; ++c) {
+          const __m512 uv = _mm512_set1_ps(ul[c]);
+          for (index_t h = 0; h < kHalves; ++h) {
+            acc[c][h] = _mm512_sub_ps(acc[c][h], _mm512_mul_ps(x[h], uv));
+          }
+        }
+      }
+      const float* ub = u + j0 * kLaneCols;
+#pragma GCC unroll 8
+      for (index_t c = 0; c < kLaneCols; ++c) {
+#pragma GCC unroll 8
+        for (index_t p = 0; p < c; ++p) {
+          const __m512 uv = _mm512_set1_ps(ub[p * kLaneCols + c]);
+          for (index_t h = 0; h < kHalves; ++h) {
+            acc[c][h] = _mm512_sub_ps(acc[c][h], _mm512_mul_ps(acc[p][h], uv));
+          }
+        }
+        if (diag == Diag::kNonUnit) {
+          const __m512 pivot = _mm512_set1_ps(ub[c * kLaneCols + c]);
+          for (index_t h = 0; h < kHalves; ++h) {
+            acc[c][h] = _mm512_div_ps(acc[c][h], pivot);
+          }
+        }
+      }
+      for (index_t c = 0; c < kLaneCols; ++c) {
+        for (index_t h = 0; h < kHalves; ++h) {
+          _mm512_store_ps(y + c * kLaneRows + h * kLaneVec, acc[c][h]);
+        }
+      }
+      u += (j0 + kLaneCols) * kLaneCols;
+    }
+  }
+};
+#endif
+
+/// Runs the (Left, Lower) or (Right, Upper) solve on lane kernel Lanes.
+/// The call leases one scratch arena: the packed triangle, which every
+/// lane reads, and one slab per lane of the pool. Each lane takes one
+/// contiguous range of tiles, so a solve is one dispatch.
+template <typename Lanes>
+void laneSolve(Side side, Diag diag, index_t m, index_t n, float alpha,
+               const float* a, index_t lda, float* b, index_t ldb,
+               ThreadPool* pool) {
+  const bool left = side == Side::kLeft;
+  const index_t k = left ? m : n;       // order of the triangle
+  const index_t solves = left ? n : m;  // independent rows of Y
+  const index_t kPad = roundUp(k, kLaneCols);
+  const index_t slabCols = roundUp(k, kLaneVec);
+  // packTriangle's blocks hold (j0 + kLaneCols) * kLaneCols floats each.
+  const index_t packFloats = kPad * (kPad + kLaneCols) / 2;
+  const index_t slabFloats = slabCols * kLaneRows;
+  const index_t tiles = ceilDiv(solves, kLaneRows);
+  const index_t lanes = std::min(pool->laneCount(), tiles);
+
+  auto lease = pool->scratch();
+  Arena& arena = lease.arena();
+  arena.reserve(static_cast<std::size_t>(packFloats + lanes * slabFloats) *
+                    sizeof(float) +
+                2 * 64);
+  float* u = arena.alloc<float>(packFloats);
+  float* slabs = arena.alloc<float>(lanes * slabFloats);
+  packTriangle(side, k, a, lda, u);
+  pool->parallelForChunked(
+      0, lanes,
+      [&](index_t lane0, index_t lane1) {
+        for (index_t lane = lane0; lane < lane1; ++lane) {
+          float* slab = slabs + lane * slabFloats;
+          const index_t t1 = tiles * (lane + 1) / lanes;
+          for (index_t t = tiles * lane / lanes; t < t1; ++t) {
+            const index_t r0 = t * kLaneRows;
+            const index_t rows = std::min(kLaneRows, solves - r0);
+            if (left) {
+              Lanes::gatherCols(b + r0 * ldb, ldb, k, rows, alpha, slabCols,
+                                slab);
+              Lanes::solve(diag, kPad, u, slab);
+              Lanes::scatterCols(slab, k, rows, b + r0 * ldb, ldb);
+            } else {
+              gatherRows(b + r0, ldb, k, rows, alpha, slabCols, slab);
+              Lanes::solve(diag, kPad, u, slab);
+              scatterRows(slab, k, rows, b + r0, ldb);
             }
           }
-        },
-        pool->laneCount());
-  } else {
-    pool->parallelForChunked(
-        0, m,
-        [&](index_t i0, index_t i1) {
-          float* x = b + i0;
-          for (index_t p = 0; p < n; p += kTrsmBlock) {
-            const index_t pb = std::min(kTrsmBlock, n - p);
-            trsmCore<float>(isa, Side::kRight, Uplo::kUpper, Trans::kNoTrans,
-                            diag, i1 - i0, pb, 1.0f, a + p + p * lda, lda,
-                            x + p * ldb, ldb, lane);
-            const index_t rest = n - p - pb;
-            if (rest > 0) {
-              detail::gemm<float>(isa, Trans::kNoTrans, Trans::kNoTrans,
-                                  i1 - i0, rest, pb, -1.0f, x + p * ldb, ldb,
-                                  a + p + (p + pb) * lda, lda, 1.0f,
-                                  x + (p + pb) * ldb, ldb, lane);
-            }
-          }
-        },
-        pool->laneCount());
-  }
+        }
+      },
+      lanes);
 }
 
 }  // namespace
@@ -384,9 +645,9 @@ void strsmBlocked(Isa isa, Side side, Diag diag, index_t m, index_t n,
 void detail::strsm(Isa isa, Side side, Uplo uplo, Diag diag, index_t m,
                    index_t n, float alpha, const float* a, index_t lda,
                    float* b, index_t ldb, ThreadPool* pool) {
-  const bool blocked = (side == Side::kLeft && uplo == Uplo::kLower) ||
-                       (side == Side::kRight && uplo == Uplo::kUpper);
-  if (!blocked) {
+  const bool panel = (side == Side::kLeft && uplo == Uplo::kLower) ||
+                     (side == Side::kRight && uplo == Uplo::kUpper);
+  if (!panel) {
     strsmUnblocked(isa, side, uplo, diag, m, n, alpha, a, lda, b, ldb, pool);
     return;
   }
@@ -396,7 +657,16 @@ void detail::strsm(Isa isa, Side side, Uplo uplo, Diag diag, index_t m,
   }
   HPLMXP_REQUIRE(lda >= (side == Side::kLeft ? m : n), "trsm: lda too small");
   HPLMXP_REQUIRE(ldb >= m, "trsm: ldb too small");
-  strsmBlocked(isa, side, diag, m, n, alpha, a, lda, b, ldb, pool);
+  if (pool == nullptr) {
+    pool = &ThreadPool::global();
+  }
+#if HPLMXP_HAVE_AVX512
+  if (isa == Isa::kAvx512) {
+    laneSolve<Avx512Lanes>(side, diag, m, n, alpha, a, lda, b, ldb, pool);
+    return;
+  }
+#endif
+  laneSolve<ScalarLanes>(side, diag, m, n, alpha, a, lda, b, ldb, pool);
 }
 
 void detail::strsmUnblocked(Isa isa, Side side, Uplo uplo, Diag diag,

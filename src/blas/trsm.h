@@ -8,15 +8,17 @@
 //
 // The triangular matrix A is B x B (small); B has panel shape. FP32
 // (Left, Lower) and (Right, Upper) — Algorithm 1's two panel solves and
-// the two inside getrfNoPiv — are blocked: stripe substitution solves each
-// 32 x 32 diagonal block, and an sgemm with alpha = -1, beta = 1 applies it
-// to the rest, on the kernel path the process selected (blas/isa.h). Every
-// element still receives its updates one at a time in ascending order, and
-// acc + a * (-x) == acc - a * x exactly, so the blocked solve is bitwise
-// the unblocked one. The other variants, and dtrsm, run the stripe
-// substitution over the whole triangle. Both are parallelized over
-// right-hand-side columns (kLeft) or rows (kRight); the blocked solve
-// gives each lane one range and runs every block on it.
+// the two inside getrfNoPiv — run a lane kernel on the path the process
+// selected (blas/isa.h). Each right-hand side is an independent solve, so
+// 32 of them sit in the lanes of a slab (a (Left, Lower) tile is
+// transposed into it), and the kernel solves the slab left-looking against
+// the triangle, packed once per call, holding 8 of its columns in
+// registers. Every element still receives its products one at a time in
+// ascending order, one multiply then one subtract, then its divide, so the
+// lane kernel is bitwise the stripe substitution. The other variants, and
+// dtrsm, run the stripe substitution over the whole triangle. Both are
+// parallelized over right-hand-side columns (kLeft) or rows (kRight); the
+// lane kernel gives each lane of the pool one range of tiles.
 #pragma once
 
 #include "blas/types.h"

@@ -184,10 +184,14 @@ TEST(Trsm, EmptyDimsAreNoOps) {
 }
 
 // ---------------------------------------------------------------------------
-// The blocked strsm of Algorithm 1's two panel solves, on every kernel path
+// The lane kernel of Algorithm 1's two panel solves, on every kernel path
 // (blas/isa.h), against the unblocked stripe substitution on the scalar
-// path: memcmp, not tolerances. The unused triangle holds garbage, and B
-// has a padded leading dimension.
+// path: memcmp, not tolerances. The extents hit every lane tail and every
+// remainder of the register block. The triangle sits in a buffer whose
+// leading dimension may exceed its order, as in the LU's panels, with
+// garbage everywhere the solve must not read; B has a padded leading
+// dimension. Pools of 1 and 4 lanes run each solve as one chunk or as
+// several.
 // ---------------------------------------------------------------------------
 
 std::string pathName(const ::testing::TestParamInfo<Isa>& p) {
@@ -204,53 +208,65 @@ class TrsmIsaTest : public ::testing::TestWithParam<Isa> {
   }
 };
 
-TEST_P(TrsmIsaTest, BlockedMatchesUnblockedBitwise) {
+TEST_P(TrsmIsaTest, LaneKernelMatchesUnblockedBitwise) {
   const Isa isa = GetParam();
+  ThreadPool one(1);
   ThreadPool wide(4);
-  const index_t extents[] = {1, 31, 32, 33, 128, 200};
+  const index_t extents[] = {1,  7,  8,  9,  15, 16,  17,
+                             31, 32, 33, 64, 128, 200};
   for (const auto& [side, uplo] : {std::pair{Side::kLeft, Uplo::kLower},
                                    std::pair{Side::kRight, Uplo::kUpper}}) {
     for (const Diag diag : {Diag::kUnit, Diag::kNonUnit}) {
       for (const index_t m : extents) {
         for (const index_t n : extents) {
           const index_t tri = side == Side::kLeft ? m : n;
-          auto a = triangularMatrix(tri, uplo, diag,
-                                    static_cast<unsigned>(m * 7 + n));
-          for (index_t j = 0; j < tri; ++j) {
-            for (index_t i = 0; i < tri; ++i) {
-              if (uplo == Uplo::kLower ? i < j : i > j) {
-                a[static_cast<std::size_t>(i + j * tri)] = 777.0f;
+          const auto dense = triangularMatrix(
+              tri, uplo, diag, static_cast<unsigned>(m * 7 + n));
+          for (const index_t lda : {tri, tri + 9}) {
+            std::vector<float> a(static_cast<std::size_t>(lda * tri), 777.0f);
+            for (index_t j = 0; j < tri; ++j) {
+              for (index_t i = 0; i < tri; ++i) {
+                const bool read = uplo == Uplo::kLower ? i > j : i < j;
+                if (read || (i == j && diag == Diag::kNonUnit)) {
+                  a[static_cast<std::size_t>(i + j * lda)] =
+                      dense[static_cast<std::size_t>(i + j * tri)];
+                }
               }
             }
+            const index_t ldb = m + 3;
+            std::mt19937 rng(static_cast<unsigned>(m * 31 + n + lda));
+            std::uniform_real_distribution<float> d(-1.0f, 1.0f);
+            std::vector<float> want(static_cast<std::size_t>(ldb * n));
+            for (auto& v : want) {
+              v = d(rng);
+            }
+            const auto rhs = want;
+            auto unblockedOnPath = want;
+            const float alpha = diag == Diag::kUnit ? 1.0f : 0.75f;
+            blas::detail::strsmUnblocked(Isa::kScalar, side, uplo, diag, m,
+                                         n, alpha, a.data(), lda,
+                                         want.data(), ldb, nullptr);
+            blas::detail::strsmUnblocked(isa, side, uplo, diag, m, n, alpha,
+                                         a.data(), lda,
+                                         unblockedOnPath.data(), ldb,
+                                         nullptr);
+            EXPECT_EQ(0, std::memcmp(unblockedOnPath.data(), want.data(),
+                                     want.size() * sizeof(float)))
+                << "unblocked side=" << static_cast<int>(side)
+                << " diag=" << static_cast<int>(diag) << " m=" << m
+                << " n=" << n << " lda=" << lda;
+            for (ThreadPool* pool : {&one, &wide}) {
+              auto got = rhs;
+              blas::detail::strsm(isa, side, uplo, diag, m, n, alpha,
+                                  a.data(), lda, got.data(), ldb, pool);
+              EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                                       got.size() * sizeof(float)))
+                  << "lanes side=" << static_cast<int>(side)
+                  << " diag=" << static_cast<int>(diag) << " m=" << m
+                  << " n=" << n << " lda=" << lda
+                  << " pool=" << pool->laneCount();
+            }
           }
-          const index_t ldb = m + 3;
-          std::mt19937 rng(static_cast<unsigned>(m * 31 + n));
-          std::uniform_real_distribution<float> d(-1.0f, 1.0f);
-          std::vector<float> want(static_cast<std::size_t>(ldb * n));
-          for (auto& v : want) {
-            v = d(rng);
-          }
-          auto got = want;
-          auto unblockedOnPath = want;
-          const float alpha = diag == Diag::kUnit ? 1.0f : 0.75f;
-          blas::detail::strsmUnblocked(Isa::kScalar, side, uplo, diag,
-                                       m, n, alpha, a.data(), tri,
-                                       want.data(), ldb, nullptr);
-          blas::detail::strsm(isa, side, uplo, diag, m, n, alpha, a.data(),
-                              tri, got.data(), ldb, &wide);
-          blas::detail::strsmUnblocked(isa, side, uplo, diag, m, n, alpha,
-                                       a.data(), tri, unblockedOnPath.data(),
-                                       ldb, nullptr);
-          EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
-                                   got.size() * sizeof(float)))
-              << "blocked side=" << static_cast<int>(side)
-              << " diag=" << static_cast<int>(diag) << " m=" << m
-              << " n=" << n;
-          EXPECT_EQ(0, std::memcmp(unblockedOnPath.data(), want.data(),
-                                   got.size() * sizeof(float)))
-              << "unblocked side=" << static_cast<int>(side)
-              << " diag=" << static_cast<int>(diag) << " m=" << m
-              << " n=" << n;
         }
       }
     }

@@ -2,9 +2,10 @@
 // kernel allocated its aPack/bPack vectors inside the parallel-for lambda
 // (per task, per call). The rewritten kernel leases persistent pack arenas
 // from the thread pool, so a steady-state GEMM must perform exactly zero
-// heap allocations. This binary overrides the global allocator to count
-// every operator new, which is why these tests live in their own
-// executable.
+// heap allocations; so must the panel TRSM, whose packed triangle and
+// slabs live in the same arenas. This binary overrides the global
+// allocator to count every operator new, which is why these tests live in
+// their own executable.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -92,6 +93,15 @@ TEST(GemmAlloc, SteadyStateKernelsPerformZeroAllocations) {
   std::vector<half16> ah(count, half16(0.25f)), bh(count, half16(-0.5f));
   std::vector<float> x(static_cast<std::size_t>(n), 1.0f);
   std::vector<float> y(static_cast<std::size_t>(n), 0.0f);
+  // The LU's two panel solves: a b x b triangle (diagonal 2, so repeated
+  // solves stay finite) against a b x n U panel and an n x b L panel.
+  const index_t b = 128;
+  std::vector<float> tri(static_cast<std::size_t>(b * b), 1.0f / 1024);
+  for (index_t i = 0; i < b; ++i) {
+    tri[static_cast<std::size_t>(i + i * b)] = 2.0f;
+  }
+  std::vector<float> uPanel(static_cast<std::size_t>(b * n), 1.0f);
+  std::vector<float> lPanel(static_cast<std::size_t>(n * b), 1.0f);
 
   auto runAll = [&] {
     blas::gemmMixed(Trans::kNoTrans, Trans::kTrans, n, n, n, -1.0f, ah.data(),
@@ -102,6 +112,10 @@ TEST(GemmAlloc, SteadyStateKernelsPerformZeroAllocations) {
                 bd.data(), n, 0.5, cd.data(), n, &pool);
     blas::sgemv(Trans::kNoTrans, n, n, 1.0f, af.data(), n, x.data(), 0.0f,
                 y.data(), &pool);
+    blas::strsm(blas::Side::kLeft, blas::Uplo::kLower, blas::Diag::kNonUnit,
+                b, n, 1.0f, tri.data(), b, uPanel.data(), b, &pool);
+    blas::strsm(blas::Side::kRight, blas::Uplo::kUpper, blas::Diag::kNonUnit,
+                n, b, 1.0f, tri.data(), b, lPanel.data(), n, &pool);
   };
 
   // Warmup: grows the pack arena to its high-water mark, creates the
@@ -120,8 +134,9 @@ TEST(GemmAlloc, SteadyStateKernelsPerformZeroAllocations) {
     delta = TrackScope::count() - before;
   }
   EXPECT_EQ(delta, 0)
-      << "steady-state GEMM/GEMV must not touch the heap (pack buffers "
-         "live in pool-owned arenas, helper tasks in fixed job slots)";
+      << "steady-state GEMM/GEMV/TRSM must not touch the heap (pack "
+         "buffers and TRSM slabs live in pool-owned arenas, helper tasks "
+         "in fixed job slots)";
 }
 
 TEST(GemmAlloc, ArenaStopsGrowingAfterWarmup) {
