@@ -131,20 +131,34 @@ struct ScalarKernel {
       }
     }
   }
+
+  static auto microFor(TAcc /*alpha*/) { return &micro; }
 };
 
 #if HPLMXP_HAVE_AVX512
 /// The AVX-512 kernel (32x8, FP32 accumulation): the scalar kernel's
 /// arithmetic on 16 lanes. The microkernel holds C[0:32, 0:8] in 16 zmm
-/// accumulators and per k step does _mm512_mul_ps then _mm512_add_ps —
-/// never an FMA, whose single rounding would change every bit. binary16
-/// full strips of A (no transpose) and B (transposed), the LU's trailing-
-/// update layout, widen with vcvtph2ps, which is exact; every other
-/// operand packs through the generic loops.
+/// accumulators and per k step does _mm512_mul_ps then _mm512_add_ps, or
+/// one _mm512_fmadd_ps where every product is exact (microFor), which
+/// rounds the same. binary16 full strips of A (no transpose) and B
+/// (transposed), the LU's trailing-update layout, widen with vcvtph2ps,
+/// which is exact; every other operand packs through the generic loops.
 template <typename TIn>
 struct Avx512Kernel {
   static constexpr index_t kMr = kAvx512GemmTile.mr;
   static constexpr index_t kNr = kAvx512GemmTile.nr;
+
+  /// Exact products. A widened binary16 is 0 or has an 11-bit significand
+  /// and a magnitude in [2^-24, 65504]. With alpha = +1 or -1, packB
+  /// stores b or -b exactly, so every product the microkernel forms is 0
+  /// or has at most 22 significant bits and a magnitude in [2^-48, 2^32]:
+  /// exact in binary32, never subnormal, never infinite. Then round(a*b)
+  /// is a*b, and round(round(a*b) + c) == round(a*b + c) == fma(a, b, c)
+  /// bit for bit, the sign of a zero sum included. Any other alpha rounds
+  /// alpha*b in packB, bfloat16's products can leave binary32's range and
+  /// FP32's products round, so those keep the multiply and the add; so
+  /// does fp8, which no LU or serve update runs.
+  static constexpr bool kExactProductType = std::is_same_v<TIn, half16>;
 
   /// vcvtph2ps of 16 binary16 values. The zero-masked form with a full
   /// mask is the same instruction; the unmasked intrinsic trips a GCC 12
@@ -189,8 +203,13 @@ struct Avx512Kernel {
     packBStrip<kNr>(tb, b, ldb, k0, j0, cols, kc, alpha, dst);
   }
 
-  HPLMXP_AVX512 static void micro(index_t kc, const float* ap,
-                                  const float* bp, float* c, index_t ldc) {
+  /// Out of line, so that each instantiation is one symbol: CI allows FMA
+  /// instructions in micro<true> of the binary16 kernel and nowhere else.
+  template <bool kExactProducts>
+  [[gnu::noinline]] HPLMXP_AVX512 static void micro(index_t kc,
+                                                    const float* ap,
+                                                    const float* bp, float* c,
+                                                    index_t ldc) {
     __m512 lo[kNr];
     __m512 hi[kNr];
     for (index_t j = 0; j < kNr; ++j) {
@@ -204,14 +223,30 @@ struct Avx512Kernel {
 #pragma GCC unroll 8
       for (index_t j = 0; j < kNr; ++j) {
         const __m512 bv = _mm512_set1_ps(b[j]);
-        lo[j] = _mm512_add_ps(lo[j], _mm512_mul_ps(a0, bv));
-        hi[j] = _mm512_add_ps(hi[j], _mm512_mul_ps(a1, bv));
+        if constexpr (kExactProducts) {
+          lo[j] = _mm512_fmadd_ps(a0, bv, lo[j]);
+          hi[j] = _mm512_fmadd_ps(a1, bv, hi[j]);
+        } else {
+          lo[j] = _mm512_add_ps(lo[j], _mm512_mul_ps(a0, bv));
+          hi[j] = _mm512_add_ps(hi[j], _mm512_mul_ps(a1, bv));
+        }
       }
     }
     for (index_t j = 0; j < kNr; ++j) {
       _mm512_storeu_ps(c + j * ldc, lo[j]);
       _mm512_storeu_ps(c + j * ldc + 16, hi[j]);
     }
+  }
+
+  /// The microkernel of a call with this alpha: fused where every product
+  /// is exact (kExactProductType), so micro<true> exists for binary16 only.
+  static auto microFor(float alpha) {
+    if constexpr (kExactProductType) {
+      if (alpha == 1.0f || alpha == -1.0f) {
+        return &micro<true>;
+      }
+    }
+    return &micro<false>;
   }
 };
 #endif
@@ -283,6 +318,7 @@ void gemmCore(Trans ta, Trans tb, index_t m, index_t n, index_t k, TAcc alpha,
   const index_t bStrips = nPad / NR;
   const index_t mBlocks = ceilDiv(m, bl.mc);
   const index_t nBlocks = ceilDiv(n, bl.nc);
+  const auto micro = Kernel::microFor(alpha);
 
   for (index_t k0 = 0; k0 < k; k0 += kcMax) {
     const index_t kc = std::min(kcMax, k - k0);
@@ -324,7 +360,7 @@ void gemmCore(Trans ta, Trans tb, index_t m, index_t n, index_t k, TAcc alpha,
             const TAcc* ap = aPack + (ir / MR) * (MR * kc);
             TAcc* ctile = c + ir + jr * ldc;
             if (rows == MR && cols == NR) {
-              Kernel::micro(kc, ap, bp, ctile, ldc);
+              micro(kc, ap, bp, ctile, ldc);
               continue;
             }
             // Partial tile: run the full-width microkernel on a copy. The
@@ -336,7 +372,7 @@ void gemmCore(Trans ta, Trans tb, index_t m, index_t n, index_t k, TAcc alpha,
                 tile[i + j * MR] = ctile[i + j * ldc];
               }
             }
-            Kernel::micro(kc, ap, bp, tile, MR);
+            micro(kc, ap, bp, tile, MR);
             for (index_t j = 0; j < cols; ++j) {
               for (index_t i = 0; i < rows; ++i) {
                 ctile[i + j * ldc] = tile[i + j * MR];

@@ -23,14 +23,17 @@
 // Determinism contract: every C element accumulates its k contributions in
 // ascending order, one multiply and then one add per step, independent of
 // the kernel path, the thread count and the (mc, nc, kc) blocking (see
-// blas/tune.h). Never an FMA: a fused multiply-add rounds once where the
-// contract rounds twice, so it would change every bit of the LU. The
-// AVX-512 path runs on hosts that have FMA, and GCC's default
-// -ffp-contract=fast fuses even an intrinsic _mm512_mul_ps feeding
-// _mm512_add_ps into vfmadd, so src/blas compiles with -ffp-contract=off.
-// Results are bitwise identical to the pre-rewrite kernel
-// (blas/gemm_baseline.h) on every path, which the look-ahead equivalence
-// suite and the pinned answers depend on.
+// blas/tune.h). A fused multiply-add rounds once where the contract rounds
+// twice, so it may stand in for the multiply and the add only where the
+// product is exact: binary16 operands with alpha = +1 or -1, where every
+// product has at most 22 significant bits and lies in [2^-48, 2^32]. The
+// AVX-512 binary16 kernel fuses there (every LU and serve update); every
+// other case, sgemm included, keeps the two roundings. GCC's default
+// -ffp-contract=fast would fuse even an intrinsic _mm512_mul_ps feeding
+// _mm512_add_ps into vfmadd, so src/blas compiles with -ffp-contract=off
+// and fuses only where it says so. Results are bitwise identical to the
+// pre-rewrite kernel (blas/gemm_baseline.h) on every path, which the
+// look-ahead equivalence suite and the pinned answers depend on.
 #pragma once
 
 #include "blas/types.h"

@@ -6,7 +6,9 @@
 // scalar path and an AVX-512 path, picked once from CPUID (util/isa.h).
 // Both paths do the same arithmetic per element (a multiply, then an add,
 // in ascending k; binary16 rounding to nearest even), so they produce
-// identical bits.
+// identical bits. The one FMA is the AVX-512 binary16 GEMM's with alpha
+// = +1 or -1: there every product is exact in binary32, so the fused
+// multiply-add rounds exactly as the multiply and the add do.
 //
 // blas::detail below is the internal seam that runs a kernel on an
 // explicitly named path. The public kernels pass hostIsa(); the tests pass
@@ -46,11 +48,12 @@ void strsm(Isa isa, Side side, Uplo uplo, Diag diag, index_t m, index_t n,
            float alpha, const float* a, index_t lda, float* b, index_t ldb,
            ThreadPool* pool);
 
-/// The unblocked stripe substitution over the whole triangle: the
-/// solver of the other two variants, and the lane kernel's reference.
-void strsmUnblocked(Isa isa, Side side, Uplo uplo, Diag diag, index_t m,
-                    index_t n, float alpha, const float* a, index_t lda,
-                    float* b, index_t ldb, ThreadPool* pool);
+/// The unblocked stripe substitution over the whole triangle, portable
+/// code on every path: the solver of the other two variants, and the lane
+/// kernel's reference.
+void strsmUnblocked(Side side, Uplo uplo, Diag diag, index_t m, index_t n,
+                    float alpha, const float* a, index_t lda, float* b,
+                    index_t ldb, ThreadPool* pool);
 
 }  // namespace detail
 

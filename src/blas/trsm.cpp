@@ -1,7 +1,6 @@
 #include "blas/trsm.h"
 
 #include <algorithm>
-#include <type_traits>
 
 #include "blas/isa.h"
 #include "util/simd.h"
@@ -29,13 +28,9 @@ void scaleColumns(T* b, index_t ldb, index_t m, index_t j0, index_t j1,
 
 /// Left-side solve on columns [j0, j1): op is forward (Lower) or backward
 /// (Upper) substitution, column-oriented so the inner update vectorizes.
-/// Always inlined, so the AVX-512 wrapper below compiles it for AVX-512.
 template <typename T>
-[[gnu::always_inline]] inline void leftSolveStripe(Uplo uplo, Diag diag,
-                                                   index_t m, const T* a,
-                                                   index_t lda, T* b,
-                                                   index_t ldb, index_t j0,
-                                                   index_t j1) {
+void leftSolveStripe(Uplo uplo, Diag diag, index_t m, const T* a, index_t lda,
+                     T* b, index_t ldb, index_t j0, index_t j1) {
   if (uplo == Uplo::kLower) {
     for (index_t l = 0; l < m; ++l) {
       const T* acol = a + l * lda;
@@ -110,11 +105,8 @@ void leftSolveTransStripe(Uplo uplo, Diag diag, index_t m, const T* a,
 /// Right-side solve on rows [i0, i1): rows of B are independent, so each
 /// stripe runs the full column recurrence X * op(A) = B on its rows.
 template <typename T>
-[[gnu::always_inline]] inline void rightSolveStripe(Uplo uplo, Diag diag,
-                                                    index_t n, const T* a,
-                                                    index_t lda, T* b,
-                                                    index_t ldb, index_t i0,
-                                                    index_t i1) {
+void rightSolveStripe(Uplo uplo, Diag diag, index_t n, const T* a, index_t lda,
+                      T* b, index_t ldb, index_t i0, index_t i1) {
   if (uplo == Uplo::kUpper) {
     for (index_t j = 0; j < n; ++j) {
       const T* acol = a + j * lda;
@@ -199,61 +191,12 @@ void rightSolveTransStripe(Uplo uplo, Diag diag, index_t n, const T* a,
   }
 }
 
-#if HPLMXP_HAVE_AVX512
-// The no-transpose stripe solves are element-wise (one multiply, then one
-// subtract or divide, per update), so their AVX-512 build rounds exactly
-// like the scalar one.
-HPLMXP_AVX512 void leftSolveStripeAvx512(Uplo uplo, Diag diag, index_t m,
-                                         const float* a, index_t lda,
-                                         float* b, index_t ldb, index_t j0,
-                                         index_t j1) {
-  leftSolveStripe(uplo, diag, m, a, lda, b, ldb, j0, j1);
-}
-
-HPLMXP_AVX512 void rightSolveStripeAvx512(Uplo uplo, Diag diag, index_t n,
-                                          const float* a, index_t lda,
-                                          float* b, index_t ldb, index_t i0,
-                                          index_t i1) {
-  rightSolveStripe(uplo, diag, n, a, lda, b, ldb, i0, i1);
-}
-#endif
-
-template <typename T>
-void leftSolve([[maybe_unused]] Isa isa, Uplo uplo, Diag diag, index_t m,
-               const T* a, index_t lda, T* b, index_t ldb, index_t j0,
-               index_t j1) {
-#if HPLMXP_HAVE_AVX512
-  if constexpr (std::is_same_v<T, float>) {
-    if (isa == Isa::kAvx512) {
-      leftSolveStripeAvx512(uplo, diag, m, a, lda, b, ldb, j0, j1);
-      return;
-    }
-  }
-#endif
-  leftSolveStripe(uplo, diag, m, a, lda, b, ldb, j0, j1);
-}
-
-template <typename T>
-void rightSolve([[maybe_unused]] Isa isa, Uplo uplo, Diag diag, index_t n,
-                const T* a, index_t lda, T* b, index_t ldb, index_t i0,
-                index_t i1) {
-#if HPLMXP_HAVE_AVX512
-  if constexpr (std::is_same_v<T, float>) {
-    if (isa == Isa::kAvx512) {
-      rightSolveStripeAvx512(uplo, diag, n, a, lda, b, ldb, i0, i1);
-      return;
-    }
-  }
-#endif
-  rightSolveStripe(uplo, diag, n, a, lda, b, ldb, i0, i1);
-}
-
 /// The unblocked solve: stripe substitution over the whole triangle,
 /// parallel over right-hand-side columns (kLeft) or rows (kRight).
 template <typename T>
-void trsmCore(Isa isa, Side side, Uplo uplo, Trans trans, Diag diag,
-              index_t m, index_t n, T alpha, const T* a, index_t lda, T* b,
-              index_t ldb, ThreadPool* pool) {
+void trsmCore(Side side, Uplo uplo, Trans trans, Diag diag, index_t m,
+              index_t n, T alpha, const T* a, index_t lda, T* b, index_t ldb,
+              ThreadPool* pool) {
   HPLMXP_REQUIRE(m >= 0 && n >= 0, "trsm dims must be >= 0");
   if (m == 0 || n == 0) {
     return;
@@ -273,7 +216,7 @@ void trsmCore(Isa isa, Side side, Uplo uplo, Trans trans, Diag diag,
         [&](index_t j0, index_t j1) {
           scaleColumns(b, ldb, m, j0, j1, alpha);
           if (trans == Trans::kNoTrans) {
-            leftSolve(isa, uplo, diag, m, a, lda, b, ldb, j0, j1);
+            leftSolveStripe(uplo, diag, m, a, lda, b, ldb, j0, j1);
           } else {
             leftSolveTransStripe(uplo, diag, m, a, lda, b, ldb, j0, j1);
           }
@@ -292,7 +235,7 @@ void trsmCore(Isa isa, Side side, Uplo uplo, Trans trans, Diag diag,
             }
           }
           if (trans == Trans::kNoTrans) {
-            rightSolve(isa, uplo, diag, n, a, lda, b, ldb, i0, i1);
+            rightSolveStripe(uplo, diag, n, a, lda, b, ldb, i0, i1);
           } else {
             rightSolveTransStripe(uplo, diag, n, a, lda, b, ldb, i0, i1);
           }
@@ -648,7 +591,7 @@ void detail::strsm(Isa isa, Side side, Uplo uplo, Diag diag, index_t m,
   const bool panel = (side == Side::kLeft && uplo == Uplo::kLower) ||
                      (side == Side::kRight && uplo == Uplo::kUpper);
   if (!panel) {
-    strsmUnblocked(isa, side, uplo, diag, m, n, alpha, a, lda, b, ldb, pool);
+    strsmUnblocked(side, uplo, diag, m, n, alpha, a, lda, b, ldb, pool);
     return;
   }
   HPLMXP_REQUIRE(m >= 0 && n >= 0, "trsm dims must be >= 0");
@@ -669,12 +612,12 @@ void detail::strsm(Isa isa, Side side, Uplo uplo, Diag diag, index_t m,
   laneSolve<ScalarLanes>(side, diag, m, n, alpha, a, lda, b, ldb, pool);
 }
 
-void detail::strsmUnblocked(Isa isa, Side side, Uplo uplo, Diag diag,
-                            index_t m, index_t n, float alpha, const float* a,
+void detail::strsmUnblocked(Side side, Uplo uplo, Diag diag, index_t m,
+                            index_t n, float alpha, const float* a,
                             index_t lda, float* b, index_t ldb,
                             ThreadPool* pool) {
-  trsmCore<float>(isa, side, uplo, Trans::kNoTrans, diag, m, n, alpha, a, lda,
-                  b, ldb, pool);
+  trsmCore<float>(side, uplo, Trans::kNoTrans, diag, m, n, alpha, a, lda, b,
+                  ldb, pool);
 }
 
 void strsm(Side side, Uplo uplo, Diag diag, index_t m, index_t n, float alpha,
@@ -687,8 +630,8 @@ void strsm(Side side, Uplo uplo, Diag diag, index_t m, index_t n, float alpha,
 void dtrsm(Side side, Uplo uplo, Diag diag, index_t m, index_t n, double alpha,
            const double* a, index_t lda, double* b, index_t ldb,
            ThreadPool* pool) {
-  trsmCore<double>(Isa::kScalar, side, uplo, Trans::kNoTrans, diag, m, n,
-                   alpha, a, lda, b, ldb, pool);
+  trsmCore<double>(side, uplo, Trans::kNoTrans, diag, m, n, alpha, a, lda, b,
+                   ldb, pool);
 }
 
 void strsm(Side side, Uplo uplo, Trans trans, Diag diag, index_t m, index_t n,
@@ -698,15 +641,13 @@ void strsm(Side side, Uplo uplo, Trans trans, Diag diag, index_t m, index_t n,
     strsm(side, uplo, diag, m, n, alpha, a, lda, b, ldb, pool);
     return;
   }
-  trsmCore<float>(hostIsa(), side, uplo, trans, diag, m, n, alpha, a, lda, b,
-                  ldb, pool);
+  trsmCore<float>(side, uplo, trans, diag, m, n, alpha, a, lda, b, ldb, pool);
 }
 
 void dtrsm(Side side, Uplo uplo, Trans trans, Diag diag, index_t m, index_t n,
            double alpha, const double* a, index_t lda, double* b, index_t ldb,
            ThreadPool* pool) {
-  trsmCore<double>(Isa::kScalar, side, uplo, trans, diag, m, n, alpha, a, lda,
-                   b, ldb, pool);
+  trsmCore<double>(side, uplo, trans, diag, m, n, alpha, a, lda, b, ldb, pool);
 }
 
 namespace {

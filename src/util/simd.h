@@ -15,7 +15,9 @@
 // src/blas/CMakeLists.txt and src/gen/CMakeLists.txt): AVX-512F has
 // vfmadd, and GCC would otherwise contract _mm512_add_ps(_mm512_mul_ps(a,
 // b), c) into one, changing the rounding of every product the scalar path
-// rounds.
+// rounds. A kernel fuses only by writing _mm512_fmadd_ps, and only where
+// the product is exact, so that one rounding equals two: the binary16 GEMM
+// microkernel with alpha = +1 or -1 (blas/gemm.cpp) is the one such site.
 #pragma once
 
 #if defined(__x86_64__) && defined(__GNUC__)

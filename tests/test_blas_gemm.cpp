@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <random>
 #include <string>
 #include <type_traits>
@@ -582,6 +584,126 @@ TYPED_TEST(GemmIsaTest, InvariantUnderBlockingAndThreads) {
     }
   }
 }
+
+// ---------------------------------------------------------------------------
+// The binary16 GEMM fuses its multiply and add where every product is exact
+// in binary32 (alpha = +1 or -1, blas/gemm.cpp). The operands here sit at
+// the edges of that proof: binary16's largest magnitude, its smallest
+// normal and subnormal ones, zeros of both signs, and odd 11-bit
+// significands, whose products fill all 22 bits. C starts at zeros of both
+// signs, near +-FLT_MAX, at binary32 subnormals and at infinities. Every
+// path must equal the order-exact oracle bit for bit at every alpha,
+// including those (0.37) at which a fused kernel would round differently.
+// ---------------------------------------------------------------------------
+
+class GemmExactProductTest : public ::testing::TestWithParam<Isa> {
+ protected:
+  void SetUp() override {
+    if (!isaSupported(GetParam())) {
+      GTEST_SKIP() << "this host's CPU lacks AVX-512F+F16C, so the "
+                   << isaName(GetParam()) << " kernels cannot run";
+    }
+  }
+};
+
+TEST_P(GemmExactProductTest, RangeEdgesMatchOracleBitwise) {
+  const float magnitudes[] = {
+      65504.0f,          // largest binary16, significand 0x7FF
+      0x1p-14f,          // smallest normal
+      0x1p-24f,          // smallest subnormal
+      0x3FFp-24f,        // largest subnormal, odd significand
+      0.0f,
+      1.0f + 0x1p-10f,   // odd significands
+      2.0f - 0x1p-10f,
+      0x555p-10f,
+      0x7FDp-3f,
+  };
+  std::vector<float> operands;
+  for (const float v : magnitudes) {
+    ASSERT_EQ(half16(v).toFloat(), v) << v << " is not a binary16 value";
+    operands.push_back(v);
+    operands.push_back(-v);
+  }
+  const float inf = std::numeric_limits<float>::infinity();
+  const float cValues[] = {0.0f,      -0.0f,       3.4e38f,   -3.4e38f,
+                           0x1p-149f, -0x1.8p-130f, 1e-40f,   inf,
+                           -inf,      1.0f,        -2.5f,     0x1p-126f};
+
+  const index_t m = 67, n = 17, k = 29;  // full and partial 32x8 tiles
+  unsigned seed = 900;
+  for (const float alpha : {1.0f, -1.0f, 0.37f, 2.0f}) {
+    for (const auto& [ta, tb] : {std::pair{Trans::kNoTrans, Trans::kTrans},
+                                 std::pair{Trans::kTrans, Trans::kNoTrans}}) {
+      const index_t lda = (ta == Trans::kNoTrans ? m : k) + 3;
+      const index_t ldb = (tb == Trans::kNoTrans ? k : n) + 1;
+      const index_t ldc = m + 2;
+      std::mt19937 rng(++seed);
+      std::uniform_int_distribution<std::size_t> pickOp(0,
+                                                        operands.size() - 1);
+      std::uniform_int_distribution<std::size_t> pickC(
+          0, std::size(cValues) - 1);
+      std::vector<half16> a(
+          static_cast<std::size_t>(lda * (ta == Trans::kNoTrans ? k : m)));
+      std::vector<half16> b(
+          static_cast<std::size_t>(ldb * (tb == Trans::kNoTrans ? n : k)));
+      for (auto& v : a) {
+        v = half16(operands[pickOp(rng)]);
+      }
+      for (auto& v : b) {
+        v = half16(operands[pickOp(rng)]);
+      }
+      std::vector<float> want(static_cast<std::size_t>(ldc * n));
+      for (auto& v : want) {
+        v = cValues[pickC(rng)];
+      }
+      auto got = want;
+      blas::ref::gemmLowpOrderExact<half16>(ta, tb, m, n, k, alpha, a.data(),
+                                            lda, b.data(), ldb, 1.0f,
+                                            want.data(), ldc);
+      blas::detail::gemm<half16>(GetParam(), ta, tb, m, n, k, alpha,
+                                 a.data(), lda, b.data(), ldb, 1.0f,
+                                 got.data(), ldc, nullptr);
+      EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                               got.size() * sizeof(float)))
+          << "alpha=" << alpha << " ta=" << static_cast<int>(ta)
+          << " tb=" << static_cast<int>(tb);
+    }
+  }
+}
+
+TEST_P(GemmExactProductTest, Bf16ProductsThatUnderflowRoundTwice) {
+  // bfloat16 has binary32's exponent range, so 2^-75 * 2^-75 = 2^-150 is
+  // not a binary32 value: the multiply rounds it to 0 (a tie, to even) and
+  // C = 2^-149 stays; a fused kernel would add it exactly and round the
+  // tie to 2^-148 (to 0 with alpha = -1). Every path must round twice, as
+  // the oracle does.
+  const lowp::bfloat16 v(0x1p-75f);
+  ASSERT_EQ(static_cast<float>(v), 0x1p-75f);
+  const index_t m = 33, n = 9, k = 1;
+  for (const float alpha : {1.0f, -1.0f}) {
+    const std::vector<lowp::bfloat16> a(static_cast<std::size_t>(m * k), v);
+    const std::vector<lowp::bfloat16> b(static_cast<std::size_t>(n * k), v);
+    std::vector<float> want(static_cast<std::size_t>(m * n), 0x1p-149f);
+    auto got = want;
+    blas::ref::gemmLowpOrderExact<lowp::bfloat16>(
+        Trans::kNoTrans, Trans::kTrans, m, n, k, alpha, a.data(), m, b.data(),
+        n, 1.0f, want.data(), m);
+    blas::detail::gemm<lowp::bfloat16>(GetParam(), Trans::kNoTrans,
+                                       Trans::kTrans, m, n, k, alpha,
+                                       a.data(), m, b.data(), n, 1.0f,
+                                       got.data(), m, nullptr);
+    ASSERT_EQ(want[0], 0x1p-149f);  // the product rounded to a zero
+    EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                             got.size() * sizeof(float)))
+        << "alpha=" << alpha;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Paths, GemmExactProductTest,
+                         ::testing::Values(Isa::kScalar, Isa::kAvx512),
+                         [](const ::testing::TestParamInfo<Isa>& p) {
+                           return std::string(isaName(p.param));
+                         });
 
 TEST(GemmTune, BlockingIsRoundedToTheHostTile) {
   BlockingGuard guard;
