@@ -1,13 +1,15 @@
 // The BLAS kernels' paths: the instruction-set seam.
 //
 // The hot kernels of Algorithm 1 — the packed FP32-accumulate GEMM
-// (sgemm, gemmMixed/gemmLowp), binary16 CAST and TRANS_CAST, and the
-// FP32 panel TRSM with the LU panel around it — each have a portable
-// scalar path and an AVX-512 path, picked once from CPUID (util/isa.h).
-// Both paths do the same arithmetic per element (a multiply, then an add,
-// in ascending k; binary16 rounding to nearest even), so they produce
-// identical bits. The one FMA is the AVX-512 binary16 GEMM's with alpha
-// = +1 or -1: there every product is exact in binary32, so the fused
+// (sgemm, gemmMixed/gemmLowp), binary16 CAST and TRANS_CAST, the FP32
+// panel TRSM with the LU panel around it, and refinement's mixed
+// FP32-factor/FP64-vector solves (strsvMixed, strsmMixed through it, and
+// gemvMixed, all on one widening axpy) — each have a portable scalar path
+// and an AVX-512 path, picked once from CPUID (util/isa.h). Both paths do
+// the same arithmetic per element (a multiply, then an add or subtract, in
+// the scalar loop's order; binary16 rounding to nearest even), so they
+// produce identical bits. The one FMA is the AVX-512 binary16 GEMM's with
+// alpha = +1 or -1: there every product is exact in binary32, so the fused
 // multiply-add rounds exactly as the multiply and the add do.
 //
 // blas::detail below is the internal seam that runs a kernel on an
@@ -54,6 +56,20 @@ void strsm(Isa isa, Side side, Uplo uplo, Diag diag, index_t m, index_t n,
 void strsmUnblocked(Side side, Uplo uplo, Diag diag, index_t m, index_t n,
                     float alpha, const float* a, index_t lda, float* b,
                     index_t ldb, ThreadPool* pool);
+
+/// y[i] -= double(a[i]) * s (kSubtract) or y[i] += double(a[i]) * s, for
+/// i < n, on path `isa`: one multiply, then one subtract or add, per
+/// element. The one widening axpy under strsvMixed and gemvMixed.
+template <bool kSubtract>
+void axpyMixed(Isa isa, index_t n, const float* a, double s, double* y);
+
+/// strsvMixed (trsv.h) on path `isa`.
+void strsvMixed(Isa isa, Uplo uplo, Diag diag, index_t n, const float* a,
+                index_t lda, double* x);
+
+/// gemvMixed (gemv.h) on path `isa`.
+void gemvMixed(Isa isa, index_t m, index_t n, const float* a, index_t lda,
+               const double* x, double* y);
 
 }  // namespace detail
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "blas/isa.h"
+#include "blas/trsv.h"
 #include "util/simd.h"
 
 namespace hplmxp::blas {
@@ -650,79 +651,6 @@ void dtrsm(Side side, Uplo uplo, Trans trans, Diag diag, index_t m, index_t n,
   trsmCore<double>(side, uplo, trans, diag, m, n, alpha, a, lda, b, ldb, pool);
 }
 
-namespace {
-
-// Stripe width for the mixed multi-RHS solve: wide enough that the
-// triangular block and sub-panel stay resident while every column of the
-// chunk streams through them, small enough that a stripe of the factor
-// fits in L1/L2 alongside a handful of FP64 columns.
-constexpr index_t kMixedStripe = 64;
-
-/// One chunk of right-hand-side columns, forward substitution. Each
-/// column-j axpy of the column-oriented TRSV is split at the stripe edge;
-/// per (element, column) the update order over j is unchanged, which is
-/// what makes the batched solve bitwise-equal to strsvMixed per column.
-void mixedLowerColumns(Diag diag, index_t n, const float* a, index_t lda,
-                       double* x, index_t ldx, index_t c0, index_t c1) {
-  for (index_t s0 = 0; s0 < n; s0 += kMixedStripe) {
-    const index_t s1 = std::min(n, s0 + kMixedStripe);
-    for (index_t c = c0; c < c1; ++c) {
-      double* xc = x + c * ldx;
-      // In-stripe substitution on the triangular block.
-      for (index_t j = s0; j < s1; ++j) {
-        const float* col = a + j * lda;
-        if (diag == Diag::kNonUnit) {
-          xc[j] /= static_cast<double>(col[j]);
-        }
-        const double xj = xc[j];
-        for (index_t i = j + 1; i < s1; ++i) {
-          xc[i] -= static_cast<double>(col[i]) * xj;
-        }
-      }
-      // Panel update of the rows below the stripe (the TRSM "GEMM"
-      // stage, kept as ordered axpys for the bitwise contract).
-      for (index_t j = s0; j < s1; ++j) {
-        const float* col = a + j * lda;
-        const double xj = xc[j];
-        for (index_t i = s1; i < n; ++i) {
-          xc[i] -= static_cast<double>(col[i]) * xj;
-        }
-      }
-    }
-  }
-}
-
-/// One chunk of right-hand-side columns, backward substitution (mirror of
-/// mixedLowerColumns: stripes and columns walk downward).
-void mixedUpperColumns(Diag diag, index_t n, const float* a, index_t lda,
-                       double* x, index_t ldx, index_t c0, index_t c1) {
-  for (index_t s1 = n; s1 > 0; s1 -= std::min(s1, kMixedStripe)) {
-    const index_t s0 = s1 - std::min(s1, kMixedStripe);
-    for (index_t c = c0; c < c1; ++c) {
-      double* xc = x + c * ldx;
-      for (index_t j = s1 - 1; j >= s0; --j) {
-        const float* col = a + j * lda;
-        if (diag == Diag::kNonUnit) {
-          xc[j] /= static_cast<double>(col[j]);
-        }
-        const double xj = xc[j];
-        for (index_t i = s0; i < j; ++i) {
-          xc[i] -= static_cast<double>(col[i]) * xj;
-        }
-      }
-      for (index_t j = s1 - 1; j >= s0; --j) {
-        const float* col = a + j * lda;
-        const double xj = xc[j];
-        for (index_t i = 0; i < s0; ++i) {
-          xc[i] -= static_cast<double>(col[i]) * xj;
-        }
-      }
-    }
-  }
-}
-
-}  // namespace
-
 void strsmMixed(Uplo uplo, Diag diag, index_t n, index_t nrhs, const float* a,
                 index_t lda, double* x, index_t ldx, ThreadPool* pool) {
   HPLMXP_REQUIRE(n >= 0 && nrhs >= 0, "strsmMixed: negative extent");
@@ -734,15 +662,12 @@ void strsmMixed(Uplo uplo, Diag diag, index_t n, index_t nrhs, const float* a,
   if (pool == nullptr) {
     pool = &ThreadPool::global();
   }
-  // Columns are independent solves; chunking over them keeps each stripe
-  // of the factor hot across a chunk's columns with zero synchronization.
+  // Columns are independent solves, so lanes share nothing.
   pool->parallelForChunked(
       0, nrhs,
       [&](index_t c0, index_t c1) {
-        if (uplo == Uplo::kLower) {
-          mixedLowerColumns(diag, n, a, lda, x, ldx, c0, c1);
-        } else {
-          mixedUpperColumns(diag, n, a, lda, x, ldx, c0, c1);
+        for (index_t c = c0; c < c1; ++c) {
+          strsvMixed(uplo, diag, n, a, lda, x + c * ldx);
         }
       },
       nrhs);

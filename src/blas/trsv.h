@@ -2,8 +2,12 @@
 //
 // Iterative refinement solves L*(U*d) = r with TRSV_LOW then TRSV_UP on
 // the CPU (Algorithm 1, line 47). The factors are FP32 but the solve
-// accumulates in FP64 ("mixed FP32/FP64, stored in double"), which the
-// strsvMixed variants reproduce.
+// accumulates in FP64 ("mixed FP32/FP64, stored in double"), which
+// strsvMixed reproduces. It is column-oriented: once x[j] is solved (one
+// scalar divide by the diagonal when non-unit), column j's update of the
+// rows below (Lower) or above (Upper) it is one widening axpy, which runs
+// 8 doubles per op on the AVX-512 path (blas/isa.h) with the scalar loop's
+// multiply and subtract per element, so both paths give the same bits.
 #pragma once
 
 #include "blas/types.h"

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "blas/gemv.h"
 #include "blas/scan.h"
 #include "blas/trsv.h"
 #include "blas/types.h"
@@ -35,16 +36,19 @@ void distributedResidual(DistContext& ctx, const ProblemGenerator& gen,
                          std::vector<double>& r);
 
 namespace detail {
-/// acc[0:m) += block(m x n) * y with FP64 accumulation; TFactor is the
-/// stored factor precision (float for HPL-AI, double for HPL).
-template <typename TFactor>
-void gemvAccum(index_t m, index_t n, const TFactor* block, index_t lda,
-               const double* y, double* acc) {
+/// acc[0:m) += block(m x n) * y with FP64 accumulation, for the stored
+/// factor precision: FP32 for HPL-AI (blas::gemvMixed), FP64 for HPL.
+inline void gemvAccum(index_t m, index_t n, const float* block, index_t lda,
+                      const double* y, double* acc) {
+  blas::gemvMixed(m, n, block, lda, y, acc);
+}
+inline void gemvAccum(index_t m, index_t n, const double* block,
+                      index_t lda, const double* y, double* acc) {
   for (index_t j = 0; j < n; ++j) {
-    const TFactor* col = block + j * lda;
+    const double* col = block + j * lda;
     const double yj = y[j];
     for (index_t i = 0; i < m; ++i) {
-      acc[i] += static_cast<double>(col[i]) * yj;
+      acc[i] += col[i] * yj;
     }
   }
 }

@@ -164,8 +164,8 @@ SolveManyResult solveManyMixedSingle(const Factorization& f,
   }
 
   // The still-active columns, packed side by side in increasing c: their
-  // solutions, and their residuals, which the blocked strsmMixed pair
-  // turns into corrections in place.
+  // solutions, and their residuals, which the strsmMixed pair turns into
+  // corrections in place.
   std::vector<std::size_t> activeCols(rhsSeeds.size());
   for (std::size_t c = 0; c < activeCols.size(); ++c) {
     activeCols[c] = c;

@@ -131,8 +131,8 @@ Factorization factorStorageSingle(const ProblemGenerator& gen, index_t b,
 /// ProblemGenerator(rhsSeeds[c], n) — passing gen.seed() reproduces the
 /// benchmark's own b vector. `xs` receives one solution vector per seed.
 ///
-/// The correction solves go through the trsm-backed strsmMixed panel
-/// kernel instead of a per-vector TRSV loop, and the FP64 residual streams
+/// The correction solves go through strsmMixed, one strsvMixed per
+/// active column spread over the pool's lanes, and the FP64 residual streams
 /// A once per iteration, one regenerated column at a time
 /// (ProblemGenerator::addProduct), each column shared by all still-active
 /// right-hand sides. Convergence is tracked per column: a column that

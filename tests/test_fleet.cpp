@@ -4,6 +4,7 @@
 // equivalence of fleet answers across shard counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -586,18 +587,34 @@ TEST(FleetEngineTest, HedgedReplayUnderGrayFailureLosesNoAnswer) {
   // Handle must keep the ledger exact — zero dropped, zero double
   // answered — and the answers bitwise right. Repeated to shake races.
   const std::vector<SolveRequest> reqs = mixedTrace();
+  // A stretched solve lasts the stretch times the solve itself. Derive the
+  // stretch from a solve of the first key, so that a stretched solve
+  // outlasts 20 hedge floors however fast solves are.
+  const double minDelaySeconds = 0.0005;
+  double solveSeconds = 0.0;
+  {
+    const ProblemKey& k = reqs[0].key;
+    const ProblemGenerator gen(k.seed, k.n);
+    const Factorization f =
+        factorStorageSingle(gen, k.b, Vendor::kAmd, k.precision);
+    std::vector<std::vector<double>> xs;
+    solveSeconds =
+        solveManyMixedSingle(f, gen, {reqs[0].rhsSeed}, xs).solveSeconds;
+  }
+  const double stretch =
+      std::max(25.0, 20.0 * minDelaySeconds / std::max(solveSeconds, 1e-9));
   for (int rep = 0; rep < 3; ++rep) {
     FleetConfig cfg = fleetConfig(3);
     cfg.failoverLimit = 2;
     cfg.hedge.enabled = true;
     cfg.hedge.delayFactor = 0.25;  // hedge long before a stretched solve
-    cfg.hedge.minDelaySeconds = 0.0005;
+    cfg.hedge.minDelaySeconds = minDelaySeconds;
     cfg.hedge.budgetPerSecond = 1000.0;
     cfg.hedge.budgetBurst = 64.0;
     FleetEngine fleet(cfg);
     // Stretch the shard that owns the first key so the gray failure hits
     // live traffic no matter how the ring maps keys this run.
-    fleet.slowShard(fleet.ring().route(reqs[0].key, nullptr), 25.0);
+    fleet.slowShard(fleet.ring().route(reqs[0].key, nullptr), stretch);
 
     std::vector<FleetEngine::HandlePtr> handles;
     handles.reserve(reqs.size());

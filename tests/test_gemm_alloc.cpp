@@ -3,9 +3,9 @@
 // (per task, per call). The rewritten kernel leases persistent pack arenas
 // from the thread pool, so a steady-state GEMM must perform exactly zero
 // heap allocations; so must the panel TRSM, whose packed triangle and
-// slabs live in the same arenas. This binary overrides the global
-// allocator to count every operator new, which is why these tests live in
-// their own executable.
+// slabs live in the same arenas, and refinement's mixed GEMV. This binary
+// overrides the global allocator to count every operator new, which is why
+// these tests live in their own executable.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -91,8 +91,8 @@ TEST(GemmAlloc, SteadyStateKernelsPerformZeroAllocations) {
   std::vector<float> af(count, 0.25f), bf(count, -0.5f), c(count, 1.0f);
   std::vector<double> ad(count, 0.25), bd(count, -0.5), cd(count, 1.0);
   std::vector<half16> ah(count, half16(0.25f)), bh(count, half16(-0.5f));
-  std::vector<float> x(static_cast<std::size_t>(n), 1.0f);
-  std::vector<float> y(static_cast<std::size_t>(n), 0.0f);
+  std::vector<double> x(static_cast<std::size_t>(n), 1.0);
+  std::vector<double> y(static_cast<std::size_t>(n), 0.0);
   // The LU's two panel solves: a b x b triangle (diagonal 2, so repeated
   // solves stay finite) against a b x n U panel and an n x b L panel.
   const index_t b = 128;
@@ -110,8 +110,7 @@ TEST(GemmAlloc, SteadyStateKernelsPerformZeroAllocations) {
                 bf.data(), n, 0.5f, c.data(), n, &pool);
     blas::dgemm(Trans::kTrans, Trans::kNoTrans, n, n, n, 1.0, ad.data(), n,
                 bd.data(), n, 0.5, cd.data(), n, &pool);
-    blas::sgemv(Trans::kNoTrans, n, n, 1.0f, af.data(), n, x.data(), 0.0f,
-                y.data(), &pool);
+    blas::gemvMixed(n, n, af.data(), n, x.data(), y.data());
     blas::strsm(blas::Side::kLeft, blas::Uplo::kLower, blas::Diag::kNonUnit,
                 b, n, 1.0f, tri.data(), b, uPanel.data(), b, &pool);
     blas::strsm(blas::Side::kRight, blas::Uplo::kUpper, blas::Diag::kNonUnit,

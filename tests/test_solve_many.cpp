@@ -14,6 +14,7 @@
 #include "core/single_solver.h"
 #include "gen/matgen.h"
 #include "util/buffer.h"
+#include "util/thread_pool.h"
 
 namespace hplmxp {
 namespace {
@@ -34,30 +35,37 @@ std::vector<double> rhsColumns(index_t n, index_t k, std::uint64_t seed) {
 }
 
 TEST(StrsmMixed, MatchesStrsvMixedBitwisePerColumn) {
-  // Shapes straddle the internal stripe width (64): single stripe,
-  // exact multiple, and ragged tail.
+  // Shapes straddle the 8-double vector width (short, exact multiple,
+  // ragged tail); batches of 1, 3 and 8 columns run on one lane, and on
+  // three lanes that split a batch into chunks.
+  ThreadPool solo(1);
+  ThreadPool three(3);
   for (const index_t n : {1, 7, 63, 64, 65, 128, 130}) {
-    for (const index_t k : {1, 2, 5}) {
+    for (const index_t k : {1, 2, 3, 5, 8}) {
       const Buffer<float> a = triangularMatrix(n, 77);
       for (const blas::Uplo uplo : {blas::Uplo::kLower, blas::Uplo::kUpper}) {
         for (const blas::Diag diag :
              {blas::Diag::kUnit, blas::Diag::kNonUnit}) {
-          const std::vector<double> rhs = rhsColumns(n, k, 99);
-          std::vector<double> panel = rhs;
-          blas::strsmMixed(uplo, diag, n, k, a.data(), n, panel.data(), n);
-          for (index_t c = 0; c < k; ++c) {
-            std::vector<double> ref(
-                rhs.begin() + static_cast<std::ptrdiff_t>(c * n),
-                rhs.begin() + static_cast<std::ptrdiff_t>((c + 1) * n));
-            blas::strsvMixed(uplo, diag, n, a.data(), n, ref.data());
-            EXPECT_EQ(0, std::memcmp(ref.data(),
-                                     panel.data() + static_cast<std::size_t>(
-                                                        c * n),
-                                     sizeof(double) *
-                                         static_cast<std::size_t>(n)))
-                << "n=" << n << " k=" << k << " col=" << c
-                << " uplo=" << (uplo == blas::Uplo::kLower ? "L" : "U")
-                << " diag=" << (diag == blas::Diag::kUnit ? "unit" : "non");
+          for (ThreadPool* pool : {&solo, &three}) {
+            const std::vector<double> rhs = rhsColumns(n, k, 99);
+            std::vector<double> panel = rhs;
+            blas::strsmMixed(uplo, diag, n, k, a.data(), n, panel.data(), n,
+                             pool);
+            for (index_t c = 0; c < k; ++c) {
+              std::vector<double> ref(
+                  rhs.begin() + static_cast<std::ptrdiff_t>(c * n),
+                  rhs.begin() + static_cast<std::ptrdiff_t>((c + 1) * n));
+              blas::strsvMixed(uplo, diag, n, a.data(), n, ref.data());
+              EXPECT_EQ(0, std::memcmp(ref.data(),
+                                       panel.data() +
+                                           static_cast<std::size_t>(c * n),
+                                       sizeof(double) *
+                                           static_cast<std::size_t>(n)))
+                  << "n=" << n << " k=" << k << " col=" << c
+                  << " uplo=" << (uplo == blas::Uplo::kLower ? "L" : "U")
+                  << " diag=" << (diag == blas::Diag::kUnit ? "unit" : "non")
+                  << " lanes=" << pool->laneCount();
+            }
           }
         }
       }
