@@ -1,6 +1,6 @@
 // Serving benchmark: throughput/latency of the solver-as-a-service engine.
 //
-// Five sweeps, all on synthetic open-loop traces over repeated problem
+// Four sweeps, all on synthetic open-loop traces over repeated problem
 // keys (the serving analogue of the paper's factor-once economics):
 //   1. batching   — a stream dense enough that requests queue while the
 //                   worker solves, with batch caps of 1 and 8: what
@@ -9,8 +9,7 @@
 //                   cache budget: hit-rate and its latency cliff.
 //   3. chaos      — the delay and transient scenarios from the fault
 //                   harness: retries and deadline rejections, never hangs.
-//   4. breaker    — a poisoned key with and without its circuit breaker.
-//   5. fleet      — the same stream over 1/2/3 shards, one run degraded.
+//   4. fleet      — the same stream over 1/2/3 shards, one run degraded.
 //
 // Writes BENCH_serve.json: the final section of each sweep plus the full
 // latency report of the headline run (queue-wait and solve-time
@@ -170,71 +169,8 @@ int main() {
   }
   chaos.print();
 
-  // Sweep 4: circuit breaker. A poisoned key (every execution attempt
-  // fails) is interleaved with healthy traffic. Without the breaker its
-  // retries keep burning the worker lane healthy keys queue behind; with
-  // it the circuit trips after `failureThreshold` terminal failures and
-  // later submissions are rejected at admission, keeping healthy-key p99
-  // (completed requests only) near the fault-free baseline.
-  // Arrivals are spread out (1 ms gaps) so poisoned batches start failing
-  // while later poisoned requests are still arriving — that is the window
-  // where the tripped circuit converts executions into admission
-  // rejections.
-  const std::uint64_t kPoisonSeed = 4242;
-  const RequestTrace breakerBase =
-      serve::makeSyntheticTrace(kRequests, kKeys, 1.0, kN, kB, 21);
-  RequestTrace poisoned;
-  poisoned.name = "poisoned";
-  for (std::size_t i = 0; i < breakerBase.requests.size(); ++i) {
-    poisoned.requests.push_back(breakerBase.requests[i]);
-    if (i % 4 == 3) {  // one poisoned arrival per four healthy ones
-      TraceRequest bad = breakerBase.requests[i];
-      bad.seed = kPoisonSeed;
-      bad.rhsSeed = 90000 + i;
-      poisoned.requests.push_back(bad);
-    }
-  }
-  Table breaker({"scenario", "completed", "failed", "rej circuit", "trips",
-                 "healthy p99 ms"});
-  double baselineP99 = 0.0;
-  double breakerP99 = 0.0;
-  for (const std::string scenario :
-       {"baseline", "fault-no-breaker", "fault-breaker"}) {
-    ServeConfig cfg;
-    cfg.workers = 2;  // a lane for the poisoned key, a lane for the rest
-    if (scenario != "baseline") {
-      cfg.keyFaultHook = [kPoisonSeed](const serve::ProblemKey& k) {
-        return k.seed == kPoisonSeed;
-      };
-      cfg.maxRetries = 0;  // the fault is permanent: retries only add load
-      cfg.retryBackoffSeconds = 0.5e-3;
-    }
-    if (scenario == "fault-breaker") {
-      cfg.breaker.enabled = true;
-      cfg.breaker.failureThreshold = 2;
-      cfg.breaker.openSeconds = 60.0;  // longer than the replay: stays open
-    }
-    const ServeReport r =
-        replay(scenario == "baseline" ? breakerBase : poisoned,
-               std::move(cfg));
-    if (scenario == "baseline") {
-      baselineP99 = r.total.p99Ms;
-    } else if (scenario == "fault-breaker") {
-      breakerP99 = r.total.p99Ms;
-    }
-    breaker.addRow({scenario, Table::num((long long)r.completed),
-                    Table::num((long long)r.failed),
-                    Table::num((long long)r.rejectedCircuitOpen),
-                    Table::num((long long)r.breakerTrips),
-                    Table::num(r.total.p99Ms, 2)});
-  }
-  breaker.print();
-  std::printf("breaker: healthy p99 %.2f ms vs baseline %.2f ms (%.2fx)\n",
-              breakerP99, baselineP99,
-              baselineP99 > 0.0 ? breakerP99 / baselineP99 : 0.0);
-
-  // Sweep 5: the sharded fleet. The same stream over 1/2/3 shards, plus a
-  // degraded 3-shard run with shard 0 circuit-broken for the middle third
+  // Sweep 4: the sharded fleet. The same stream over 1/2/3 shards, plus a
+  // degraded 3-shard run with shard 0 broken for the middle third
   // of the arrivals. Answers are bitwise-invariant to sharding
   // (tests/test_fleet.cpp proves it); this sweep records what sharding
   // costs and what degradation does to the ledger — dropped must be 0 in

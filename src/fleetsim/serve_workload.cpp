@@ -247,8 +247,7 @@ bool ServeWorkload::done() const {
 }
 
 void ServeWorkload::reject(const PendingRequest& req,
-                           serve::RequestStatus status, double now) {
-  (void)now;
+                           serve::RequestStatus status) {
   if (req.hedgeCopy || !markAnswered(req.traceIndex)) {
     // A losing copy's rejection is not the request's fate.
     ++stats_.hedgeWasted;
@@ -291,7 +290,7 @@ void ServeWorkload::startNextBatch(Simulator& sim, index_t shardIndex) {
   batch.generation = shard.generation;
   batch.dispatchSeconds = now;
   while (batch.requests.empty()) {
-    // The bucket whose head queued first, as the live engine's readyKey
+    // The bucket whose head queued first, as the live engine's oldestKey
     // picks the key of its oldest request.
     auto oldest = shard.buckets.end();
     for (auto it = shard.buckets.begin(); it != shard.buckets.end(); ++it) {
@@ -312,7 +311,7 @@ void ServeWorkload::startNextBatch(Simulator& sim, index_t shardIndex) {
       PendingRequest& req = bucket[i];
       --shard.queuedRequests;
       if (req.deadlineSeconds > 0.0 && now > req.deadlineSeconds) {
-        reject(req, serve::RequestStatus::kRejectedDeadline, now);
+        reject(req, serve::RequestStatus::kRejectedDeadline);
         continue;
       }
       batch.requests.push_back(req);
@@ -472,11 +471,11 @@ void ServeWorkload::handle(Simulator& sim, const Event& event) {
       }
       ++shard.routed;
       if (req.deadlineSeconds > 0.0 && now > req.deadlineSeconds) {
-        reject(req, serve::RequestStatus::kRejectedDeadline, now);
+        reject(req, serve::RequestStatus::kRejectedDeadline);
         break;
       }
       if (shard.queuedRequests >= config_.queueDepth) {
-        reject(req, serve::RequestStatus::kRejectedQueueFull, now);
+        reject(req, serve::RequestStatus::kRejectedQueueFull);
         break;
       }
       req.queueSeq = nextQueueSeq_++;

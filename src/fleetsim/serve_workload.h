@@ -101,8 +101,9 @@ struct ServeStats {
   std::uint64_t completed = 0;
   std::uint64_t rejectedQueueFull = 0;
   std::uint64_t rejectedDeadline = 0;
-  /// Always 0: fleetsim models no per-key breaker. Kept so the outcome
-  /// ledger reads like the live engine's report.
+  /// Always 0: nothing in fleetsim rejects this way. perfbench's
+  /// fleetsim_frontier request ledger still reads it, so a change to the
+  /// benchmark removes it.
   std::uint64_t rejectedCircuitOpen = 0;
   std::uint64_t failed = 0;
   std::uint64_t failovers = 0;
@@ -256,8 +257,7 @@ class ServeWorkload final : public Workload {
   void failOver(Simulator& sim, PendingRequest req, index_t fromShard,
                 index_t keyIndex);
   void evictForBudget(Shard& shard);
-  void reject(const PendingRequest& req, serve::RequestStatus status,
-              double now);
+  void reject(const PendingRequest& req, serve::RequestStatus status);
   /// True when this copy's terminal event answered the request; false when
   /// another copy already had (the caller tallies wasted hedge work).
   [[nodiscard]] bool markAnswered(index_t traceIndex);

@@ -1,6 +1,5 @@
 #include "serve/engine.h"
 
-#include <algorithm>
 #include <chrono>
 #include <exception>
 #include <thread>
@@ -10,28 +9,6 @@
 #include "util/logging.h"
 
 namespace hplmxp::serve {
-
-namespace {
-
-/// Smallest wait a worker parks for while every queued request backs off;
-/// guards against a zero-length wait_for spinning the lock.
-constexpr double kMinBackoffWaitSeconds = 20e-6;
-
-std::chrono::duration<double> secondsOf(double s) {
-  return std::chrono::duration<double>(s);
-}
-
-/// SplitMix64 over (request id, attempt): the jitter source for retry
-/// backoff. Deterministic so chaos runs replay exactly.
-double jitter01(std::uint64_t id, std::uint64_t attempt) {
-  std::uint64_t z = id * 0x9E3779B97F4A7C15ull + attempt + 1;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  z ^= z >> 31;
-  return static_cast<double>(z >> 11) * 0x1.0p-53;
-}
-
-}  // namespace
 
 const RequestOutcome& ServeEngine::Handle::wait() {
   std::unique_lock<std::mutex> lock(mutex_);
@@ -79,17 +56,11 @@ ServeEngine::ServeEngine(ServeConfig config, ThreadPool* pool)
     : config_(std::move(config)),
       pool_(pool != nullptr ? pool : &ThreadPool::global()),
       cache_(config_.cacheBytes),
-      breaker_(config_.breaker),
       queue_(config_.queueDepth),
       paused_(config_.startPaused) {
   HPLMXP_REQUIRE(config_.workers > 0, "serve engine needs >= 1 worker");
   HPLMXP_REQUIRE(config_.maxBatch > 0, "batch size must be positive");
   HPLMXP_REQUIRE(config_.maxRetries >= 0, "retry budget must be >= 0");
-  HPLMXP_REQUIRE(config_.retryBackoffSeconds >= 0.0 &&
-                     config_.retryBackoffMaxSeconds >= 0.0,
-                 "retry backoff must be non-negative");
-  HPLMXP_REQUIRE(config_.degradedOpenBreakers >= 0,
-                 "degraded-mode threshold must be >= 0");
   workers_.reserve(static_cast<std::size_t>(config_.workers));
   for (index_t lane = 0; lane < config_.workers; ++lane) {
     workers_.emplace_back([this, lane] { workerLoop(lane); });
@@ -130,29 +101,13 @@ ServeEngine::HandlePtr ServeEngine::submit(const SolveRequest& request) {
     return handle;
   }
 
-  // Circuit breaker: a key with an open circuit is answered immediately
-  // with a structured rejection — no queue slot, no worker time.
-  if (config_.breaker.enabled && !breaker_.allow(request.key, submitNow)) {
-    lock.unlock();
-    outcome.status = RequestStatus::kRejectedCircuitOpen;
-    outcome.error = "circuit open for key " + request.key.toString();
-    outcome.totalSeconds = now() - submitNow;
-    recorder_.record(outcome);
-    handle->finish(std::move(outcome), {});
-    return handle;
-  }
-
   QueuedRequest qr;
   qr.request = request;
   qr.request.id = outcome.id;
   qr.submitSeconds = submitNow;
-  double rel = request.deadlineSeconds > 0.0 ? request.deadlineSeconds
-                                             : config_.defaultDeadlineSeconds;
-  if (rel > 0.0 && degraded()) {
-    // Degraded mode sheds deadline slack: while circuits are burning the
-    // engine promises less and answers sooner.
-    rel *= config_.degradedDeadlineScale;
-  }
+  const double rel = request.deadlineSeconds > 0.0
+                         ? request.deadlineSeconds
+                         : config_.defaultDeadlineSeconds;
   qr.deadlineSeconds = rel > 0.0 ? submitNow + rel : 0.0;
   qr.handle = handle;
 
@@ -206,22 +161,6 @@ void ServeEngine::setServiceStretch(double stretch) {
   serviceStretch_.store(stretch, std::memory_order_relaxed);
 }
 
-bool ServeEngine::degraded() const {
-  return config_.breaker.enabled && config_.degradedOpenBreakers > 0 &&
-         breaker_.openCount() >= config_.degradedOpenBreakers;
-}
-
-double ServeEngine::retryBackoff(std::uint64_t id, index_t attempt) const {
-  if (config_.retryBackoffSeconds <= 0.0) {
-    return 0.0;
-  }
-  const double exp = static_cast<double>(
-      std::uint64_t{1} << std::min<index_t>(attempt, 10));
-  const double j = 0.5 + 0.5 * jitter01(id, static_cast<std::uint64_t>(attempt));
-  return std::min(config_.retryBackoffSeconds * exp * j,
-                  config_.retryBackoffMaxSeconds);
-}
-
 ServeReport ServeEngine::report() const {
   index_t peak = 0;
   {
@@ -233,12 +172,6 @@ ServeReport ServeEngine::report() const {
     const simmpi::FaultStats s = config_.chaos->stats();
     r.injectedDelays = s.delays;
     r.injectedTransients = s.transientFailures;
-  }
-  if (config_.breaker.enabled) {
-    r.breakerTrips = breaker_.trips();
-    r.breakerRejections = breaker_.rejections();
-    r.breakersOpen = breaker_.openCount();
-    r.degraded = degraded();
   }
   return r;
 }
@@ -253,25 +186,11 @@ void ServeEngine::workerLoop(index_t lane) {
       cv_.wait(lock);
       continue;
     }
-    // Work-conserving dispatch: an idle worker takes the oldest ready key
-    // at once. Stop-flush ignores backoff eligibility: every admitted
-    // request must terminate.
-    const double t = now();
-    double nextReady = 0.0;
-    const ProblemKey* ready = stopping_
-                                  ? queue_.oldestKey(nullptr)
-                                  : queue_.readyKey(t, nullptr, &nextReady);
-    if (ready == nullptr) {
-      // Every queued request is backing off: sleep until the earliest one
-      // matures; new arrivals notify.
-      cv_.wait_for(lock, secondsOf(std::max(nextReady - t,
-                                            kMinBackoffWaitSeconds)));
-      continue;
-    }
-    const ProblemKey key = *ready;
-    const index_t cap = degraded() ? 1 : config_.maxBatch;
-    std::vector<QueuedRequest> batch =
-        stopping_ ? queue_.take(key, cap) : queue_.take(key, cap, t);
+    // Work-conserving dispatch: an idle worker takes the oldest key at
+    // once. The stop flush runs through here too, so every admitted
+    // request terminates before its worker exits.
+    const ProblemKey key = *queue_.oldestKey(nullptr);
+    std::vector<QueuedRequest> batch = queue_.take(key, config_.maxBatch);
     lock.unlock();
     executeBatch(lane, key, std::move(batch));
     lock.lock();
@@ -360,10 +279,6 @@ void ServeEngine::executeBatch(index_t lane, const ProblemKey& key,
         finishRequest(qr, std::move(o), {});
       } else {
         ++qr.retries;
-        // Jittered exponential backoff keeps a retry storm from hammering
-        // the same key back-to-back; 0 base keeps the legacy behavior.
-        qr.notBeforeSeconds =
-            now() + retryBackoff(qr.request.id, qr.retries);
         std::lock_guard<std::mutex> lock(mutex_);
         queue_.pushRetry(std::move(qr));
         requeued = true;
@@ -374,21 +289,8 @@ void ServeEngine::executeBatch(index_t lane, const ProblemKey& key,
     }
   };
   if (transient) {
-    // Lane-attributed chaos, not a property of the key — retried without
-    // feeding the per-key breaker.
     config_.chaos->noteTransient();
     requeueOrFail(batch, "injected transient fault");
-    return;
-  }
-
-  // Key-attributed fault hook (tests/benches): a poisoned key fails every
-  // execution attempt, flows through the retry path, and feeds the
-  // breaker so persistent failure eventually trips the circuit.
-  if (config_.keyFaultHook && config_.keyFaultHook(key)) {
-    if (config_.breaker.enabled) {
-      breaker_.onFailure(key, now());
-    }
-    requeueOrFail(batch, "injected key fault");
     return;
   }
 
@@ -429,13 +331,6 @@ void ServeEngine::executeBatch(index_t lane, const ProblemKey& key,
       res.solveSeconds *= stretch;
     }
 
-    // Feed the breaker BEFORE publishing outcomes: a client that saw its
-    // half-open probe complete must find the circuit closed, not still
-    // holding the probe slot.
-    if (config_.breaker.enabled) {
-      breaker_.onSuccess(key);
-    }
-
     const double done = now();
     for (std::size_t c = 0; c < batch.size(); ++c) {
       QueuedRequest& qr = batch[c];
@@ -462,9 +357,6 @@ void ServeEngine::executeBatch(index_t lane, const ProblemKey& key,
     // exceptions) follow the same bounded-retry path as transients.
     logWarn("serve worker ", lane, ": batch for ", key.toString(),
             " failed: ", e.what());
-    if (config_.breaker.enabled) {
-      breaker_.onFailure(key, now());
-    }
     requeueOrFail(batch, std::string("solver error: ") + e.what());
   }
 }

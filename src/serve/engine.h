@@ -3,19 +3,19 @@
 //
 // Architecture (one box per module):
 //
-//   submit() ──admission──▶ RequestQueue ──readyKey──▶ idle worker loop
-//                │ reject: queue full /                     │ oldest key,
-//                ▼ deadline already passed                  ▼ <= maxBatch
-//           Handle(done)                         FactorCache.getOrFactor
-//                                                (single-flight, LRU)
-//                                                           │
-//                                                solveManyMixedSingle
-//                                                (blocked multi-RHS IR)
-//                                                           │
-//                                                Handle(done) + metrics
+//   submit() ──admission──▶ RequestQueue ──oldestKey──▶ idle worker loop
+//                │ reject: queue full /                      │ oldest key,
+//                ▼ unservable key                            ▼ <= maxBatch
+//           Handle(done)                          FactorCache.getOrFactor
+//                                                 (single-flight, LRU)
+//                                                            │
+//                                                 solveManyMixedSingle
+//                                                 (blocked multi-RHS IR)
+//                                                            │
+//                                                 Handle(done) + metrics
 //
 // Dispatch is work-conserving: an idle worker takes the key of the oldest
-// ready request at once, with up to `maxBatch` requests of that key. A
+// queued request at once, with up to `maxBatch` requests of that key. A
 // batch therefore holds more than one column only when requests queued
 // while every worker was busy; nobody waits on an idle worker for
 // batch-mates. Batching never changes answers (each column is bitwise a
@@ -35,9 +35,10 @@
 // Chaos: an optional simmpi::FaultInjector (the PR-1 chaos harness) is
 // consulted once per batch execution attempt, with the worker's lane index
 // standing in for the rank. Injected delays surface as longer service
-// times — and deadline *rejections* once the budget is gone — and injected
-// transient failures surface as bounded retries (the batch is requeued)
-// or, past the retry budget, structured kFailed outcomes. Never hangs.
+// times — and deadline *rejections* once the budget is gone. A failed
+// batch (an injected transient fault or a solver exception) is requeued at
+// once within each request's `maxRetries`; past that budget the request
+// is answered kFailed. Never hangs.
 #pragma once
 
 #include <atomic>
@@ -50,7 +51,6 @@
 #include <vector>
 
 #include "device/device.h"
-#include "serve/breaker.h"
 #include "serve/factor_cache.h"
 #include "serve/metrics.h"
 #include "serve/request.h"
@@ -74,36 +74,11 @@ struct ServeConfig {
   /// Optional chaos injector; lanes are addressed as ranks 0..workers-1.
   std::shared_ptr<simmpi::FaultInjector> chaos;
 
-  /// Per-key circuit breaker (serve/breaker.h). Default-off: enabling it
-  /// turns persistent per-key failures into immediate structured
-  /// kRejectedCircuitOpen answers instead of retry storms.
-  BreakerConfig breaker;
-
-  /// Jittered exponential backoff for retry requeues: a retried request
-  /// becomes dispatchable only after base * 2^retries seconds, scaled by
-  /// a deterministic per-(request, attempt) jitter in [0.5, 1), and
-  /// capped. 0 = retries are immediately eligible (the old behavior).
-  double retryBackoffSeconds = 0.0;
-  double retryBackoffMaxSeconds = 0.250;
-
-  /// Degraded mode: when at least this many circuits are open at once the
-  /// engine stops coalescing (batch size 1) and shrinks the default
-  /// deadline of new admissions by `degradedDeadlineScale` — shedding
-  /// optional latency optimizations to keep healthy keys moving while part
-  /// of the keyspace is burning. 0 disables.
-  index_t degradedOpenBreakers = 0;
-  double degradedDeadlineScale = 0.5;
-
-  /// Test/bench hook: keys for which every batch execution fails (a
-  /// deterministic stand-in for a poisoned factorization). Failures flow
-  /// through the normal retry-then-breaker path.
-  std::function<bool(const ProblemKey&)> keyFaultHook;
-
   /// When set, cache misses run this instead of the built-in single-device
   /// factorization. The fleet tier points it at the shard's factor job,
   /// which reports to shard health and fails on a crashed shard. Must
   /// produce a Factorization for exactly the given key; exceptions flow
-  /// through the normal retry-then-breaker path.
+  /// through the normal bounded-retry path.
   std::function<Factorization(const ProblemKey&)> factorOverride;
 };
 
@@ -153,8 +128,10 @@ class ServeEngine {
   ServeEngine& operator=(const ServeEngine&) = delete;
 
   /// Admits one request. The returned handle is already terminal for
-  /// admission rejections (queue full, deadline impossible, or a key the
-  /// single-device backend cannot serve).
+  /// admission rejections (queue full, a stopping engine, or a key the
+  /// single-device backend cannot serve). Deadlines are not checked here:
+  /// a worker checks them at pick-up, after any injected delay, and again
+  /// after a cold factorization.
   HandlePtr submit(const SolveRequest& request);
 
   /// Releases a paused engine's workers (ServeConfig::startPaused).
@@ -180,10 +157,6 @@ class ServeEngine {
   /// anything — the slow-but-alive shard the fleet's phi detector and
   /// hedging are tested against. 1.0 restores full speed.
   void setServiceStretch(double stretch);
-  [[nodiscard]] const CircuitBreaker& breaker() const { return breaker_; }
-  /// True while enough circuits are open to shed batching and shrink
-  /// deadlines (ServeConfig::degradedOpenBreakers).
-  [[nodiscard]] bool degraded() const;
   [[nodiscard]] std::vector<RequestOutcome> outcomes() const {
     return recorder_.outcomes();
   }
@@ -195,13 +168,11 @@ class ServeEngine {
   void finishRequest(QueuedRequest& qr, RequestOutcome outcome,
                      std::vector<double> solution);
   [[nodiscard]] double now() const { return clock_.seconds(); }
-  [[nodiscard]] double retryBackoff(std::uint64_t id, index_t attempt) const;
 
   ServeConfig config_;
   ThreadPool* pool_;
   std::atomic<double> serviceStretch_{1.0};
   FactorCache cache_;
-  CircuitBreaker breaker_;
   LatencyRecorder recorder_;
   Timer clock_;  // engine-relative monotonic clock
 

@@ -97,9 +97,6 @@ ServeReport LatencyRecorder::report(const FactorCache::Stats& cacheStats,
       case RequestStatus::kRejectedDeadline:
         ++r.rejectedDeadline;
         break;
-      case RequestStatus::kRejectedCircuitOpen:
-        ++r.rejectedCircuitOpen;
-        break;
       case RequestStatus::kFailed:
         ++r.failed;
         break;
@@ -123,8 +120,6 @@ Table ServeReport::toTable() const {
   t.addRow({"rejected (queue full)",
             Table::num((long long)rejectedQueueFull)});
   t.addRow({"rejected (deadline)", Table::num((long long)rejectedDeadline)});
-  t.addRow({"rejected (circuit open)",
-            Table::num((long long)rejectedCircuitOpen)});
   t.addRow({"failed", Table::num((long long)failed)});
   t.addRow({"retries (chaos)", Table::num((long long)retries)});
   t.addRow({"wall seconds", Table::num(wallSeconds, 3)});
@@ -133,10 +128,6 @@ Table ServeReport::toTable() const {
   t.addRow({"mean / max batch", Table::num(meanBatchSize, 2) + " / " +
                                     Table::num((long long)maxBatchSize)});
   t.addRow({"peak queue depth", Table::num((long long)peakQueueDepth)});
-  t.addRow({"breaker trips", Table::num((long long)breakerTrips)});
-  t.addRow({"breakers open / degraded",
-            Table::num((long long)breakersOpen) + " / " +
-                (degraded ? "yes" : "no")});
   if (hedges > 0 || quarantines > 0) {
     t.addRow({"hedges / wins / wasted", Table::num((long long)hedges) +
                                             " / " +
@@ -171,7 +162,6 @@ std::string ServeReport::toJson() const {
   os << "  \"completed\": " << completed << ",\n";
   os << "  \"rejected_queue_full\": " << rejectedQueueFull << ",\n";
   os << "  \"rejected_deadline\": " << rejectedDeadline << ",\n";
-  os << "  \"rejected_circuit_open\": " << rejectedCircuitOpen << ",\n";
   os << "  \"failed\": " << failed << ",\n";
   os << "  \"retries\": " << retries << ",\n";
   os << "  \"wall_seconds\": " << wallSeconds << ",\n";
@@ -182,10 +172,6 @@ std::string ServeReport::toJson() const {
   os << "  \"peak_queue_depth\": " << peakQueueDepth << ",\n";
   os << "  \"injected_delays\": " << injectedDelays << ",\n";
   os << "  \"injected_transients\": " << injectedTransients << ",\n";
-  os << "  \"breaker_trips\": " << breakerTrips << ",\n";
-  os << "  \"breaker_rejections\": " << breakerRejections << ",\n";
-  os << "  \"breakers_open\": " << breakersOpen << ",\n";
-  os << "  \"degraded\": " << (degraded ? "true" : "false") << ",\n";
   os << "  \"hedges\": " << hedges << ",\n";
   os << "  \"hedge_wins\": " << hedgeWins << ",\n";
   os << "  \"hedge_wasted\": " << hedgeWasted << ",\n";

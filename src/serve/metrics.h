@@ -36,7 +36,6 @@ struct ServeReport {
   std::uint64_t completed = 0;
   std::uint64_t rejectedQueueFull = 0;
   std::uint64_t rejectedDeadline = 0;
-  std::uint64_t rejectedCircuitOpen = 0;
   std::uint64_t failed = 0;
   std::uint64_t retries = 0;
 
@@ -50,13 +49,6 @@ struct ServeReport {
   // Chaos tallies (zero when no injector is armed).
   std::uint64_t injectedDelays = 0;
   std::uint64_t injectedTransients = 0;
-
-  // Circuit-breaker picture (zero when the breaker is disabled). Filled
-  // by the engine, not the recorder.
-  std::uint64_t breakerTrips = 0;
-  std::uint64_t breakerRejections = 0;
-  index_t breakersOpen = 0;
-  bool degraded = false;
 
   // Gray-failure defense tallies (zero outside a fleet). Filled by the
   // FleetEngine, not the recorder.

@@ -20,16 +20,15 @@ struct SolveRequest {
 };
 
 /// Terminal states of a request. Admission control rejects before any
-/// work happens (kRejectedQueueFull); deadline rejections can happen at
-/// admission, after an injected delay, or after a slow factorization —
-/// the contract is that a late request is *answered* late-as-rejected,
-/// never silently hung.
+/// work happens (kRejectedQueueFull); deadline rejections happen at batch
+/// pick-up, after an injected delay, or after a slow factorization — the
+/// contract is that a late request is *answered* late-as-rejected, never
+/// silently hung.
 enum class RequestStatus {
   kPending,
   kCompleted,
   kRejectedQueueFull,
   kRejectedDeadline,
-  kRejectedCircuitOpen,
   kFailed,
 };
 
@@ -39,7 +38,6 @@ enum class RequestStatus {
     case RequestStatus::kCompleted: return "completed";
     case RequestStatus::kRejectedQueueFull: return "rejected-queue-full";
     case RequestStatus::kRejectedDeadline: return "rejected-deadline";
-    case RequestStatus::kRejectedCircuitOpen: return "rejected-circuit-open";
     case RequestStatus::kFailed: return "failed";
   }
   return "?";

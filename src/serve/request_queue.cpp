@@ -1,7 +1,6 @@
 #include "serve/request_queue.h"
 
 #include <algorithm>
-#include <limits>
 
 namespace hplmxp::serve {
 
@@ -27,23 +26,13 @@ void RequestQueue::pushRetry(QueuedRequest qr) {
 }
 
 const ProblemKey* RequestQueue::oldestKey(double* ageOut) const {
-  return readyKey(std::numeric_limits<double>::infinity(), ageOut, nullptr);
-}
-
-const ProblemKey* RequestQueue::readyKey(double now, double* ageOut,
-                                         double* nextReadyOut) const {
   const ProblemKey* best = nullptr;
   double bestSubmit = 0.0;
-  double nextReady = std::numeric_limits<double>::infinity();
   for (const auto& [key, bucket] : buckets_) {
     if (bucket.empty()) {
       continue;
     }
     const QueuedRequest& front = bucket.front();
-    if (front.notBeforeSeconds > now) {
-      nextReady = std::min(nextReady, front.notBeforeSeconds);
-      continue;
-    }
     if (best == nullptr || front.submitSeconds < bestSubmit) {
       best = &key;
       bestSubmit = front.submitSeconds;
@@ -52,27 +41,18 @@ const ProblemKey* RequestQueue::readyKey(double now, double* ageOut,
   if (best != nullptr && ageOut != nullptr) {
     *ageOut = bestSubmit;
   }
-  if (nextReadyOut != nullptr) {
-    *nextReadyOut = nextReady;
-  }
   return best;
 }
 
 std::vector<QueuedRequest> RequestQueue::take(const ProblemKey& key,
                                               index_t maxBatch) {
-  return take(key, maxBatch, std::numeric_limits<double>::infinity());
-}
-
-std::vector<QueuedRequest> RequestQueue::take(const ProblemKey& key,
-                                              index_t maxBatch, double now) {
   std::vector<QueuedRequest> out;
   const auto it = buckets_.find(key);
   if (it == buckets_.end()) {
     return out;
   }
   while (!it->second.empty() &&
-         static_cast<index_t>(out.size()) < maxBatch &&
-         it->second.front().notBeforeSeconds <= now) {
+         static_cast<index_t>(out.size()) < maxBatch) {
     out.push_back(std::move(it->second.front()));
     it->second.pop_front();
     --depth_;

@@ -30,9 +30,6 @@ struct QueuedRequest {
   SolveRequest request;
   double submitSeconds = 0.0;
   double deadlineSeconds = 0.0;  // absolute engine-clock instant; 0 = none
-  /// Earliest engine-clock instant a retry may be dispatched (jittered
-  /// exponential backoff); 0 = immediately eligible.
-  double notBeforeSeconds = 0.0;
   index_t retries = 0;
   std::shared_ptr<void> handle;  // engine's per-request completion handle
 };
@@ -51,25 +48,12 @@ class RequestQueue {
   void pushRetry(QueuedRequest qr);
 
   /// Key of the oldest pending request, or nullptr when empty. `ageOut`
-  /// receives that request's submission instant. Ignores retry-backoff
-  /// eligibility (equivalent to readyKey at time infinity).
+  /// receives that request's submission instant.
   [[nodiscard]] const ProblemKey* oldestKey(double* ageOut) const;
 
-  /// Key of the oldest request whose backoff window has elapsed by `now`,
-  /// or nullptr. Buckets stay FIFO: a bucket whose front is still backing
-  /// off is not ready, even if later entries are (per-key order is part of
-  /// the serving contract). When nothing is ready but requests are
-  /// pending, `nextReadyOut` (if non-null) receives the earliest instant
-  /// a front becomes eligible, so the caller can sleep exactly that long.
-  [[nodiscard]] const ProblemKey* readyKey(double now, double* ageOut,
-                                           double* nextReadyOut) const;
-
   /// Removes and returns up to `maxBatch` requests for `key` in FIFO
-  /// order, stopping at the first entry still backing off at `now` (pass
-  /// no `now` to ignore eligibility).
+  /// order.
   std::vector<QueuedRequest> take(const ProblemKey& key, index_t maxBatch);
-  std::vector<QueuedRequest> take(const ProblemKey& key, index_t maxBatch,
-                                  double now);
 
   [[nodiscard]] index_t depth() const { return depth_; }
   [[nodiscard]] bool empty() const { return depth_ == 0; }
