@@ -883,8 +883,6 @@ int cmdServe(const Options& raw) {
     fcfg.shards = shards;
     fcfg.virtualNodes = opts.getInt("serve.shards.virtual-nodes", 64);
     fcfg.fleetCacheBytes = scfg.cacheBytes;  // fleet-wide, split per shard
-    fcfg.hotKeyRequests = opts.getInt("serve.shards.hot-requests", 0);
-    fcfg.hotReplicas = opts.getInt("serve.shards.hot-replicas", 2);
     fcfg.failoverLimit = opts.getInt("serve.shards.failover-limit", 2);
     // Gray-failure defense: phi-accrual health monitor + hedged requests.
     fcfg.healthMonitor.enabled = opts.getBool("serve.shards.health", true);
@@ -1284,7 +1282,6 @@ std::string usage() {
       "            --serve.chaos none|delay|transient --serve.chaos-seed\n"
       "            sharded fleet: --shards N\n"
       "            --serve.shards.virtual-nodes\n"
-      "            --serve.shards.hot-requests --serve.shards.hot-replicas\n"
       "            --serve.shards.failover-limit\n"
       "            shard health: --serve.shards.dwell-ms (quarantine\n"
       "            before a probe); its phi tier --serve.shards.health\n"

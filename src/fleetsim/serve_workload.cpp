@@ -46,7 +46,8 @@ ServeWorkload::ServeWorkload(ServeWorkloadConfig config,
       ring_(config_.shards, config_.virtualNodes),
       healthMon_(syncedHealth(config_), config_.shards) {
   config_.validate(topology);
-  cacheBudgetBytes_ = config_.cacheMb * 1024.0 * 1024.0;
+  cacheBudgetBytes_ =
+      config_.cacheMb * 1024.0 * 1024.0 / static_cast<double>(config_.shards);
   hedgeTokens_ = config_.hedgeBudgetBurst;
   shards_.resize(static_cast<std::size_t>(config_.shards));
   const index_t stride = topology.nodes() / config_.shards;
@@ -167,21 +168,15 @@ void ServeWorkload::fireHedge(Simulator& sim, index_t traceIndex,
   const serve::TraceRequest& r = traceRequest(traceIndex);
   const index_t keyIdx = keyIndexOf(r);
   const index_t primary = stIt->second.primaryShard;
-  // Replica target: the first routable ring successor that is not the
-  // primary (the hedge exists to bet on a DIFFERENT shard).
-  index_t target = -1;
-  const std::vector<index_t> successors = ring_.successors(
-      keys_[static_cast<std::size_t>(keyIdx)], config_.shards,
-      [&](index_t s) {
-        return !shards_[static_cast<std::size_t>(s)].crashed &&
+  // Replica target: the first routable shard clockwise past the primary
+  // (the hedge bets on a DIFFERENT shard). The filter rejects the primary
+  // and crashed shards before routable() can spend their probe slots.
+  const index_t target = ring_.route(
+      keys_[static_cast<std::size_t>(keyIdx)], [&](index_t s) {
+        return s != primary &&
+               !shards_[static_cast<std::size_t>(s)].crashed &&
                healthMon_.routable(s, now);
       });
-  for (const index_t s : successors) {
-    if (s != primary) {
-      target = s;
-      break;
-    }
-  }
   if (target < 0) {
     ++stats_.hedgeDenied;
     return;

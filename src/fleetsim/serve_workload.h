@@ -58,6 +58,8 @@ struct ServeWorkloadConfig {
   index_t virtualNodes = 64;
   index_t queueDepth = 64;
   index_t maxBatch = 8;
+  /// Fleet-wide factor-cache budget, split evenly across the shards as
+  /// FleetConfig::fleetCacheBytes is.
   double cacheMb = 64.0;
   double defaultDeadlineMs = 0.0;  // 0 = none
   index_t failoverLimit = 2;
@@ -287,7 +289,7 @@ class ServeWorkload final : public Workload {
   index_t me_ = -1;
   std::uint64_t nextQueueSeq_ = 0;
   ServeStats stats_;
-  double cacheBudgetBytes_ = 0.0;
+  double cacheBudgetBytes_ = 0.0;  // per shard
 };
 
 }  // namespace hplmxp::fleetsim

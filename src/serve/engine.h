@@ -146,11 +146,7 @@ class ServeEngine {
 
   [[nodiscard]] ServeReport report() const;
   [[nodiscard]] const FactorCache& cache() const { return cache_; }
-  /// Fleet hooks: eviction listener pass-through and crash simulation
-  /// (a crashed shard loses its resident factors).
-  void setCacheEvictionListener(std::function<void(const ProblemKey&)> fn) {
-    cache_.setEvictionListener(std::move(fn));
-  }
+  /// Fleet hook for a crash: a crashed shard loses its resident factors.
   void clearCache() { cache_.clear(); }
   /// Gray-fault hook: stretches every batch's service time by `stretch`
   /// (sleeping the extra (stretch-1)x after the solve) WITHOUT failing

@@ -74,12 +74,6 @@ FactorCache::Fetch FactorCache::getOrFactor(
   }
 }
 
-void FactorCache::setEvictionListener(
-    std::function<void(const ProblemKey&)> listener) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  evictionListener_ = std::move(listener);
-}
-
 std::shared_ptr<const Factorization> FactorCache::peek(const ProblemKey& key) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = entries_.find(key);
@@ -144,9 +138,6 @@ void FactorCache::evictForBudgetLocked() {
       return;  // only in-flight entries left; nothing evictable
     }
     bytesInUse_ -= victim->second.bytes;
-    if (evictionListener_) {
-      evictionListener_(victim->first);
-    }
     entries_.erase(victim);
     ++stats_.evictions;
   }

@@ -66,11 +66,6 @@ class FactorCache {
   [[nodiscard]] std::shared_ptr<const Factorization> peek(
       const ProblemKey& key);
 
-  /// Called whenever a ready entry is evicted for budget (fleet-level
-  /// cache indices track per-shard residency through this). The listener
-  /// runs under the cache lock and must not call back into the cache.
-  void setEvictionListener(std::function<void(const ProblemKey&)> listener);
-
   [[nodiscard]] bool contains(const ProblemKey& key) const;
   [[nodiscard]] std::size_t size() const;  // ready entries
   [[nodiscard]] Stats stats() const;
@@ -92,7 +87,6 @@ class FactorCache {
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::map<ProblemKey, Entry> entries_;
-  std::function<void(const ProblemKey&)> evictionListener_;
   std::uint64_t useClock_ = 0;
   std::size_t budgetBytes_;
   std::size_t bytesInUse_ = 0;

@@ -67,8 +67,6 @@ FleetEngine::FleetEngine(FleetConfig config)
       return shardFactor(s, key);
     };
     shard->engine = std::make_unique<ServeEngine>(std::move(cfg));
-    shard->engine->setCacheEvictionListener(
-        [this, s](const ProblemKey& key) { index_.noteEviction(key, s); });
     shards_.push_back(std::move(shard));
   }
   if (config_.hedge.enabled) {
@@ -138,46 +136,13 @@ bool FleetEngine::shardRoutable(index_t shard) {
   return shardAlive(shard) && !healthMon_.excluded(shard);
 }
 
-index_t FleetEngine::pickShard(const ProblemKey& key, std::uint64_t count,
+index_t FleetEngine::pickShard(const ProblemKey& key,
                                const std::vector<index_t>& tried) {
-  const double t = now();
-  const auto alive = [&](index_t s) {
-    return !contains(tried, s) && shardAlive(s);
-  };
-  const auto preferred = [&](index_t s) {
-    return alive(s) && healthMon_.routable(s, t);
-  };
-
-  // Hot keys spread round-robin across their ring successors so one
-  // popular factorization stops serializing on a single shard.
-  if (config_.hotKeyRequests > 0 && config_.hotReplicas > 1 &&
-      count >= static_cast<std::uint64_t>(config_.hotKeyRequests)) {
-    std::vector<index_t> replicas =
-        ring_.successors(key, config_.hotReplicas, preferred);
-    if (replicas.empty()) {
-      replicas = ring_.successors(key, config_.hotReplicas, [&](index_t s) {
-        return alive(s) && !healthMon_.excluded(s);
-      });
-    }
-    if (!replicas.empty()) {
-      const index_t chosen = replicas[count % replicas.size()];
-      healthMon_.noteRoute(ring_, key, chosen, t);
-      return chosen;
-    }
-  }
-
-  // Cache affinity: prefer a shard that already holds the factors.
-  for (const index_t s : index_.placements(key)) {
-    if (preferred(s)) {
-      affinityHits_.fetch_add(1, std::memory_order_relaxed);
-      healthMon_.noteRoute(ring_, key, s, t);
-      return s;
-    }
-  }
-
-  const index_t chosen = healthMon_.route(ring_, key, alive, t);
+  const index_t chosen = healthMon_.route(
+      ring_, key,
+      [&](index_t s) { return !contains(tried, s) && shardAlive(s); }, now());
   if (chosen >= 0 && chosen != ring_.route(key, nullptr)) {
-    // Routed off the all-up primary: the degraded-fleet detour counter.
+    // Routed off the all-up primary: a detour, a failover or a hedge.
     reroutes_.fetch_add(1, std::memory_order_relaxed);
   }
   return chosen;
@@ -197,8 +162,7 @@ FleetEngine::HandlePtr FleetEngine::submit(const SolveRequest& request) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
   const double submitAt = now();
 
-  const std::uint64_t count = index_.noteRequest(req.key);
-  const index_t target = pickShard(req.key, count, {});
+  const index_t target = pickShard(req.key, {});
   if (target < 0) {
     // Whole-fleet degradation: answer structurally, never hang.
     RequestOutcome o;
@@ -241,8 +205,7 @@ void FleetEngine::routeToShard(index_t shard, const SolveRequest& request,
                          now());
     if (!hedge && o.status == RequestStatus::kFailed &&
         failovers < config_.failoverLimit) {
-      const index_t next =
-          pickShard(request.key, index_.requestCount(request.key), tried);
+      const index_t next = pickShard(request.key, tried);
       if (next >= 0) {
         failovers_.fetch_add(1, std::memory_order_relaxed);
         tried.push_back(next);
@@ -261,10 +224,6 @@ void FleetEngine::routeToShard(index_t shard, const SolveRequest& request,
     o.shard = shard;
     o.failovers = failovers;
     o.totalSeconds = now() - submitAt;  // fleet view: failover time counts
-    if (o.status == RequestStatus::kCompleted && shardAlive(shard)) {
-      // A shard that crashed after solving holds no factors to place.
-      index_.notePlacement(request.key, shard);
-    }
     publishOutcome(handle, std::move(o),
                    std::vector<double>(shardHandle->solution()), hedge);
   });
@@ -375,8 +334,7 @@ void FleetEngine::hedgeLoop() {
 }
 
 void FleetEngine::fireHedge(HedgeTask task) {
-  const index_t next = pickShard(
-      task.request.key, index_.requestCount(task.request.key), task.tried);
+  const index_t next = pickShard(task.request.key, task.tried);
   if (next < 0 || task.handle->done()) {
     if (next < 0) {
       hedgeDenied_.fetch_add(1, std::memory_order_relaxed);
@@ -444,11 +402,8 @@ void FleetEngine::crashShard(index_t shard) {
     sh.crashed = true;
     generation = sh.generation;
   }
-  // A crashed shard takes its resident factors with it: drop the shard's
-  // cache and withdraw its fleet-index placements so the router stops
-  // chasing factors that no longer exist.
+  // A crashed shard takes its resident factors with it.
   sh.engine->clearCache();
-  index_.dropShard(shard);
   crashes_.fetch_add(1, std::memory_order_relaxed);
   logWarn("fleet: shard ", shard, " crashed (generation ", generation, ")");
 }
@@ -534,7 +489,6 @@ FleetReport FleetEngine::report() const {
   r.fleet = recorder_.report(cacheSum, clock_.seconds(), 0);
   r.reroutes = reroutes_.load(std::memory_order_relaxed);
   r.failovers = failovers_.load(std::memory_order_relaxed);
-  r.affinityHits = affinityHits_.load(std::memory_order_relaxed);
   r.opsBreaks = opsBreaks_.load(std::memory_order_relaxed);
   r.opsSlows = opsSlows_.load(std::memory_order_relaxed);
   r.crashes = crashes_.load(std::memory_order_relaxed);
@@ -550,7 +504,6 @@ FleetReport FleetEngine::report() const {
   r.fleet.hedgeWins = r.hedgeWins;
   r.fleet.hedgeWasted = r.hedgeWasted;
   r.fleet.quarantines = r.quarantines;
-  r.cacheIndex = index_.stats();
   r.submitted = submitted_.load(std::memory_order_relaxed);
   r.answered = answered_.load(std::memory_order_relaxed);
   r.dropped = r.submitted - r.answered;
@@ -573,7 +526,6 @@ Table FleetReport::toTable() const {
   t.addRow({"failed", Table::num((long long)fleet.failed)});
   t.addRow({"reroutes / failovers", Table::num((long long)reroutes) + " / " +
                                         Table::num((long long)failovers)});
-  t.addRow({"affinity hits", Table::num((long long)affinityHits)});
   t.addRow({"health trips / ops breaks",
             Table::num((long long)healthTrips) + " / " +
                 Table::num((long long)opsBreaks)});
@@ -593,8 +545,6 @@ Table FleetReport::toTable() const {
             Table::num(fleet.cache.hitRate() * 100.0, 1) + "%"});
   t.addRow({"fleet lookups = hits + misses",
             cacheLookupInvariant ? "yes" : "VIOLATED"});
-  t.addRow({"replicated keys",
-            Table::num((long long)cacheIndex.replicatedKeys)});
   t.addRow({"fleet total p50/p95/p99 ms",
             Table::num(fleet.total.p50Ms, 2) + " / " +
                 Table::num(fleet.total.p95Ms, 2) + " / " +
@@ -623,7 +573,6 @@ std::string FleetReport::toJson() const {
   os << "  \"double_answered\": " << doubleAnswered << ",\n";
   os << "  \"reroutes\": " << reroutes << ",\n";
   os << "  \"failovers\": " << failovers << ",\n";
-  os << "  \"affinity_hits\": " << affinityHits << ",\n";
   os << "  \"ops_breaks\": " << opsBreaks << ",\n";
   os << "  \"ops_slows\": " << opsSlows << ",\n";
   os << "  \"crashes\": " << crashes << ",\n";
@@ -637,12 +586,6 @@ std::string FleetReport::toJson() const {
   os << "  \"hedge_denied\": " << hedgeDenied << ",\n";
   os << "  \"cache_lookup_invariant\": "
      << (cacheLookupInvariant ? "true" : "false") << ",\n";
-  os << "  \"index_placements\": " << cacheIndex.placements << ",\n";
-  os << "  \"index_evictions\": " << cacheIndex.evictions << ",\n";
-  os << "  \"index_dropped\": " << cacheIndex.dropped << ",\n";
-  os << "  \"index_resident_keys\": " << cacheIndex.residentKeys << ",\n";
-  os << "  \"index_replicated_keys\": " << cacheIndex.replicatedKeys
-     << ",\n";
   os << "  \"fleet\": " << fleet.toJson() << ",\n";
   os << "  \"per_shard\": [\n";
   for (std::size_t i = 0; i < perShard.size(); ++i) {

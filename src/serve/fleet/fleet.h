@@ -3,9 +3,7 @@
 //
 //                         FleetEngine::submit
 //                                │
-//                 FleetCacheIndex (hot? placed?)
-//                                │
-//              HashRing route / successors (healthy only)
+//         ShardHealthMonitor::route over HashRing::route (alive only)
 //                                │
 //        ┌───────────────┬───────┴───────┬───────────────┐
 //     shard 0         shard 1         shard 2          ...
@@ -13,6 +11,12 @@
 //        │               │               │         job on the shard's
 //        │               │               │         own worker thread)
 //        └── Handle::onDone ── failover/publish ──┘
+//
+// Routing has one rule, the one fleetsim runs: a key goes to the first
+// shard clockwise of its ring point that is alive and that the health
+// monitor admits, else to the first alive shard that hard evidence does
+// not exclude. A failover or a hedge takes the same walk without the
+// shards the request already tried.
 //
 // Shard health is one state machine per shard, the ShardHealthMonitor
 // (serve/fleet/health.h). Request completions feed its phi detector, and
@@ -22,15 +26,15 @@
 // back after the dwell; an ops break holds until unbreakShard or
 // resurrectShard. A crashed shard (crashShard, from the ops hook or from a
 // fault hook mid-job) fails its factor jobs, the one in flight included,
-// and loses its cached factors and its fleet-index placements;
-// resurrection bumps the shard's generation and lifts any hard hold, and
-// the ring re-routes the shard's keyspace back — no request is ever
-// dropped or double-answered, which the fleet report counts prove.
+// and loses its cached factors; resurrection bumps the shard's generation
+// and lifts any hard hold, and the ring routes the shard's keyspace back,
+// to be factored afresh — no request is ever dropped or double-answered,
+// which the fleet report counts prove.
 //
 // Completed answers are bitwise-identical across shard counts: a solution
 // is a pure function of (ProblemKey, rhsSeed, maxIr) on the single-device
-// solve path every shard runs, so routing, replication, and failover can
-// never change the numbers — only who computes them.
+// solve path every shard runs, so routing and failover can never change
+// the numbers — only who computes them.
 #pragma once
 
 #include <atomic>
@@ -43,7 +47,6 @@
 #include <vector>
 
 #include "serve/engine.h"
-#include "serve/fleet/fleet_cache.h"
 #include "serve/fleet/hash_ring.h"
 #include "serve/fleet/health.h"
 
@@ -76,14 +79,8 @@ struct FleetConfig {
   /// until that benchmark is next changed.
   index_t groupSize = 2;
   /// Fleet-wide factor-cache budget, split evenly across the per-shard
-  /// FactorCaches (which stay the eviction authority; the fleet index
-  /// mirrors their residency through eviction listeners).
+  /// FactorCaches.
   std::size_t fleetCacheBytes = std::size_t{64} << 20;
-  /// Hot-factor replication: once a key has been routed this many times
-  /// it is spread round-robin across `hotReplicas` ring successors
-  /// instead of pinning its primary. 0 disables.
-  index_t hotKeyRequests = 0;
-  index_t hotReplicas = 2;
   /// Re-routes attempted after a shard-side failure before the failure
   /// is published to the client.
   index_t failoverLimit = 1;
@@ -128,9 +125,13 @@ struct FleetReport {
   std::vector<ShardReport> perShard;
 
   // Router picture.
-  std::uint64_t reroutes = 0;      // routed off the all-up primary
+  std::uint64_t reroutes = 0;      // routes (failovers, hedges too) off
+                                   // the key's all-up primary
   std::uint64_t failovers = 0;     // resubmits after a shard-side failure
-  std::uint64_t affinityHits = 0;  // routed to a shard already holding key
+  /// Always 0: the fleet routes by ring and shard health only.
+  /// perfbench's serve_zipf still reads it, so a change to the benchmark
+  /// removes it.
+  std::uint64_t affinityHits = 0;
   std::uint64_t opsBreaks = 0;     // breakShard invocations
   std::uint64_t opsSlows = 0;      // slowShard invocations
   std::uint64_t crashes = 0;       // shard crashes (ops hook or mid-job)
@@ -144,7 +145,6 @@ struct FleetReport {
   std::uint64_t hedgeWins = 0;     // hedge published first
   std::uint64_t hedgeWasted = 0;   // loser finished after the winner
   std::uint64_t hedgeDenied = 0;   // token bucket empty / no replica
-  FleetCacheIndex::Stats cacheIndex;
 
   // The no-lost-answer ledger the CI job gates on.
   std::uint64_t submitted = 0;
@@ -207,7 +207,7 @@ class FleetEngine {
   /// Lifts the shard's hard health hold immediately.
   void unbreakShard(index_t shard);
   /// Crashes the shard: its factor jobs fail, the one in flight included,
-  /// and it drops its cached factors plus its fleet-index placements.
+  /// and it drops its cached factors.
   void crashShard(index_t shard);
   /// Brings a crashed shard back (new generation, fault hook disarmed)
   /// and lifts its hard health hold; the ring rebalances its keyspace back
@@ -233,7 +233,6 @@ class FleetEngine {
     return *shards_[static_cast<std::size_t>(shard)]->engine;
   }
   [[nodiscard]] const HashRing& ring() const { return ring_; }
-  [[nodiscard]] const FleetCacheIndex& cacheIndex() const { return index_; }
   /// Health state machine (mutable: snapshots advance it).
   [[nodiscard]] ShardHealthMonitor& healthMonitor() { return healthMon_; }
   [[nodiscard]] FleetReport report() const;
@@ -265,7 +264,9 @@ class FleetEngine {
   [[nodiscard]] Factorization shardFactor(index_t shard,
                                           const ProblemKey& key);
   [[nodiscard]] bool shardAlive(index_t shard) const;
-  [[nodiscard]] index_t pickShard(const ProblemKey& key, std::uint64_t count,
+  /// The health-aware ring walk over the alive shards not in `tried`;
+  /// -1 when none is left.
+  [[nodiscard]] index_t pickShard(const ProblemKey& key,
                                   const std::vector<index_t>& tried);
   void routeToShard(index_t shard, const SolveRequest& request,
                     const HandlePtr& handle, double submitAt,
@@ -281,7 +282,6 @@ class FleetEngine {
 
   FleetConfig config_;
   HashRing ring_;
-  FleetCacheIndex index_;
   /// mutable: report()/snapshots advance time-driven state transitions.
   mutable ShardHealthMonitor healthMon_;
   LatencyRecorder recorder_;
@@ -294,7 +294,6 @@ class FleetEngine {
   std::atomic<std::uint64_t> doubleAnswered_{0};
   std::atomic<std::uint64_t> reroutes_{0};
   std::atomic<std::uint64_t> failovers_{0};
-  std::atomic<std::uint64_t> affinityHits_{0};
   std::atomic<std::uint64_t> opsBreaks_{0};
   std::atomic<std::uint64_t> opsSlows_{0};
   std::atomic<std::uint64_t> crashes_{0};

@@ -17,7 +17,7 @@ std::uint64_t mix64(std::uint64_t z) {
 
 }  // namespace
 
-HashRing::HashRing(index_t shards, index_t virtualNodes) : shards_(shards) {
+HashRing::HashRing(index_t shards, index_t virtualNodes) {
   HPLMXP_REQUIRE(shards > 0, "hash ring needs >= 1 shard");
   HPLMXP_REQUIRE(virtualNodes > 0, "hash ring needs >= 1 virtual node");
   ring_.reserve(static_cast<std::size_t>(shards * virtualNodes));
@@ -58,35 +58,6 @@ index_t HashRing::route(const ProblemKey& key, const HealthFn& healthy) const {
     ++it;
   }
   return -1;
-}
-
-std::vector<index_t> HashRing::successors(const ProblemKey& key, index_t count,
-                                          const HealthFn& healthy) const {
-  std::vector<index_t> out;
-  if (count <= 0) {
-    return out;
-  }
-  const std::uint64_t point = hashKey(key);
-  auto it = std::lower_bound(
-      ring_.begin(), ring_.end(), std::make_pair(point, index_t{0}));
-  std::vector<bool> seen(static_cast<std::size_t>(shards_), false);
-  for (std::size_t walked = 0; walked < ring_.size(); ++walked) {
-    if (it == ring_.end()) {
-      it = ring_.begin();
-    }
-    const index_t s = it->second;
-    if (!seen[static_cast<std::size_t>(s)]) {
-      seen[static_cast<std::size_t>(s)] = true;
-      if (!healthy || healthy(s)) {
-        out.push_back(s);
-        if (static_cast<index_t>(out.size()) == count) {
-          break;
-        }
-      }
-    }
-    ++it;
-  }
-  return out;
 }
 
 }  // namespace hplmxp::serve

@@ -3,8 +3,8 @@
 // Each shard contributes `virtualNodes` deterministic points (a SplitMix64
 // hash of (shard, vnode) — no RNG state, so every process builds the
 // identical ring). A key routes to the first healthy shard clockwise of
-// its own hash point; replication and failover walk further clockwise to
-// the next *distinct* shards. Because points depend only on (shard,
+// its own hash point; failover and hedging walk further clockwise past
+// the shards the filter rejects. Because points depend only on (shard,
 // vnode), removing a shard reassigns only the keys it owned — the classic
 // consistent-hashing property that makes drain/rebalance cheap.
 #pragma once
@@ -26,7 +26,6 @@ class HashRing {
 
   HashRing(index_t shards, index_t virtualNodes);
 
-  [[nodiscard]] index_t shards() const { return shards_; }
   [[nodiscard]] index_t points() const {
     return static_cast<index_t>(ring_.size());
   }
@@ -36,19 +35,12 @@ class HashRing {
   [[nodiscard]] index_t route(const ProblemKey& key,
                               const HealthFn& healthy) const;
 
-  /// Up to `count` distinct healthy shards in ring order from the key's
-  /// point (the primary first, then its replica/failover successors).
-  [[nodiscard]] std::vector<index_t> successors(const ProblemKey& key,
-                                                index_t count,
-                                                const HealthFn& healthy) const;
-
   /// The key's point on the ring (exposed for tests asserting placement
   /// determinism).
   [[nodiscard]] static std::uint64_t hashKey(const ProblemKey& key);
 
  private:
   std::vector<std::pair<std::uint64_t, index_t>> ring_;  // sorted points
-  index_t shards_;
 };
 
 }  // namespace hplmxp::serve

@@ -137,15 +137,13 @@ class ShardHealthMonitor {
   /// True while hard evidence holds the shard: no fallback reaches it.
   [[nodiscard]] bool excluded(index_t shard) const;
 
-  /// The two-tier ring walk of the live fleet and fleetsim: the first
-  /// shard clockwise of `key` that `alive` accepts and routable() admits,
-  /// else the first alive one not excluded(). -1 when none is left.
+  /// The one routing rule of the live fleet and fleetsim, a two-tier
+  /// ring walk: the first shard clockwise of `key` that `alive` accepts
+  /// and routable() admits, else the first alive one not excluded(). -1
+  /// when none is left. `alive` runs first, so a shard it rejects never
+  /// spends a probe slot.
   [[nodiscard]] index_t route(const HashRing& ring, const ProblemKey& key,
                               const HashRing::HealthFn& alive, double now);
-  /// Counts a detour when `chosen` is not the key's all-up primary and
-  /// that primary is quarantined; route() counts its own choices.
-  void noteRoute(const HashRing& ring, const ProblemKey& key, index_t chosen,
-                 double now);
 
   /// Current suspicion level against the shard's own interval history.
   [[nodiscard]] double phi(index_t shard, double now) const;
@@ -155,7 +153,7 @@ class ShardHealthMonitor {
   [[nodiscard]] HealthState state(index_t shard, double now);
 
   /// Totals across shards: soft and hard entries into quarantine, and
-  /// detours counted by noteRoute().
+  /// detours counted by route().
   [[nodiscard]] std::uint64_t quarantines() const {
     return total(&Entry::quarantines);
   }
@@ -188,6 +186,10 @@ class ShardHealthMonitor {
     std::uint64_t detours = 0;  // routes off this primary while quarantined
   };
 
+  /// Counts a detour when `chosen` is not the key's all-up primary and
+  /// that primary is quarantined.
+  void noteRoute(const HashRing& ring, const ProblemKey& key, index_t chosen,
+                 double now);
   [[nodiscard]] double phiLocked(const Entry& e, double now) const;
   void meanStd(const Entry& e, double* mean, double* std) const;
   void recordHeartbeat(Entry& e, double now);

@@ -1,7 +1,7 @@
-// Sharded serve fabric: consistent-hash routing, the fleet-level factor
-// index, shard health (break/drain, crash/failover, resurrection, failed
-// factor jobs, phi quarantine), the no-lost-answer ledger, and bitwise
-// equivalence of fleet answers across shard counts.
+// Sharded serve fabric: consistent-hash routing, shard health
+// (break/drain, crash/failover, resurrection, failed factor jobs, phi
+// quarantine), the no-lost-answer ledger, and bitwise equivalence of
+// fleet answers across shard counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +9,6 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -97,30 +96,8 @@ TEST(HashRingTest, RemovingAShardOnlyMovesItsOwnKeys) {
       EXPECT_EQ(rerouted, primary) << "seed " << seed;
     } else {
       EXPECT_NE(rerouted, 1) << "seed " << seed;
-      // The detour is the key's next distinct successor.
-      const std::vector<index_t> succ = ring.successors(k, 2, nullptr);
-      ASSERT_EQ(succ.size(), 2u);
-      EXPECT_EQ(succ[0], 1);
-      EXPECT_EQ(rerouted, succ[1]) << "seed " << seed;
     }
   }
-}
-
-TEST(HashRingTest, SuccessorsAreDistinctAndStartAtThePrimary) {
-  const HashRing ring(4, 64);
-  for (std::uint64_t seed = 0; seed < 50; ++seed) {
-    const ProblemKey k = key(64, 16, seed);
-    const std::vector<index_t> succ = ring.successors(k, 4, nullptr);
-    ASSERT_EQ(succ.size(), 4u);
-    EXPECT_EQ(succ[0], ring.route(k, nullptr));
-    EXPECT_EQ(std::set<index_t>(succ.begin(), succ.end()).size(), 4u);
-  }
-  EXPECT_TRUE(ring.successors(key(64, 16, 1), 0, nullptr).empty());
-  // Unhealthy shards are skipped, not returned.
-  const auto only2 = [](index_t s) { return s == 2; };
-  const std::vector<index_t> one = ring.successors(key(64, 16, 1), 4, only2);
-  ASSERT_EQ(one.size(), 1u);
-  EXPECT_EQ(one[0], 2);
 }
 
 TEST(HashRingTest, ServeZipfKeysKeepTheirRingPlacement) {
@@ -142,47 +119,6 @@ TEST(HashRingTest, ServeZipfKeysKeepTheirRingPlacement) {
     absorb(static_cast<std::uint64_t>(ring.route(k, nullptr)));
   }
   EXPECT_EQ(fold, 9637984964054790183ull);
-}
-
-// ----------------------------------------------------- FleetCacheIndex --
-
-TEST(FleetCacheIndexTest, PlacementsDedupAndEvictionsWithdraw) {
-  FleetCacheIndex index;
-  const ProblemKey k = key(64, 16, 7);
-  EXPECT_EQ(index.noteRequest(k), 1u);
-  EXPECT_EQ(index.noteRequest(k), 2u);
-  EXPECT_EQ(index.requestCount(k), 2u);
-
-  index.notePlacement(k, 0);
-  index.notePlacement(k, 0);  // duplicate: ignored
-  index.notePlacement(k, 2);
-  EXPECT_EQ(index.placements(k), (std::vector<index_t>{0, 2}));
-  FleetCacheIndex::Stats s = index.stats();
-  EXPECT_EQ(s.placements, 2u);
-  EXPECT_EQ(s.residentKeys, 1);
-  EXPECT_EQ(s.replicatedKeys, 1);
-
-  index.noteEviction(k, 0);
-  index.noteEviction(k, 0);  // already gone: no double count
-  EXPECT_EQ(index.placements(k), (std::vector<index_t>{2}));
-  s = index.stats();
-  EXPECT_EQ(s.evictions, 1u);
-  EXPECT_EQ(s.replicatedKeys, 0);
-}
-
-TEST(FleetCacheIndexTest, DropShardWithdrawsEverythingItHeld) {
-  FleetCacheIndex index;
-  const ProblemKey a = key(64, 16, 1);
-  const ProblemKey b = key(64, 16, 2);
-  index.notePlacement(a, 0);
-  index.notePlacement(a, 1);
-  index.notePlacement(b, 1);
-  index.dropShard(1);
-  EXPECT_EQ(index.placements(a), (std::vector<index_t>{0}));
-  EXPECT_TRUE(index.placements(b).empty());
-  const FleetCacheIndex::Stats s = index.stats();
-  EXPECT_EQ(s.dropped, 2u);
-  EXPECT_EQ(s.residentKeys, 1);
 }
 
 // --------------------------------------------------------- FleetEngine --
@@ -267,10 +203,10 @@ TEST(FleetEngineTest, RepeatedKeysStickToTheirPlacementShard) {
   }
   fleet.drain();
   const FleetReport report = fleet.report();
-  // One factorization in the whole fleet: the index kept routing the key
-  // to the shard already holding its factors. With no fault, every factor
-  // job the shards ran is a cache factorization (perfbench checks the same
-  // sums under the names group_jobs and factors).
+  // One factorization in the whole fleet: the ring kept routing the key
+  // to its primary, the shard already holding its factors. With no fault,
+  // every factor job the shards ran is a cache factorization (perfbench
+  // checks the same sums under the names group_jobs and factors).
   std::uint64_t factorCount = 0;
   std::uint64_t factorJobs = 0;
   for (const ShardReport& s : report.perShard) {
@@ -279,29 +215,6 @@ TEST(FleetEngineTest, RepeatedKeysStickToTheirPlacementShard) {
   }
   EXPECT_EQ(factorCount, 1u);
   EXPECT_EQ(factorJobs, factorCount);
-  EXPECT_GE(report.affinityHits, 4u);
-  EXPECT_EQ(fleet.cacheIndex().placements(k).size(), 1u);
-}
-
-TEST(FleetEngineTest, HotKeysSpreadAcrossReplicaShards) {
-  FleetConfig cfg = fleetConfig(2);
-  cfg.hotKeyRequests = 2;
-  cfg.hotReplicas = 2;
-  FleetEngine fleet(cfg);
-  const ProblemKey k = key(32, 16, 22);
-  const std::vector<double> want = soloSolution(k, 900);
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    const auto h = fleet.submit(request(k, 900));
-    ASSERT_EQ(h->wait().status, RequestStatus::kCompleted);
-    expectBitwise(h->solution(), want, "hot replica answer");
-  }
-  fleet.drain();
-  const FleetReport report = fleet.report();
-  // Past the hot threshold the key round-robins, so both shards factor it.
-  EXPECT_GT(report.perShard[0].routed, 0u);
-  EXPECT_GT(report.perShard[1].routed, 0u);
-  EXPECT_EQ(report.cacheIndex.replicatedKeys, 1);
-  EXPECT_EQ(fleet.cacheIndex().placements(k).size(), 2u);
 }
 
 TEST(FleetEngineTest, BrokenShardDrainsAndReroutesUntilUnbroken) {
@@ -365,16 +278,18 @@ TEST(FleetEngineTest, OrganicCrashFailsOverThenResurrectionRebalances) {
   EXPECT_EQ(report.perShard[static_cast<std::size_t>(primary)].health,
             "crashed");
 
-  // Resurrection: new generation, circuit closed, keyspace routes back.
+  // Resurrection: new generation, hard hold lifted, keyspace routes back.
   fleet.resurrectShard(primary);
   EXPECT_TRUE(fleet.shardRoutable(primary));
-  // The failed-over key keeps its cache affinity (its factors now live on
-  // the survivor), but fresh keys in the resurrected shard's keyspace
-  // route back to it — and its fault hook is disarmed.
+  // The resurrected shard takes its whole keyspace back, as the ring rule
+  // fleetsim follows says: the failed-over key returns to it and is
+  // factored afresh there, though the survivor still holds its factors.
+  // Fresh keys in that keyspace route back too, and the fault hook is
+  // disarmed.
   const auto h2 = fleet.submit(request(k, 889));
   ASSERT_EQ(h2->wait().status, RequestStatus::kCompleted)
       << h2->wait().error;
-  EXPECT_EQ(h2->wait().shard, other);  // affinity to the live factors
+  EXPECT_EQ(h2->wait().shard, primary);  // back on the ring primary
   expectBitwise(h2->solution(), soloSolution(k, 889), "post-resurrection");
   ProblemKey fresh = k;
   for (std::uint64_t seed = 100;; ++seed) {
@@ -484,8 +399,8 @@ TEST(FleetEngineTest, RepeatedJobFailuresExcludeThenProbeBack) {
 
 TEST(FleetEngineTest, CrashDuringAFactorJobLeavesNothingOnTheDeadShard) {
   // The shard crashes while its factor job runs, and the job itself
-  // carries on. Its factors must not reach the cache the crash cleared,
-  // nor the fleet index: the request fails over instead.
+  // carries on. Its factors must not reach the cache the crash cleared:
+  // the request fails over instead.
   FleetConfig cfg = fleetConfig(2);
   cfg.shard.maxRetries = 0;
   cfg.failoverLimit = 2;
@@ -505,8 +420,6 @@ TEST(FleetEngineTest, CrashDuringAFactorJobLeavesNothingOnTheDeadShard) {
   fleet.drain();
 
   EXPECT_EQ(fleet.shardEngine(primary).cache().size(), 0u);
-  EXPECT_EQ(fleet.cacheIndex().placements(k),
-            (std::vector<index_t>{1 - primary}));
   const FleetReport report = fleet.report();
   EXPECT_EQ(report.crashes, 1u);
   EXPECT_EQ(report.perShard[static_cast<std::size_t>(primary)].health,

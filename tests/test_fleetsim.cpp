@@ -15,6 +15,7 @@
 #include "fleetsim/debug_cli.h"
 #include "fleetsim/event_core.h"
 #include "fleetsim/fleet_sim.h"
+#include "serve/fleet/fleet.h"
 #include "serve/json.h"
 #include "serve/metrics.h"
 
@@ -436,6 +437,78 @@ TEST(ServeWorkloadTest, CrashFailsOverAndResurrectRestores) {
   EXPECT_FALSE(session.serve()->shardView(hot).crashed);
 }
 
+TEST(ServeWorkloadTest, CacheBudgetIsFleetWideAndSplitAcrossShards) {
+  // serve.cache-mb is the fleet's budget, split evenly across the shards
+  // as FleetEngine splits it. Five keys of n=64 (24 KiB of factors each)
+  // fit a budget of exactly five factors. Split over 2 shards, each shard
+  // holds two, so the shard that owns three or more keys must evict.
+  const double factorMb = 6.0 * 64.0 * 64.0 / (1024.0 * 1024.0);
+  FleetSimConfig cfg = serveConfig(100, 5, 0.5, 1);
+  cfg.serve.cacheMb = 5.0 * factorMb;
+  FleetSession whole(cfg);
+  whole.sim().run();
+  EXPECT_EQ(whole.serve()->stats().evictions, 0u);
+  EXPECT_EQ(whole.serve()->stats().factorCount, 5u);
+
+  cfg.serve.shards = 2;
+  FleetSession split(cfg);
+  split.sim().run();
+  const ServeStats& stats = split.serve()->stats();
+  EXPECT_EQ(stats.completed, 100u);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_GT(stats.factorCount, 5u);
+  EXPECT_EQ(stats.cacheHits + stats.cacheMisses, stats.cacheLookups);
+}
+
+TEST(ServeWorkloadTest, RoutesEachShardWhatTheLiveFleetRoutesIt) {
+  // The live fleet and fleetsim run one routing rule,
+  // ShardHealthMonitor::route over HashRing::route. Replayed on the same
+  // shard and virtual-node counts, both must route each shard the same
+  // number of requests: once healthy, and once with a shard crashed
+  // before the first request. The live phi tier is off, so wall-clock
+  // completion gaps cannot quarantine a live shard.
+  constexpr index_t kShards = 3;
+  FleetSimConfig cfg = serveConfig(48, 12, 0.5, kShards);
+  for (serve::TraceRequest& r : cfg.serve.trace.requests) {
+    r.atMs += 1.0;  // the crash at t = 0 lands before the first arrival
+  }
+  for (const index_t crashed : {index_t{-1}, index_t{1}}) {
+    FleetSimConfig simCfg = cfg;
+    if (crashed >= 0) {
+      simCfg.serve.chaos.push_back(
+          {ChaosAction::Kind::kCrash, /*atMs=*/0.0, crashed, 0.0});
+    }
+    FleetSession session(simCfg);
+    session.sim().run();
+    ASSERT_EQ(session.serve()->stats().completed, 48u);
+
+    serve::FleetConfig fleetCfg;
+    fleetCfg.shards = kShards;
+    fleetCfg.virtualNodes = cfg.serve.virtualNodes;
+    fleetCfg.healthMonitor.enabled = false;
+    serve::FleetEngine fleet(fleetCfg);
+    if (crashed >= 0) {
+      fleet.crashShard(crashed);
+    }
+    for (const serve::TraceRequest& r : cfg.serve.trace.requests) {
+      serve::SolveRequest req;
+      req.key = {r.n, r.b, r.seed, r.pr, r.pc, r.precision};
+      req.rhsSeed = r.rhsSeed;
+      (void)fleet.submit(req);
+    }
+    fleet.drain();
+    const serve::FleetReport report = fleet.report();
+    ASSERT_EQ(report.fleet.completed, 48u);
+    for (index_t s = 0; s < kShards; ++s) {
+      const std::uint64_t live =
+          report.perShard[static_cast<std::size_t>(s)].routed;
+      EXPECT_EQ(session.serve()->shardView(s).routed, live)
+          << "shard " << s << ", crashed shard " << crashed;
+      EXPECT_EQ(live == 0, s == crashed) << "shard " << s;
+    }
+  }
+}
+
 TEST(ServeWorkloadTest, SlowShardStretchesItsSolveTimes) {
   FleetSession fast(serveConfig(60, 1, 1.0, 1));
   fast.sim().run();
@@ -457,7 +530,7 @@ TEST(ServeWorkloadTest, SlowShardStretchesItsSolveTimes) {
 
 /// The tuned gray-failure scenario: solve-dominated traffic on 2 shards,
 /// shard 1 silently dropping to 1/5 speed at t=60ms (slow-but-alive, the
-/// failure mode that never trips a breaker). Defense = phi detector fed by
+/// failure mode that fails no request). Defense = phi detector fed by
 /// 2ms heartbeat pulses + hedged requests.
 FleetSimConfig grayConfig(bool defense) {
   FleetSimConfig cfg;
@@ -519,6 +592,68 @@ TEST(GrayDefenseTest, DefenseCutsTheSlowShardTailWithBoundedDuplicateWork) {
   EXPECT_GT(sn.heartbeats, 0u);
   EXPECT_GE(sn.quarantines, 1u);
   EXPECT_GT(sn.healthDetours, 0u);
+}
+
+TEST(GrayDefenseTest, HedgePassingAProbingShardLeavesItsProbeSlot) {
+  // Key ka has ring order A, B, C, and C owns key kc. C crashes, and a kc
+  // request detours while it is down, which quarantines C. Resurrected,
+  // C pulses its way to probing after the dwell, with nothing in flight.
+  // A ka request then hedges at once, and its copy goes to B, the first
+  // routable shard past the primary. Passing C over must leave C's probe
+  // slot free: the next kc request is C's probe, and its answer heals C.
+  FleetSimConfig cfg;
+  cfg.topology.nodes = 8;
+  cfg.topology.radix = 4;
+  cfg.runServe = true;
+  cfg.serve.shards = 3;
+  cfg.serve.health.enabled = true;
+  cfg.serve.heartbeatIntervalMs = 2.0;
+  cfg.serve.hedgeEnabled = true;
+  cfg.serve.hedgeDelayFactor = 0.0;  // every hedge fires on arrival
+  cfg.serve.hedgeMinDelayMs = 0.0;
+
+  const serve::HashRing ring(cfg.serve.shards, cfg.serve.virtualNodes);
+  const auto keyOf = [](const serve::TraceRequest& r) {
+    return serve::ProblemKey{r.n, r.b, r.seed, r.pr, r.pc, r.precision};
+  };
+  serve::TraceRequest ka;
+  ka.n = 64;
+  ka.b = 16;
+  ka.seed = 1;
+  const index_t a = ring.route(keyOf(ka), nullptr);
+  const index_t b =
+      ring.route(keyOf(ka), [a](index_t s) { return s != a; });
+  const index_t c = 3 - a - b;
+  serve::TraceRequest kc = ka;
+  while (ring.route(keyOf(kc), nullptr) != c) {
+    ++kc.seed;
+  }
+  serve::TraceRequest detour = kc;
+  detour.atMs = 20.0;
+  detour.rhsSeed = 1;
+  serve::TraceRequest hedged = ka;
+  hedged.atMs = 150.0;
+  hedged.rhsSeed = 2;
+  serve::TraceRequest probe = kc;
+  probe.atMs = 160.0;
+  probe.rhsSeed = 3;
+  cfg.serve.trace.requests = {detour, hedged, probe};
+  cfg.serve.chaos.push_back({ChaosAction::Kind::kCrash, 10.0, c, 0.0});
+  cfg.serve.chaos.push_back({ChaosAction::Kind::kResurrect, 30.0, c, 0.0});
+
+  FleetSession session(cfg);
+  session.sim().runUntil(0.145);
+  ASSERT_EQ(session.serve()->healthView(c, session.sim().now()).state,
+            "probing");
+  ASSERT_EQ(session.serve()->shardView(c).routed, 0u);
+  session.sim().run();
+  const ServeStats& stats = session.serve()->stats();
+  EXPECT_EQ(stats.completed, 3u);
+  EXPECT_GE(stats.hedgesIssued, 2u);
+  EXPECT_GE(session.serve()->shardView(b).routed, 1u);
+  EXPECT_EQ(session.serve()->shardView(c).routed, 1u);
+  EXPECT_EQ(session.serve()->healthView(c, session.sim().now()).state,
+            "healthy");
 }
 
 TEST(GrayDefenseTest, DefenseOnTraceIsDeterministic) {
