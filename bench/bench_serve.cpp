@@ -128,8 +128,11 @@ int main() {
 
   // Sweep 2: factor-cache working set vs. budget. One n=96 FP32 panel set
   // is ~36 KB; a 64 KB budget holds one key, a 64 MB budget holds all.
+  // At 64 KB the keys take turns, so a newcomer rarely out-counts the
+  // resident and is declined: the resident keeps hitting, where admitting
+  // every miss would refactor at every lookup.
   Table cache({"cache budget", "keys", "factorizations", "hit rate",
-               "evictions", "p99 ms"});
+               "evictions", "declined", "p99 ms"});
   for (const std::size_t budget :
        {std::size_t{64} << 10, std::size_t{64} << 20}) {
     ServeConfig cfg;
@@ -142,6 +145,7 @@ int main() {
                   Table::num((long long)r.cache.factorCount),
                   Table::num(r.cache.hitRate() * 100.0, 1) + "%",
                   Table::num((long long)r.cache.evictions),
+                  Table::num((long long)r.cache.declined),
                   Table::num(r.total.p99Ms, 2)});
   }
   cache.print();

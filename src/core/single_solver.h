@@ -45,10 +45,13 @@ struct Factorization {
   double diagInfNorm = 0.0;  // max_i |A(i,i)| of the *unfactored* matrix
   Buffer<float> lu;          // n x n factors in place, lda == n
 
-  /// Resident bytes of the handle (what the factor cache budgets).
-  [[nodiscard]] std::size_t bytes() const {
-    return sizeof(Factorization) + lu.bytes();
+  /// Resident bytes of an order-n handle: what the factor cache budgets,
+  /// and what fleetsim charges a simulated cached factor.
+  [[nodiscard]] static std::size_t residentBytes(index_t n) {
+    const auto order = static_cast<std::size_t>(n);
+    return sizeof(Factorization) + order * order * sizeof(float);
   }
+  [[nodiscard]] std::size_t bytes() const { return residentBytes(n); }
 };
 
 struct SingleSolveResult {

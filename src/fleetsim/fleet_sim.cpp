@@ -86,6 +86,7 @@ std::string FleetSimReport::toJson() const {
     os << "    \"cache_hit_rate\": " << s.hitRate() << ",\n";
     os << "    \"factor_count\": " << s.factorCount << ",\n";
     os << "    \"cache_evictions\": " << s.evictions << ",\n";
+    os << "    \"cache_declined\": " << s.declined << ",\n";
     os << "    \"batches\": " << s.batches << ",\n";
     os << "    \"mean_batch_size\": " << s.meanBatchSize() << ",\n";
     os << "    \"max_batch_size\": " << s.maxBatchSize << ",\n";

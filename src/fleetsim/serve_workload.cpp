@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/single_solver.h"
+
 namespace hplmxp::fleetsim {
 
 void ServeWorkloadConfig::validate(const Topology& topology) const {
@@ -46,14 +48,12 @@ ServeWorkload::ServeWorkload(ServeWorkloadConfig config,
       ring_(config_.shards, config_.virtualNodes),
       healthMon_(syncedHealth(config_), config_.shards) {
   config_.validate(topology);
-  cacheBudgetBytes_ =
-      config_.cacheMb * 1024.0 * 1024.0 / static_cast<double>(config_.shards);
   hedgeTokens_ = config_.hedgeBudgetBurst;
-  shards_.resize(static_cast<std::size_t>(config_.shards));
+  const auto cacheBudget = static_cast<std::size_t>(
+      config_.cacheMb * 1024.0 * 1024.0 / static_cast<double>(config_.shards));
   const index_t stride = topology.nodes() / config_.shards;
   for (index_t s = 0; s < config_.shards; ++s) {
-    shards_[static_cast<std::size_t>(s)].node = s * std::max<index_t>(
-                                                        stride, 1);
+    shards_.emplace_back(cacheBudget).node = s * std::max<index_t>(stride, 1);
   }
 }
 
@@ -190,12 +190,6 @@ void ServeWorkload::fireHedge(Simulator& sim, index_t traceIndex,
                me_, traceIndex, target, /*x=*/1.0);
 }
 
-double ServeWorkload::factorBytes(const serve::TraceRequest& r) const {
-  // FP32 + low-precision factor pair, the serve cache's resident shape.
-  const double n = static_cast<double>(r.n);
-  return 6.0 * n * n;
-}
-
 void ServeWorkload::start(Simulator& sim) {
   me_ = sim.workloadIndex(this);
   // All arrivals enter at the router (node 0) on the trace clock; routing
@@ -262,20 +256,6 @@ void ServeWorkload::reject(const PendingRequest& req,
   }
 }
 
-void ServeWorkload::evictForBudget(Shard& shard) {
-  while (shard.cacheBytes > cacheBudgetBytes_ && !shard.cache.empty()) {
-    auto victim = shard.cache.begin();
-    for (auto it = shard.cache.begin(); it != shard.cache.end(); ++it) {
-      if (it->second.lastTouch < victim->second.lastTouch) {
-        victim = it;
-      }
-    }
-    shard.cacheBytes -= victim->second.bytes;
-    shard.cache.erase(victim);
-    ++stats_.evictions;
-  }
-}
-
 void ServeWorkload::startNextBatch(Simulator& sim, index_t shardIndex) {
   Shard& shard = shards_[static_cast<std::size_t>(shardIndex)];
   const double now = sim.now();
@@ -326,24 +306,21 @@ void ServeWorkload::startNextBatch(Simulator& sim, index_t shardIndex) {
       traceRequest(batch.requests.front().traceIndex);
   ++stats_.cacheLookups;
   double factorSeconds = 0.0;
-  auto cacheIt = shard.cache.find(keyIndex);
   const double mult =
       topology_->nodeMultiplier(shard.node) * shard.slowFactor;
   const double rate = config_.hostGflops * 1e9 * mult;
-  if (cacheIt != shard.cache.end()) {
+  const serve::ProblemKey& key = keys_[static_cast<std::size_t>(keyIndex)];
+  if (shard.cache.lookup(key)) {
     ++stats_.cacheHits;
-    cacheIt->second.lastTouch = ++shard.lruClock;
   } else {
     ++stats_.cacheMisses;
     ++stats_.factorCount;
     const double n = static_cast<double>(proto.n);
     factorSeconds = (2.0 / 3.0) * n * n * n / rate;
-    CacheEntry entry;
-    entry.bytes = factorBytes(proto);
-    entry.lastTouch = ++shard.lruClock;
-    shard.cacheBytes += entry.bytes;
-    shard.cache.emplace(keyIndex, entry);
-    evictForBudget(shard);
+    const serve::CachePolicy::Admission admission =
+        shard.cache.admit(key, Factorization::residentBytes(proto.n));
+    stats_.evictions += admission.evicted.size();
+    stats_.declined += admission.admitted ? 0 : 1;
   }
   const double n = static_cast<double>(proto.n);
   const double cols = static_cast<double>(batch.requests.size());
@@ -375,10 +352,10 @@ void ServeWorkload::crashShard(Simulator& sim, index_t shardIndex) {
   }
   shard.crashed = true;
   ++shard.generation;  // pending pulses, pick-ups and solve-dones are stale
-  // A crash loses the cached factors (a real node death does) and frees
-  // the lane: a batch in flight fails over when its solve-done fires.
+  // A crash loses the cached factors and their lookup counts (a real
+  // node death does) and frees the lane: a batch in flight fails over
+  // when its solve-done fires.
   shard.cache.clear();
-  shard.cacheBytes = 0.0;
   shard.busy = false;
   shard.busyUntil = 0.0;
   // Queued requests fail over along the ring.
@@ -599,7 +576,8 @@ ServeWorkload::ShardView ServeWorkload::shardView(index_t shard) const {
   view.slowFactor = s.slowFactor;
   view.queuedRequests = s.queuedRequests;
   view.cachedKeys = static_cast<index_t>(s.cache.size());
-  view.cachedMb = s.cacheBytes / (1024.0 * 1024.0);
+  view.cachedMb =
+      static_cast<double>(s.cache.bytesInUse()) / (1024.0 * 1024.0);
   view.routed = s.routed;
   view.completed = s.completed;
   view.busyUntil = s.busyUntil;

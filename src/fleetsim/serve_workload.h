@@ -3,17 +3,20 @@
 //
 // The real fleet's *policy* components are reused verbatim where they are
 // already pure functions of an explicit clock — the consistent-hash
-// router (serve::HashRing) and the shard-health state machine with its
-// two-tier ring walk (serve::ShardHealthMonitor). A crash is modelled by
-// the shard's own `crashed` flag, as in the live fleet; fleetsim runs no
-// factor jobs, so the monitor's job-failure evidence never fires here. The stateful per-shard machinery (byte-budget
-// LRU factor cache, bounded queue, worker lane) is re-modelled as plain
-// counters and maps: the simulator needs their *timing and accounting*
-// behavior, not their payloads. Accounting mirrors the real engine so the
-// validation against a measured BENCH_serve.json compares like with like —
-// one cache lookup per dispatched batch (a coalesced batch costs exactly
-// one factorization, the single-flight contract), hits + misses ==
-// lookups, and the same latency split (queue wait / solve / total).
+// router (serve::HashRing), the shard-health state machine with its
+// two-tier ring walk (serve::ShardHealthMonitor), and each shard's factor
+// cache policy (serve::CachePolicy: byte budget, LRU eviction, frequency
+// admission), charged the live cache's bytes per factor. A crash is
+// modelled by the shard's own `crashed` flag, as in the live fleet;
+// fleetsim runs no factor jobs, so the monitor's job-failure evidence
+// never fires here. The rest of a shard (bounded queue, worker lane) is
+// re-modelled as plain counters and maps: the simulator needs their
+// *timing and accounting* behavior, not their payloads. Accounting
+// mirrors the real engine so the validation against a measured
+// BENCH_serve.json compares like with like — one cache lookup per
+// dispatched batch (a coalesced batch costs exactly one factorization,
+// the single-flight contract), hits + misses == lookups, and the same
+// latency split (queue wait / solve / total).
 //
 // Each shard's lane dispatches the way the live engine's worker does,
 // work-conserving: a lane never idles while requests wait, and never
@@ -37,6 +40,7 @@
 
 #include "fleetsim/event_core.h"
 #include "fleetsim/topology.h"
+#include "serve/cache_policy.h"
 #include "serve/fleet/hash_ring.h"
 #include "serve/fleet/health.h"
 #include "serve/metrics.h"
@@ -114,7 +118,8 @@ struct ServeStats {
   std::uint64_t cacheHits = 0;
   std::uint64_t cacheMisses = 0;
   std::uint64_t factorCount = 0;
-  std::uint64_t evictions = 0;
+  std::uint64_t evictions = 0;  // admitted entries dropped for budget
+  std::uint64_t declined = 0;   // factorizations the policy did not admit
 
   std::uint64_t batches = 0;
   std::uint64_t batchedColumns = 0;
@@ -208,12 +213,9 @@ class ServeWorkload final : public Workload {
     bool answered = false;
   };
 
-  struct CacheEntry {
-    double bytes = 0.0;
-    std::uint64_t lastTouch = 0;  // LRU clock (deterministic counter)
-  };
-
   struct Shard {
+    explicit Shard(std::size_t cacheBudgetBytes) : cache(cacheBudgetBytes) {}
+
     index_t node = 0;
     bool crashed = false;
     double slowFactor = 1.0;
@@ -229,9 +231,7 @@ class ServeWorkload final : public Workload {
     // erased when it empties.
     std::map<index_t, std::vector<PendingRequest>> buckets;
     index_t queuedRequests = 0;
-    std::map<index_t, CacheEntry> cache;  // key index -> entry
-    double cacheBytes = 0.0;
-    std::uint64_t lruClock = 0;
+    serve::CachePolicy cache;  // this shard's share of serve.cache-mb
   };
 
   struct InFlightBatch {
@@ -247,7 +247,6 @@ class ServeWorkload final : public Workload {
   [[nodiscard]] serve::ProblemKey keyOf(const serve::TraceRequest& r) const;
   [[nodiscard]] index_t keyIndexOf(const serve::TraceRequest& r);
   [[nodiscard]] index_t routeShard(index_t keyIndex, double now);
-  [[nodiscard]] double factorBytes(const serve::TraceRequest& r) const;
   /// Hands an idle lane the bucket whose head queued first, up to
   /// maxBatch requests; those past their deadline are rejected at
   /// pick-up. The lane stays idle when nothing is left to solve.
@@ -258,7 +257,6 @@ class ServeWorkload final : public Workload {
   /// fails over along the ring within the failover budget, else fails.
   void failOver(Simulator& sim, PendingRequest req, index_t fromShard,
                 index_t keyIndex);
-  void evictForBudget(Shard& shard);
   void reject(const PendingRequest& req, serve::RequestStatus status);
   /// True when this copy's terminal event answered the request; false when
   /// another copy already had (the caller tallies wasted hedge work).
@@ -289,7 +287,6 @@ class ServeWorkload final : public Workload {
   index_t me_ = -1;
   std::uint64_t nextQueueSeq_ = 0;
   ServeStats stats_;
-  double cacheBudgetBytes_ = 0.0;  // per shard
 };
 
 }  // namespace hplmxp::fleetsim

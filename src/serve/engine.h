@@ -7,7 +7,7 @@
 //                │ reject: queue full /                      │ oldest key,
 //                ▼ unservable key                            ▼ <= maxBatch
 //           Handle(done)                          FactorCache.getOrFactor
-//                                                 (single-flight, LRU)
+//                                                 (single-flight, CachePolicy)
 //                                                            │
 //                                                 solveManyMixedSingle
 //                                                 (blocked multi-RHS IR)

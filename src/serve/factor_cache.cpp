@@ -4,47 +4,40 @@
 
 namespace hplmxp::serve {
 
-FactorCache::FactorCache(std::size_t budgetBytes)
-    : budgetBytes_(budgetBytes) {
-  stats_.budgetBytes = budgetBytes;
-}
+FactorCache::FactorCache(std::size_t budgetBytes) : policy_(budgetBytes) {}
 
 FactorCache::Fetch FactorCache::getOrFactor(
     const ProblemKey& key, const std::function<Factorization()>& factorFn) {
   std::unique_lock<std::mutex> lock(mutex_);
   ++stats_.lookups;
+  bool resident = policy_.lookup(key);
   while (true) {
-    auto it = entries_.find(key);
-    if (it != entries_.end() && !it->second.inFlight) {
-      it->second.lastUse = ++useClock_;
+    if (resident) {
       ++stats_.hits;
-      return Fetch{it->second.value, true, 0.0};
+      return Fetch{resident_.at(key), true, 0.0};
     }
-    if (it != entries_.end()) {
-      // Someone else is factoring this key right now: wait for the entry
-      // to either become ready or be withdrawn (factorFn threw), then
-      // re-evaluate from scratch.
+    const auto flightIt = flights_.find(key);
+    if (flightIt != flights_.end()) {
+      // Someone else is factoring this key right now: wait for the flight
+      // to land. Its result answers every waiter, admitted or not.
       ++stats_.coalesced;
-      cv_.wait(lock, [&] {
-        const auto cur = entries_.find(key);
-        return cur == entries_.end() || !cur->second.inFlight;
-      });
-      const auto cur = entries_.find(key);
-      if (cur != entries_.end() && !cur->second.inFlight) {
-        cur->second.lastUse = ++useClock_;
-        // A coalesced wait that lands on a ready entry is a hit like any
-        // other — without this, hits + misses undercounts lookups and the
+      const std::shared_ptr<const Flight> flight = flightIt->second;
+      cv_.wait(lock, [&] { return flight->done; });
+      if (flight->value != nullptr) {
+        // A coalesced wait that gets the factors is a hit like any other
+        // — without this, hits + misses undercounts lookups and the
         // CI-gated hit rate misreports under contention.
         ++stats_.hits;
-        return Fetch{cur->second.value, true, 0.0};
+        return Fetch{flight->value, true, 0.0};
       }
-      continue;  // withdrawn — race to become the factoring caller
+      // Withdrawn: re-evaluate, and race to become the factoring caller.
+      resident = policy_.touch(key);
+      continue;
     }
 
-    // Miss: claim the in-flight slot and factor outside the lock.
-    Entry& claimed = entries_[key];
-    claimed.inFlight = true;
-    claimed.lastUse = ++useClock_;
+    // Miss: claim the flight and factor outside the lock.
+    const auto flight = std::make_shared<Flight>();
+    flights_.emplace(key, flight);
     ++stats_.misses;
     lock.unlock();
 
@@ -54,7 +47,8 @@ FactorCache::Fetch FactorCache::getOrFactor(
       produced = std::make_shared<const Factorization>(factorFn());
     } catch (...) {
       lock.lock();
-      entries_.erase(key);
+      flight->done = true;
+      flights_.erase(key);
       cv_.notify_all();
       throw;
     }
@@ -62,85 +56,47 @@ FactorCache::Fetch FactorCache::getOrFactor(
 
     lock.lock();
     ++stats_.factorCount;
-    Entry& entry = entries_[key];
-    entry.value = produced;
-    entry.inFlight = false;
-    entry.bytes = produced->bytes();
-    entry.lastUse = ++useClock_;
-    bytesInUse_ += entry.bytes;
-    evictForBudgetLocked();
+    flight->value = produced;
+    flight->done = true;
+    flights_.erase(key);
+    const CachePolicy::Admission admission =
+        policy_.admit(key, produced->bytes());
+    for (const ProblemKey& victim : admission.evicted) {
+      resident_.erase(victim);
+    }
+    stats_.evictions += admission.evicted.size();
+    if (admission.admitted) {
+      resident_.emplace(key, produced);
+    } else {
+      ++stats_.declined;
+    }
     cv_.notify_all();
     return Fetch{produced, false, factorSeconds};
   }
 }
 
-std::shared_ptr<const Factorization> FactorCache::peek(const ProblemKey& key) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = entries_.find(key);
-  if (it == entries_.end() || it->second.inFlight) {
-    return nullptr;
-  }
-  it->second.lastUse = ++useClock_;
-  return it->second.value;
-}
-
 bool FactorCache::contains(const ProblemKey& key) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = entries_.find(key);
-  return it != entries_.end() && !it->second.inFlight;
+  return policy_.contains(key);
 }
 
 std::size_t FactorCache::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t ready = 0;
-  for (const auto& [key, entry] : entries_) {
-    ready += entry.inFlight ? 0 : 1;
-  }
-  return ready;
+  return policy_.size();
 }
 
 FactorCache::Stats FactorCache::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   Stats s = stats_;
-  s.bytesInUse = bytesInUse_;
-  s.budgetBytes = budgetBytes_;
+  s.bytesInUse = policy_.bytesInUse();
+  s.budgetBytes = policy_.budgetBytes();
   return s;
 }
 
 void FactorCache::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->second.inFlight) {
-      ++it;
-    } else {
-      bytesInUse_ -= it->second.bytes;
-      it = entries_.erase(it);
-    }
-  }
-}
-
-void FactorCache::evictForBudgetLocked() {
-  // Evict ready LRU entries until we fit. An entry that alone exceeds the
-  // budget is evicted too once everything else is gone — callers keep it
-  // alive through their shared_ptr; the cache just declines to retain it.
-  while (bytesInUse_ > budgetBytes_) {
-    auto victim = entries_.end();
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (it->second.inFlight) {
-        continue;
-      }
-      if (victim == entries_.end() ||
-          it->second.lastUse < victim->second.lastUse) {
-        victim = it;
-      }
-    }
-    if (victim == entries_.end()) {
-      return;  // only in-flight entries left; nothing evictable
-    }
-    bytesInUse_ -= victim->second.bytes;
-    entries_.erase(victim);
-    ++stats_.evictions;
-  }
+  policy_.clear();
+  resident_.clear();
 }
 
 }  // namespace hplmxp::serve

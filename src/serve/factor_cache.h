@@ -1,15 +1,19 @@
-// Memory-budgeted LRU cache of completed mixed-precision factorizations.
+// Memory-budgeted cache of completed mixed-precision factorizations.
 //
 // The factorization is the "loaded model" of the serving stack: O(N^3)
 // flops to produce, O(N^2) bytes to keep, and every solve against it is
-// cheap. The cache keys entries by ProblemKey and bounds their resident
-// bytes; least-recently-used ready entries are evicted when a new
-// factorization would exceed the budget.
+// cheap. The cache keys entries by ProblemKey and holds their payloads;
+// what it keeps is decided by a CachePolicy (serve/cache_policy.h), the
+// same one fleetsim's shard caches run: least-recently-used eviction
+// under a byte budget, with a new factorization admitted over a victim
+// only when its key is looked up more often. A factorization the policy
+// declines still answers the caller that ran it and everyone coalesced on
+// its flight, and is then dropped.
 //
 // Concurrent misses on the same key are single-flighted: the first caller
-// factors, every other caller blocks on the in-flight entry and shares the
-// result — a burst of requests for a new problem costs exactly one
-// factorization (the factorCount counter is the proof the serve
+// factors, every other caller blocks on the in-flight factorization and
+// shares the result — a burst of requests for a new problem costs exactly
+// one factorization (the factorCount counter is the proof the serve
 // acceptance test asserts on).
 #pragma once
 
@@ -21,6 +25,7 @@
 #include <mutex>
 
 #include "core/single_solver.h"
+#include "serve/cache_policy.h"
 #include "serve/problem_key.h"
 #include "util/common.h"
 
@@ -30,12 +35,13 @@ class FactorCache {
  public:
   struct Stats {
     std::uint64_t lookups = 0;     // getOrFactor calls; == hits + misses
-    std::uint64_t hits = 0;        // served from cache (ready or coalesced)
+    std::uint64_t hits = 0;        // served from cache (resident or coalesced)
     std::uint64_t misses = 0;      // caller ran the factorization
     std::uint64_t coalesced = 0;   // wait events on another caller's flight
-    std::uint64_t evictions = 0;   // LRU entries dropped for budget
+    std::uint64_t evictions = 0;   // admitted entries dropped for budget
+    std::uint64_t declined = 0;    // factorizations the policy did not admit
     std::uint64_t factorCount = 0; // factorizations actually executed
-    std::size_t bytesInUse = 0;    // ready entries currently resident
+    std::size_t bytesInUse = 0;    // admitted entries currently resident
     std::size_t budgetBytes = 0;
 
     [[nodiscard]] double hitRate() const {
@@ -48,7 +54,7 @@ class FactorCache {
   /// What getOrFactor returned and how it got it.
   struct Fetch {
     std::shared_ptr<const Factorization> factors;
-    bool hit = false;            // true for ready-entry and coalesced waits
+    bool hit = false;            // resident entry or coalesced wait
     double factorSeconds = 0.0;  // time this caller spent factoring (miss)
   };
 
@@ -57,39 +63,30 @@ class FactorCache {
   /// Returns the cached factorization for `key`, running `factorFn` under
   /// single-flight on a miss. `factorFn` must produce a Factorization for
   /// exactly this key; it runs outside the cache lock. If it throws, the
-  /// in-flight entry is withdrawn, waiters retry (one of them becomes the
-  /// new factoring caller), and the exception propagates to this caller.
+  /// flight is withdrawn, waiters retry (one of them becomes the new
+  /// factoring caller), and the exception propagates to this caller.
   Fetch getOrFactor(const ProblemKey& key,
                     const std::function<Factorization()>& factorFn);
 
-  /// Ready-entry lookup without factoring; nullptr on miss. Touches LRU.
-  [[nodiscard]] std::shared_ptr<const Factorization> peek(
-      const ProblemKey& key);
-
   [[nodiscard]] bool contains(const ProblemKey& key) const;
-  [[nodiscard]] std::size_t size() const;  // ready entries
+  [[nodiscard]] std::size_t size() const;  // resident entries
   [[nodiscard]] Stats stats() const;
-  void clear();  // drops ready entries (in-flight ones complete normally)
+  /// Drops resident entries and the policy's frequency history; flights
+  /// in progress complete normally.
+  void clear();
 
  private:
-  struct Entry {
-    std::shared_ptr<const Factorization> value;  // null while in flight
-    bool inFlight = false;
-    std::uint64_t lastUse = 0;
-    std::size_t bytes = 0;
+  /// One factorization in progress; its waiters hold it past its end.
+  struct Flight {
+    std::shared_ptr<const Factorization> value;  // null if factorFn threw
+    bool done = false;
   };
-
-  /// Evicts ready LRU entries until the budget holds (callers still
-  /// holding shared_ptrs keep their factors alive; the cache just stops
-  /// accounting for them). Requires the lock.
-  void evictForBudgetLocked();
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;
-  std::map<ProblemKey, Entry> entries_;
-  std::uint64_t useClock_ = 0;
-  std::size_t budgetBytes_;
-  std::size_t bytesInUse_ = 0;
+  CachePolicy policy_;
+  std::map<ProblemKey, std::shared_ptr<const Factorization>> resident_;
+  std::map<ProblemKey, std::shared_ptr<Flight>> flights_;
   Stats stats_;
 };
 

@@ -480,6 +480,7 @@ FleetReport FleetEngine::report() const {
     cacheSum.misses += cs.misses;
     cacheSum.coalesced += cs.coalesced;
     cacheSum.evictions += cs.evictions;
+    cacheSum.declined += cs.declined;
     cacheSum.factorCount += cs.factorCount;
     cacheSum.bytesInUse += cs.bytesInUse;
     cacheSum.budgetBytes += cs.budgetBytes;

@@ -139,6 +139,7 @@ Table ServeReport::toTable() const {
   t.addRow({"cache hit rate", Table::num(cache.hitRate() * 100.0, 1) + "%"});
   t.addRow({"factorizations run", Table::num((long long)cache.factorCount)});
   t.addRow({"cache evictions", Table::num((long long)cache.evictions)});
+  t.addRow({"cache declined", Table::num((long long)cache.declined)});
   t.addRow({"cache bytes", Table::num((long long)cache.bytesInUse)});
   t.addRow({"queue wait p50/p95/p99 ms",
             Table::num(queueWait.p50Ms, 2) + " / " +
@@ -183,6 +184,7 @@ std::string ServeReport::toJson() const {
   os << "  \"cache_misses\": " << cache.misses << ",\n";
   os << "  \"factor_count\": " << cache.factorCount << ",\n";
   os << "  \"cache_evictions\": " << cache.evictions << ",\n";
+  os << "  \"cache_declined\": " << cache.declined << ",\n";
   os << "  \"cache_bytes_in_use\": " << cache.bytesInUse << ",\n";
   os << "  \"cache_budget_bytes\": " << cache.budgetBytes << ",\n";
   os << "  \"queue_wait_ms\": " << queueWait.toJson() << ",\n";

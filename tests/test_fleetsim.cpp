@@ -12,9 +12,11 @@
 
 #include "cli/commands.h"
 #include "cli/options.h"
+#include "core/single_solver.h"
 #include "fleetsim/debug_cli.h"
 #include "fleetsim/event_core.h"
 #include "fleetsim/fleet_sim.h"
+#include "serve/engine.h"
 #include "serve/fleet/fleet.h"
 #include "serve/json.h"
 #include "serve/metrics.h"
@@ -439,10 +441,12 @@ TEST(ServeWorkloadTest, CrashFailsOverAndResurrectRestores) {
 
 TEST(ServeWorkloadTest, CacheBudgetIsFleetWideAndSplitAcrossShards) {
   // serve.cache-mb is the fleet's budget, split evenly across the shards
-  // as FleetEngine splits it. Five keys of n=64 (24 KiB of factors each)
-  // fit a budget of exactly five factors. Split over 2 shards, each shard
-  // holds two, so the shard that owns three or more keys must evict.
-  const double factorMb = 6.0 * 64.0 * 64.0 / (1024.0 * 1024.0);
+  // as FleetEngine splits it. Five keys of n=64 fit a budget of exactly
+  // five live-size factors. Split over 2 shards, each shard holds two, so
+  // the shard that owns three or more keys must evict or decline one.
+  const double factorMb =
+      static_cast<double>(Factorization::residentBytes(64)) /
+      (1024.0 * 1024.0);
   FleetSimConfig cfg = serveConfig(100, 5, 0.5, 1);
   cfg.serve.cacheMb = 5.0 * factorMb;
   FleetSession whole(cfg);
@@ -455,9 +459,94 @@ TEST(ServeWorkloadTest, CacheBudgetIsFleetWideAndSplitAcrossShards) {
   split.sim().run();
   const ServeStats& stats = split.serve()->stats();
   EXPECT_EQ(stats.completed, 100u);
-  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_GT(stats.evictions + stats.declined, 0u);
   EXPECT_GT(stats.factorCount, 5u);
   EXPECT_EQ(stats.cacheHits + stats.cacheMisses, stats.cacheLookups);
+}
+
+TEST(ServeWorkloadTest, ShardBudgetHoldsLiveSizedFactors) {
+  // A simulated shard charges each factor what the live cache holds for
+  // it. A one-shard budget of exactly four n=64 factors keeps all four
+  // round-robin keys: nothing is evicted or declined. A key whose factors
+  // exceed the whole budget is declined at each of its three lookups
+  // (20 ms apart, each a batch of its own) and evicts none of the four.
+  constexpr index_t kKeys = 4;
+  FleetSimConfig cfg = serveConfig(40, kKeys, 0.5, 1);
+  cfg.serve.cacheMb =
+      static_cast<double>(kKeys * Factorization::residentBytes(64)) /
+      (1024.0 * 1024.0);
+  FleetSession fits(cfg);
+  fits.sim().run();
+  EXPECT_EQ(fits.serve()->stats().completed, 40u);
+  EXPECT_EQ(fits.serve()->stats().factorCount, 4u);
+  EXPECT_EQ(fits.serve()->stats().evictions, 0u);
+  EXPECT_EQ(fits.serve()->stats().declined, 0u);
+  EXPECT_EQ(fits.serve()->shardView(0).cachedKeys, kKeys);
+
+  for (int i = 0; i < 3; ++i) {
+    serve::TraceRequest big = cfg.serve.trace.requests.back();
+    big.atMs += 20.0 * (i + 1);
+    big.n = 256;
+    big.b = 64;
+    big.seed = 7;
+    cfg.serve.trace.requests.push_back(big);
+  }
+  FleetSession oversize(cfg);
+  oversize.sim().run();
+  const ServeStats& stats = oversize.serve()->stats();
+  EXPECT_EQ(stats.completed, 43u);
+  EXPECT_EQ(stats.factorCount, 7u);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.declined, 3u);
+  EXPECT_EQ(oversize.serve()->shardView(0).cachedKeys, kKeys);
+}
+
+TEST(ServeWorkloadTest, KeepsTheKeysTheLiveCacheKeeps) {
+  // The live FactorCache and fleetsim's shard cache run one CachePolicy
+  // at one byte size per factor. Replay one skewed trace over 12 keys,
+  // with a budget of three factors, through a one-shard ServeEngine (each
+  // request submitted once the one before it is answered) and a one-shard
+  // fleetsim session (arrivals 1 ms apart find the lane idle): both make
+  // one lookup per request, in the same order, and must keep the same keys.
+  constexpr index_t kN = 64;
+  constexpr std::size_t kRequests = 300;
+  FleetSimConfig cfg = serveConfig(static_cast<index_t>(kRequests), 1, 1.0, 1);
+  std::uint64_t state = 2026;
+  for (serve::TraceRequest& r : cfg.serve.trace.requests) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    const double u = static_cast<double>(state >> 11) * 0x1.0p-53;
+    r.seed = 42 + static_cast<std::uint64_t>(12.0 * u * u * u);
+  }
+  const std::size_t budget = 3 * Factorization::residentBytes(kN);
+  cfg.serve.cacheMb = static_cast<double>(budget) / (1024.0 * 1024.0);
+  FleetSession session(cfg);
+  session.sim().run();
+  const ServeStats& sim = session.serve()->stats();
+  ASSERT_EQ(sim.completed, kRequests);
+  ASSERT_EQ(sim.batches, kRequests);
+
+  serve::ServeConfig liveCfg;
+  liveCfg.cacheBytes = budget;
+  serve::ServeEngine engine(liveCfg);
+  for (const serve::TraceRequest& r : cfg.serve.trace.requests) {
+    serve::SolveRequest req;
+    req.key = {r.n, r.b, r.seed, r.pr, r.pc, r.precision};
+    req.rhsSeed = r.rhsSeed;
+    ASSERT_EQ(engine.submit(req)->wait().status,
+              serve::RequestStatus::kCompleted);
+  }
+  const serve::FactorCache::Stats live = engine.cache().stats();
+  EXPECT_EQ(live.lookups, sim.cacheLookups);
+  EXPECT_EQ(live.hits, sim.cacheHits);
+  EXPECT_EQ(live.misses, sim.cacheMisses);
+  EXPECT_EQ(live.factorCount, sim.factorCount);
+  EXPECT_EQ(live.evictions, sim.evictions);
+  EXPECT_EQ(live.declined, sim.declined);
+  EXPECT_EQ(static_cast<index_t>(engine.cache().size()),
+            session.serve()->shardView(0).cachedKeys);
+  // The trace fills the cache and makes the policy choose.
+  EXPECT_GT(live.evictions, 0u);
+  EXPECT_GT(live.declined, 0u);
 }
 
 TEST(ServeWorkloadTest, RoutesEachShardWhatTheLiveFleetRoutesIt) {

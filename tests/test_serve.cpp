@@ -1,7 +1,8 @@
-// Serving subsystem: factor cache (LRU, budget, single-flight), admission
-// control, batching policy, the end-to-end engine (including bitwise
-// equivalence of served solutions and chaos-driven retries/deadline
-// rejections), trace I/O, and the `hplmxp serve` command.
+// Serving subsystem: cache policy (LRU eviction, frequency admission,
+// aging), factor cache (budget, single-flight), admission control,
+// batching policy, the end-to-end engine (including bitwise equivalence
+// of served solutions and chaos-driven retries/deadline rejections),
+// trace I/O, and the `hplmxp serve` command.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include "cli/options.h"
 #include "core/single_solver.h"
 #include "gen/matgen.h"
+#include "serve/cache_policy.h"
 #include "serve/engine.h"
 #include "serve/json.h"
 #include "serve/trace_io.h"
@@ -177,6 +179,173 @@ TEST(TraceIo, ArrivalUsRejectsNegativeGaps) {
   std::remove(path.c_str());
 }
 
+// --------------------------------------------------------- CachePolicy --
+
+TEST(CachePolicyTest, AdmitsOnlyOverLessPopularVictims) {
+  // A 100-byte budget of 40-byte entries holds two.
+  CachePolicy policy(100);
+  const ProblemKey a = key(32, 16, 1);
+  const ProblemKey b = key(32, 16, 2);
+  const ProblemKey c = key(32, 16, 3);
+  const ProblemKey d = key(32, 16, 4);
+  const auto offer = [&](const ProblemKey& k, std::size_t bytes) {
+    EXPECT_FALSE(policy.lookup(k));
+    return policy.admit(k, bytes);
+  };
+
+  // Free room admits whatever the count.
+  EXPECT_TRUE(offer(a, 40).admitted);
+  EXPECT_TRUE(offer(b, 40).admitted);
+  EXPECT_EQ(policy.bytesInUse(), 80u);
+
+  // c ties a, the LRU victim, at one lookup: the resident stays.
+  CachePolicy::Admission r = offer(c, 40);
+  EXPECT_FALSE(r.admitted);
+  EXPECT_TRUE(r.evicted.empty());
+  EXPECT_TRUE(policy.contains(a));
+  EXPECT_FALSE(policy.contains(c));
+
+  // Its second lookup beats a's one: a leaves, not the newer b.
+  r = offer(c, 40);
+  EXPECT_TRUE(r.admitted);
+  EXPECT_EQ(r.evicted, std::vector<ProblemKey>{a});
+  EXPECT_TRUE(policy.contains(b));
+  EXPECT_TRUE(policy.contains(c));
+
+  // An 80-byte d must displace both b (1 lookup) and c (2). Two lookups
+  // beat b but tie c, so nothing moves; the third beats both, and they
+  // leave oldest first.
+  EXPECT_FALSE(offer(d, 80).admitted);
+  r = offer(d, 80);
+  EXPECT_FALSE(r.admitted);
+  EXPECT_TRUE(r.evicted.empty());
+  EXPECT_TRUE(policy.contains(b));
+  r = offer(d, 80);
+  EXPECT_TRUE(r.admitted);
+  EXPECT_EQ(r.evicted, (std::vector<ProblemKey>{b, c}));
+  EXPECT_EQ(policy.size(), 1u);
+  EXPECT_EQ(policy.bytesInUse(), 80u);
+
+  // Larger than the whole budget: never admitted, however popular, and
+  // nothing is evicted for it.
+  const ProblemKey big = key(64, 16, 5);
+  for (int i = 0; i < 10; ++i) {
+    r = offer(big, 101);
+    EXPECT_FALSE(r.admitted);
+    EXPECT_TRUE(r.evicted.empty());
+  }
+  EXPECT_TRUE(policy.contains(d));
+  EXPECT_EQ(policy.bytesInUse(), 80u);
+
+  // Every lookup counts, hit or miss.
+  EXPECT_TRUE(policy.lookup(d));
+  EXPECT_EQ(policy.frequency(d), 4u);
+}
+
+/// Runs one lookup through `policy` as a cache would: a miss offers an
+/// entry of `bytes`. Returns whether the lookup hit.
+bool access(CachePolicy& policy, const ProblemKey& k, std::size_t bytes) {
+  if (policy.lookup(k)) {
+    return true;
+  }
+  (void)policy.admit(k, bytes);
+  return false;
+}
+
+TEST(CachePolicyTest, RecoversTheHotSetAfterAPopularityShift) {
+  // Four 1-byte slots; the hot set cycles with a one-off key between
+  // hot lookups. When the hot set moves to four new keys, the old ones
+  // carry high counts, which halve every aging window (20 x 4 = 80
+  // lookups here). The new hot set must be resident within 2 windows
+  // (this sequence needs 80 to 88 lookups, about one).
+  constexpr std::size_t kSlots = 4;
+  CachePolicy policy(kSlots);
+  const std::uint64_t window = CachePolicy::kAgingWindowPerEntry * kSlots;
+  std::uint64_t oneOff = 1000;
+  std::uint64_t lookups = 0;
+  const auto phase = [&](std::uint64_t firstSeed, std::uint64_t rounds,
+                         bool stopWhenResident) {
+    for (std::uint64_t i = 0; i < rounds; ++i) {
+      (void)access(policy, key(32, 16, firstSeed + i % kSlots), 1);
+      (void)access(policy, key(32, 16, ++oneOff), 1);
+      lookups += 2;
+      bool all = true;
+      for (std::uint64_t h = 0; h < kSlots; ++h) {
+        all = all && policy.contains(key(32, 16, firstSeed + h));
+      }
+      if (stopWhenResident && all) {
+        return true;
+      }
+    }
+    return false;
+  };
+
+  (void)phase(1, 2000, false);
+  for (std::uint64_t h = 1; h <= kSlots; ++h) {
+    EXPECT_TRUE(policy.contains(key(32, 16, h))) << "old hot key " << h;
+  }
+  lookups = 0;
+  EXPECT_TRUE(phase(101, window, true))
+      << "new hot set not resident within 2 aging windows";
+  EXPECT_LE(lookups, 2 * window);
+  for (std::uint64_t h = 1; h <= kSlots; ++h) {
+    EXPECT_FALSE(policy.contains(key(32, 16, h))) << "old hot key " << h;
+  }
+}
+
+TEST(CachePolicyTest, FrequencyMapStaysBoundedUnderOneOffKeys) {
+  // 100k distinct keys, each looked up once, between lookups of four
+  // hot keys: the one-offs never displace the hot set, and aging keeps
+  // the frequency map near twice the window.
+  constexpr std::size_t kSlots = 4;
+  CachePolicy policy(kSlots);
+  const std::uint64_t window = CachePolicy::kAgingWindowPerEntry * kSlots;
+  std::size_t peak = 0;
+  for (std::uint64_t i = 0; i < 100000; ++i) {
+    (void)access(policy, key(32, 16, i % kSlots), 1);
+    (void)access(policy, key(32, 16, 1000 + i), 1);
+    peak = std::max(peak, policy.trackedKeys());
+  }
+  EXPECT_LE(peak, 2 * window);
+  for (std::uint64_t h = 0; h < kSlots; ++h) {
+    EXPECT_TRUE(policy.contains(key(32, 16, h))) << "hot key " << h;
+  }
+}
+
+TEST(CachePolicyTest, SameSequenceKeepsTheSameKeys) {
+  // A skewed draw over 40 keys of three sizes, replayed into two
+  // policies, and into the first again after clear(): clear() restores a
+  // cold policy, so all three keep the same keys at every step.
+  std::vector<std::pair<ProblemKey, std::size_t>> sequence;
+  std::uint64_t state = 12345;
+  for (int i = 0; i < 5000; ++i) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    const double u = static_cast<double>(state >> 11) * 0x1.0p-53;
+    const auto k = static_cast<std::uint64_t>(40.0 * u * u * u);
+    sequence.emplace_back(key(32, 16, k), 100 + 50 * (k % 3));
+  }
+  const auto replay = [&](CachePolicy& policy) {
+    std::vector<std::size_t> trail;
+    for (const auto& [k, bytes] : sequence) {
+      trail.push_back(access(policy, k, bytes) ? 1 : 0);
+      trail.push_back(policy.bytesInUse());
+    }
+    return trail;
+  };
+  CachePolicy first(1000);
+  CachePolicy second(1000);
+  const std::vector<std::size_t> trail = replay(first);
+  EXPECT_EQ(replay(second), trail);
+  first.clear();
+  EXPECT_EQ(first.size(), 0u);
+  EXPECT_EQ(first.bytesInUse(), 0u);
+  EXPECT_EQ(first.trackedKeys(), 0u);
+  EXPECT_EQ(replay(first), trail);
+  for (std::uint64_t k = 0; k < 40; ++k) {
+    EXPECT_EQ(first.contains(key(32, 16, k)), second.contains(key(32, 16, k)));
+  }
+}
+
 // --------------------------------------------------------- FactorCache --
 
 TEST(FactorCacheTest, HitsMissesAndProblemKeyIdentity) {
@@ -202,23 +371,58 @@ TEST(FactorCacheTest, HitsMissesAndProblemKeyIdentity) {
 }
 
 TEST(FactorCacheTest, EvictsLeastRecentlyUsedForBudget) {
-  // One 32x32 FP32 factorization is ~4 KB; budget two of them.
-  const std::size_t one = factorOf(key(32, 16, 1)).bytes();
+  // Budget two 32x32 factorizations. k1 and k2 are looked up twice each,
+  // k1 last, so k2 is the least recently used of two equally popular
+  // entries. k3 displaces a resident only once its count beats the
+  // victim's: its first two lookups are declined, the third evicts k2.
+  const std::size_t one = Factorization::residentBytes(32);
   FactorCache cache(2 * one + 64);
   const ProblemKey k1 = key(32, 16, 1);
   const ProblemKey k2 = key(32, 16, 2);
   const ProblemKey k3 = key(32, 16, 3);
 
-  (void)cache.getOrFactor(k1, [&] { return factorOf(k1); });
-  (void)cache.getOrFactor(k2, [&] { return factorOf(k2); });
-  (void)cache.peek(k1);  // touch k1 so k2 is now least-recently used
-  (void)cache.getOrFactor(k3, [&] { return factorOf(k3); });
+  for (const ProblemKey& k : {k1, k2, k2, k1}) {
+    (void)cache.getOrFactor(k, [&] { return factorOf(k); });
+  }
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_FALSE(cache.getOrFactor(k3, [&] { return factorOf(k3); }).hit);
+    EXPECT_EQ(cache.contains(k3), i == 2) << "lookup " << i + 1 << " of k3";
+  }
 
   EXPECT_TRUE(cache.contains(k1));
   EXPECT_FALSE(cache.contains(k2));
   EXPECT_TRUE(cache.contains(k3));
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_LE(cache.stats().bytesInUse, 2 * one + 64);
+  const FactorCache::Stats s = cache.stats();
+  EXPECT_EQ(s.evictions, 1u);
+  EXPECT_EQ(s.declined, 2u);
+  EXPECT_EQ(s.bytesInUse, 2 * one);
+  EXPECT_EQ(s.hits + s.misses, s.lookups);
+}
+
+TEST(FactorCacheTest, OversizedFactorizationLeavesResidentsInPlace) {
+  // A 64x64 factorization is larger than the whole two-entry budget: it
+  // answers its caller and is dropped, and no resident 32x32 entry is
+  // evicted to make room it could never have.
+  const std::size_t one = Factorization::residentBytes(32);
+  FactorCache cache(2 * one + 64);
+  const ProblemKey k1 = key(32, 16, 1);
+  const ProblemKey k2 = key(32, 16, 2);
+  const ProblemKey big = key(64, 16, 3);
+  ASSERT_GT(Factorization::residentBytes(64), 2 * one + 64);
+  (void)cache.getOrFactor(k1, [&] { return factorOf(k1); });
+  (void)cache.getOrFactor(k2, [&] { return factorOf(k2); });
+
+  const FactorCache::Fetch f =
+      cache.getOrFactor(big, [&] { return factorOf(big); });
+  ASSERT_NE(f.factors, nullptr);
+  EXPECT_EQ(f.factors->n, 64);
+  EXPECT_TRUE(cache.contains(k1));
+  EXPECT_TRUE(cache.contains(k2));
+  EXPECT_FALSE(cache.contains(big));
+  const FactorCache::Stats s = cache.stats();
+  EXPECT_EQ(s.evictions, 0u);
+  EXPECT_EQ(s.declined, 1u);
+  EXPECT_EQ(s.bytesInUse, 2 * one);
 }
 
 TEST(FactorCacheTest, SingleFlightCoalescesConcurrentMisses) {
@@ -299,6 +503,54 @@ TEST(FactorCacheTest, FailedFactorizationIsWithdrawn) {
   const FactorCache::Fetch f = cache.getOrFactor(k, [&] { return factorOf(k); });
   EXPECT_FALSE(f.hit);
   EXPECT_NE(f.factors, nullptr);
+}
+
+TEST(FactorCacheTest, DeclinedFlightAnswersEveryWaiterWithOneFactorization) {
+  // A budget smaller than any factorization declines every one. Callers
+  // coalesced on the flight still share its result, and the key is not
+  // resident afterwards.
+  FactorCache cache(64);
+  const ProblemKey k = key(32, 16, 5);
+  std::atomic<int> factored{0};
+
+  constexpr int kThreads = 4;
+  std::vector<const Factorization*> got(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const FactorCache::Fetch f = cache.getOrFactor(k, [&] {
+        ++factored;
+        // Land the flight only once every other caller waits on it.
+        const auto giveUp =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (cache.stats().coalesced < kThreads - 1 &&
+               std::chrono::steady_clock::now() < giveUp) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        return factorOf(k);
+      });
+      got[static_cast<std::size_t>(t)] = f.factors.get();
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+
+  EXPECT_EQ(factored.load(), 1);
+  ASSERT_NE(got[0], nullptr);
+  for (const Factorization* p : got) {
+    EXPECT_EQ(p, got[0]);
+  }
+  EXPECT_FALSE(cache.contains(k));
+  const FactorCache::Stats s = cache.stats();
+  EXPECT_EQ(s.factorCount, 1u);
+  EXPECT_EQ(s.declined, 1u);
+  EXPECT_EQ(s.evictions, 0u);
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.hits, static_cast<std::uint64_t>(kThreads - 1));
+  EXPECT_EQ(s.hits + s.misses, s.lookups);
+  EXPECT_EQ(s.bytesInUse, 0u);
 }
 
 // -------------------------------------------------------- RequestQueue --
