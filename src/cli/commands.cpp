@@ -1093,7 +1093,8 @@ int cmdFleetsim(const Options& raw) {
 
     // Gray-failure defense (off by default: golden traces stay stable).
     cfg.serve.health.enabled = opts.getBool("health", false);
-    cfg.serve.heartbeatIntervalMs = opts.getDouble("heartbeat-ms", 10.0);
+    cfg.serve.health.heartbeatIntervalSeconds =
+        opts.getDouble("heartbeat-ms", 10.0) * 1e-3;
     cfg.serve.health.suspectPhi = opts.getDouble("suspect-phi", 1.0);
     cfg.serve.health.quarantinePhi = opts.getDouble("quarantine-phi", 3.0);
     cfg.serve.health.quarantineDwellSeconds =

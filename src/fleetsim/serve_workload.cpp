@@ -18,37 +18,19 @@ void ServeWorkloadConfig::validate(const Topology& topology) const {
   HPLMXP_REQUIRE(failoverLimit >= 0, "negative failover limit");
   HPLMXP_REQUIRE(hostGflops > 0.0, "host rate must be positive");
   HPLMXP_REQUIRE(irIterations >= 1, "need >= 1 IR iteration");
-  HPLMXP_REQUIRE(heartbeatIntervalMs > 0.0,
-                 "heartbeat interval must be positive");
-  if (hedgeEnabled) {
-    HPLMXP_REQUIRE(hedgeDelayFactor >= 0.0 && hedgeMinDelayMs >= 0.0,
-                   "hedge delay knobs must be non-negative");
-    HPLMXP_REQUIRE(hedgeBudgetPerSecond > 0.0 && hedgeBudgetBurst >= 1.0,
-                   "hedge budget must admit at least one hedge");
-  }
 }
-
-namespace {
-
-/// The phi detector is seeded from the configured pulse cadence, so the
-/// millisecond CLI knob must land in the monitor's config before it is
-/// constructed.
-serve::HealthConfig syncedHealth(const ServeWorkloadConfig& cfg) {
-  serve::HealthConfig h = cfg.health;
-  h.heartbeatIntervalSeconds = cfg.heartbeatIntervalMs * 1e-3;
-  return h;
-}
-
-}  // namespace
 
 ServeWorkload::ServeWorkload(ServeWorkloadConfig config,
                              const Topology& topology)
     : config_(std::move(config)),
       topology_(&topology),
       ring_(config_.shards, config_.virtualNodes),
-      healthMon_(syncedHealth(config_), config_.shards) {
+      healthMon_(config_.health, config_.shards),
+      hedge_({config_.hedgeEnabled, config_.hedgeDelayFactor,
+              config_.hedgeMinDelayMs * 1e-3, config_.hedgeBudgetPerSecond,
+              config_.hedgeBudgetBurst},
+             /*now=*/0.0) {
   config_.validate(topology);
-  hedgeTokens_ = config_.hedgeBudgetBurst;
   const auto cacheBudget = static_cast<std::size_t>(
       config_.cacheMb * 1024.0 * 1024.0 / static_cast<double>(config_.shards));
   const index_t stride = topology.nodes() / config_.shards;
@@ -98,22 +80,15 @@ index_t ServeWorkload::routeShard(index_t keyIndex, double now) {
   return chosen;
 }
 
-bool ServeWorkload::markAnswered(index_t traceIndex) {
-  RequestState& st = reqState_[traceIndex];
-  if (st.answered) {
-    return false;
+void ServeWorkload::reportSolved(index_t shardIndex, double now) {
+  // A solve heals a probing shard, but deliberately does NOT feed the phi
+  // stream: a busy-but-slow shard completes constantly, and those
+  // arrivals would mask the stretched pulse cadence that IS the
+  // gray-failure signal. Only the periodic pulse carries it.
+  if (config_.health.enabled &&
+      healthMon_.state(shardIndex, now) == serve::HealthState::kProbing) {
+    healthMon_.onOutcome(shardIndex, true, now);
   }
-  st.answered = true;
-  return true;
-}
-
-void ServeWorkload::failCopy(const PendingRequest& req) {
-  if (req.hedgeCopy || !markAnswered(req.traceIndex)) {
-    ++stats_.hedgeWasted;  // a losing copy's work, discarded
-    return;
-  }
-  ++stats_.failed;
-  pendingMeta_.erase(req.traceIndex);
 }
 
 void ServeWorkload::scheduleHeartbeat(Simulator& sim, index_t shardIndex) {
@@ -121,67 +96,36 @@ void ServeWorkload::scheduleHeartbeat(Simulator& sim, index_t shardIndex) {
   // A slowed shard pulses proportionally later — the gray-failure signal
   // the phi detector exists to notice.
   const double interval =
-      config_.heartbeatIntervalMs * 1e-3 / shard.slowFactor;
+      config_.health.heartbeatIntervalSeconds / shard.slowFactor;
   sim.schedule(sim.now() + interval, shard.node, EventClass::kHeartbeat, me_,
                shardIndex, shard.generation);
 }
 
-double ServeWorkload::hedgeDelaySeconds() const {
-  const double minDelay = config_.hedgeMinDelayMs * 1e-3;
-  const std::vector<double>& totals = stats_.totalSeconds;
-  if (totals.empty()) {
-    return minDelay;
-  }
-  // p95 of the most recent completions: the hedge must track the current
-  // service level, not the whole run's history.
-  const std::size_t window = std::min<std::size_t>(totals.size(), 64);
-  std::vector<double> recent(totals.end() -
-                                 static_cast<std::ptrdiff_t>(window),
-                             totals.end());
-  std::sort(recent.begin(), recent.end());
-  const double p95 = recent[static_cast<std::size_t>(
-      0.95 * static_cast<double>(recent.size() - 1))];
-  return std::max(minDelay, config_.hedgeDelayFactor * p95);
-}
-
 void ServeWorkload::fireHedge(Simulator& sim, index_t traceIndex,
                               double now) {
-  const auto stIt = reqState_.find(traceIndex);
-  if (stIt == reqState_.end() || stIt->second.answered) {
+  const auto it = unanswered_.find(traceIndex);
+  if (it == unanswered_.end()) {
     return;  // answered in time: the hedge is moot
   }
-  const auto metaIt = pendingMeta_.find(traceIndex);
-  if (metaIt == pendingMeta_.end()) {
-    return;
-  }
-  // Token-bucket refill on virtual time: a fleet-wide slowdown (every
-  // request late) drains the bucket; an isolated slow shard stays within
-  // budget.
-  hedgeTokens_ = std::min(
-      config_.hedgeBudgetBurst,
-      hedgeTokens_ + (now - hedgeRefillAt_) * config_.hedgeBudgetPerSecond);
-  hedgeRefillAt_ = now;
-  if (hedgeTokens_ < 1.0) {
+  if (!hedge_.admit(now)) {
     ++stats_.hedgeDenied;
     return;
   }
-  const serve::TraceRequest& r = traceRequest(traceIndex);
-  const index_t keyIdx = keyIndexOf(r);
-  const index_t primary = stIt->second.primaryShard;
-  // Replica target: the first routable shard clockwise past the primary
-  // (the hedge bets on a DIFFERENT shard). The filter rejects the primary
-  // and crashed shards before routable() can spend their probe slots.
-  const index_t target = ring_.route(
-      keys_[static_cast<std::size_t>(keyIdx)], [&](index_t s) {
-        return s != primary &&
-               !shards_[static_cast<std::size_t>(s)].crashed &&
-               healthMon_.routable(s, now);
-      });
+  const index_t keyIdx = keyIndexOf(traceRequest(traceIndex));
+  const index_t primary = it->second.primaryShard;
+  // The live fleet's hedge walk: the first shard clockwise of the key
+  // that is alive, not the primary, and admitted by the monitor. No
+  // fallback: the primary copy is still in flight.
+  const index_t target = healthMon_.routeAdmitted(
+      ring_, keys_[static_cast<std::size_t>(keyIdx)],
+      [&](index_t s) {
+        return s != primary && !shards_[static_cast<std::size_t>(s)].crashed;
+      },
+      now);
   if (target < 0) {
     ++stats_.hedgeDenied;
     return;
   }
-  hedgeTokens_ -= 1.0;
   ++stats_.hedgesIssued;
   const double hop = topology_->transferSeconds(
       0, shardNode(target), config_.requestBytes, config_.shards);
@@ -235,14 +179,14 @@ bool ServeWorkload::done() const {
   return answered == config_.trace.requests.size();
 }
 
-void ServeWorkload::reject(const PendingRequest& req,
-                           serve::RequestStatus status) {
-  if (req.hedgeCopy || !markAnswered(req.traceIndex)) {
+void ServeWorkload::reject(const PendingRequest& req, index_t shardIndex,
+                           serve::RequestStatus status, double now) {
+  healthMon_.onOutcome(shardIndex, false, now);
+  if (req.hedgeCopy || unanswered_.erase(req.traceIndex) == 0) {
     // A losing copy's rejection is not the request's fate.
     ++stats_.hedgeWasted;
     return;
   }
-  pendingMeta_.erase(req.traceIndex);
   switch (status) {
     case serve::RequestStatus::kRejectedQueueFull:
       ++stats_.rejectedQueueFull;
@@ -286,7 +230,7 @@ void ServeWorkload::startNextBatch(Simulator& sim, index_t shardIndex) {
       PendingRequest& req = bucket[i];
       --shard.queuedRequests;
       if (req.deadlineSeconds > 0.0 && now > req.deadlineSeconds) {
-        reject(req, serve::RequestStatus::kRejectedDeadline);
+        reject(req, shardIndex, serve::RequestStatus::kRejectedDeadline, now);
         continue;
       }
       batch.requests.push_back(req);
@@ -370,22 +314,20 @@ void ServeWorkload::crashShard(Simulator& sim, index_t shardIndex) {
 
 void ServeWorkload::failOver(Simulator& sim, PendingRequest req,
                              index_t fromShard, index_t keyIndex) {
-  const auto stIt = reqState_.find(req.traceIndex);
-  if (req.hedgeCopy || (stIt != reqState_.end() && stIt->second.answered)) {
-    ++stats_.hedgeWasted;
-    return;
-  }
   const double now = sim.now();
-  const index_t next = req.failovers < config_.failoverLimit
-                           ? routeShard(keyIndex, now)
-                           : -1;
+  const bool retry = !req.hedgeCopy && unanswered_.contains(req.traceIndex) &&
+                     req.failovers < config_.failoverLimit;
+  const index_t next = retry ? routeShard(keyIndex, now) : -1;
   if (next < 0) {
-    failCopy(req);
+    reject(req, fromShard, serve::RequestStatus::kFailed, now);
     return;
   }
+  // The copy failed on its shard, as every request on a crashed live
+  // shard does: a failed probe if the shard was probing.
+  healthMon_.onOutcome(fromShard, false, now);
   ++req.failovers;
   ++stats_.failovers;
-  pendingMeta_[req.traceIndex] = req;
+  unanswered_[req.traceIndex] = req;
   const double hop =
       topology_->transferSeconds(shardNode(fromShard), shardNode(next),
                                  config_.requestBytes, config_.shards);
@@ -413,41 +355,48 @@ void ServeWorkload::handle(Simulator& sim, const Event& event) {
             deadlineMs > 0.0 ? now + deadlineMs * 1e-3 : 0.0;
         const index_t shard = routeShard(keyIdx, now);
         if (shard < 0) {
-          (void)markAnswered(traceIdx);
           ++stats_.failed;  // nobody healthy to route to
           break;
         }
-        pendingMeta_[traceIdx] = req;
-        reqState_[traceIdx].primaryShard = shard;
+        req.primaryShard = shard;
+        unanswered_[traceIdx] = req;
         const double hop = topology_->transferSeconds(
             0, shardNode(shard), config_.requestBytes, config_.shards);
         sim.schedule(now + hop, shardNode(shard),
                      EventClass::kRequestArrival, me_, traceIdx, shard);
         if (config_.hedgeEnabled && config_.shards > 1) {
-          sim.schedule(now + hedgeDelaySeconds(), 0, EventClass::kHedgeFire,
-                       me_, traceIdx);
+          sim.schedule(now + hedge_.delaySeconds(), 0,
+                       EventClass::kHedgeFire, me_, traceIdx);
         }
         break;
       }
       // Shard-side admission.
-      const auto metaIt = pendingMeta_.find(traceIdx);
-      if (metaIt == pendingMeta_.end()) {
-        break;  // another copy already answered this request
-      }
-      PendingRequest req = metaIt->second;
-      req.hedgeCopy = event.x > 0.5;
       Shard& shard = shards_[static_cast<std::size_t>(toShard)];
+      const auto it = unanswered_.find(traceIdx);
+      if (it == unanswered_.end()) {
+        // Another copy already answered. The live shard would still run
+        // this one: wasted work, whose outcome may end a probe.
+        ++stats_.hedgeWasted;
+        if (shard.crashed) {
+          healthMon_.onOutcome(toShard, false, now);
+        } else {
+          reportSolved(toShard, now);
+        }
+        break;
+      }
+      PendingRequest req = it->second;
+      req.hedgeCopy = event.x > 0.5;
       if (shard.crashed) {
         failOver(sim, req, toShard, keyIdx);  // crashed after routing
         break;
       }
       ++shard.routed;
       if (req.deadlineSeconds > 0.0 && now > req.deadlineSeconds) {
-        reject(req, serve::RequestStatus::kRejectedDeadline);
+        reject(req, toShard, serve::RequestStatus::kRejectedDeadline, now);
         break;
       }
       if (shard.queuedRequests >= config_.queueDepth) {
-        reject(req, serve::RequestStatus::kRejectedQueueFull);
+        reject(req, toShard, serve::RequestStatus::kRejectedQueueFull, now);
         break;
       }
       req.queueSeq = nextQueueSeq_++;
@@ -490,16 +439,9 @@ void ServeWorkload::handle(Simulator& sim, const Event& event) {
         batch.requests.clear();
         break;
       }
-      // Completions heal a probing shard, but deliberately do NOT feed the
-      // phi stream: a busy-but-slow shard completes constantly, and those
-      // arrivals would mask the stretched pulse cadence that IS the
-      // gray-failure signal. Only the periodic pulse carries it.
-      if (config_.health.enabled &&
-          healthMon_.state(shardIdx, now) == serve::HealthState::kProbing) {
-        healthMon_.onOutcome(shardIdx, true, now);
-      }
+      reportSolved(shardIdx, now);
       for (const PendingRequest& req : batch.requests) {
-        if (!markAnswered(req.traceIndex)) {
+        if (unanswered_.erase(req.traceIndex) == 0) {
           ++stats_.hedgeWasted;  // the other copy answered first
           continue;
         }
@@ -512,7 +454,9 @@ void ServeWorkload::handle(Simulator& sim, const Event& event) {
                                           req.arrivalSeconds);
         stats_.solveSeconds.push_back(batch.solveCost);
         stats_.totalSeconds.push_back(now - req.arrivalSeconds);
-        pendingMeta_.erase(req.traceIndex);
+        if (config_.hedgeEnabled) {
+          hedge_.observe(now - req.arrivalSeconds);
+        }
       }
       batch.requests.clear();
       // The freed lane takes the next batch at once (this may grow

@@ -4,8 +4,9 @@
 // The real fleet's *policy* components are reused verbatim where they are
 // already pure functions of an explicit clock — the consistent-hash
 // router (serve::HashRing), the shard-health state machine with its
-// two-tier ring walk (serve::ShardHealthMonitor), and each shard's factor
-// cache policy (serve::CachePolicy: byte budget, LRU eviction, frequency
+// two-tier ring walk (serve::ShardHealthMonitor), the hedge delay and
+// token bucket (serve::HedgePolicy), and each shard's factor cache
+// policy (serve::CachePolicy: byte budget, LRU eviction, frequency
 // admission), charged the live cache's bytes per factor. A crash is
 // modelled by the shard's own `crashed` flag, as in the live fleet;
 // fleetsim runs no factor jobs, so the monitor's job-failure evidence
@@ -43,6 +44,7 @@
 #include "serve/cache_policy.h"
 #include "serve/fleet/hash_ring.h"
 #include "serve/fleet/health.h"
+#include "serve/fleet/hedge_policy.h"
 #include "serve/metrics.h"
 #include "serve/trace_io.h"
 
@@ -76,19 +78,15 @@ struct ServeWorkloadConfig {
   double solveOverheadUs = 100.0;
   double requestBytes = 1024.0;  // routed request payload on the wire
 
-  /// Gray-failure defense, co-simulated with the SAME policy component the
-  /// live fleet runs (serve::ShardHealthMonitor) so detector thresholds
-  /// tuned here land unchanged in FleetConfig::healthMonitor. Default OFF:
+  /// Gray-failure defense, co-simulated with the SAME policy components
+  /// the live fleet runs (serve::ShardHealthMonitor, serve::HedgePolicy)
+  /// so thresholds tuned here land unchanged in FleetConfig. Default OFF:
   /// a defense-off run schedules no heartbeat/hedge events, preserving
-  /// existing golden trace hashes.
+  /// existing golden trace hashes. A shard pulses the phi detector every
+  /// health.heartbeatIntervalSeconds / slowFactor.
   serve::HealthConfig health{false};
-  /// Periodic shard liveness pulses feeding the phi detector; a slowed
-  /// shard (slowFactor f) pulses every heartbeatIntervalMs / f.
-  double heartbeatIntervalMs = 10.0;
 
-  /// Hedged requests (first answer wins). Delay = hedgeDelayFactor x the
-  /// recent completed-total p95, clamped to [hedgeMinDelayMs, inf); the
-  /// token bucket caps duplicate-work amplification fleet-wide.
+  /// The fields of a serve::HedgeConfig (first answer wins).
   bool hedgeEnabled = false;
   double hedgeDelayFactor = 1.5;
   double hedgeMinDelayMs = 2.0;
@@ -202,15 +200,9 @@ class ServeWorkload final : public Workload {
     double arrivalSeconds = 0.0;   // first submission instant
     double deadlineSeconds = 0.0;  // absolute; 0 = none
     index_t failovers = 0;
+    index_t primaryShard = -1;  // the router step's pick; a hedge avoids it
     bool hedgeCopy = false;  // this in-flight copy is the speculative one
     std::uint64_t queueSeq = 0;  // shard-queue admission order (FIFO stamp)
-  };
-
-  /// Router-side fate of one trace request across all its copies: the
-  /// first terminal event answers it; later copies are wasted hedge work.
-  struct RequestState {
-    index_t primaryShard = -1;
-    bool answered = false;
   };
 
   struct Shard {
@@ -255,18 +247,18 @@ class ServeWorkload final : public Workload {
   /// Moves one copy off a crashed shard: a hedge copy, or a request
   /// another copy already answered, dies with it (wasted work); a primary
   /// fails over along the ring within the failover budget, else fails.
+  /// Either way the shard failed the copy.
   void failOver(Simulator& sim, PendingRequest req, index_t fromShard,
                 index_t keyIndex);
-  void reject(const PendingRequest& req, serve::RequestStatus status);
-  /// True when this copy's terminal event answered the request; false when
-  /// another copy already had (the caller tallies wasted hedge work).
-  [[nodiscard]] bool markAnswered(index_t traceIndex);
+  /// The shard turned the copy away or failed it: a failed probe if it
+  /// was probing, and the request's fate if this copy is the first to
+  /// end (else wasted hedge work).
+  void reject(const PendingRequest& req, index_t shardIndex,
+              serve::RequestStatus status, double now);
+  /// The shard solved a copy: a successful probe if it was probing.
+  void reportSolved(index_t shardIndex, double now);
   void scheduleHeartbeat(Simulator& sim, index_t shardIndex);
-  [[nodiscard]] double hedgeDelaySeconds() const;
   void fireHedge(Simulator& sim, index_t traceIndex, double now);
-  /// Hedge-aware terminal failure: a primary copy counts as failed (if
-  /// still unanswered); a hedge copy's failure is swallowed as waste.
-  void failCopy(const PendingRequest& req);
 
   ServeWorkloadConfig config_;
   const Topology* topology_;
@@ -274,16 +266,15 @@ class ServeWorkload final : public Workload {
   /// The SAME health state machine the live fleet runs, fed virtual time —
   /// the whole point of the co-simulation is tuning its thresholds here.
   serve::ShardHealthMonitor healthMon_;
+  serve::HedgePolicy hedge_;
   std::vector<Shard> shards_;
   std::map<serve::ProblemKey, index_t> keyIndex_;
   std::vector<serve::ProblemKey> keys_;
   std::vector<InFlightBatch> batches_;
-  /// Router-side request state (deadline, failover count) keyed by trace
-  /// index; shard-arrival events carry only the index.
-  std::map<index_t, PendingRequest> pendingMeta_;
-  std::map<index_t, RequestState> reqState_;
-  double hedgeTokens_ = 0.0;
-  double hedgeRefillAt_ = 0.0;
+  /// The answered-once ledger: router-side request state by trace index,
+  /// from the router step until the first copy's terminal event erases
+  /// it. A copy that ends and finds no entry lost to another copy.
+  std::map<index_t, PendingRequest> unanswered_;
   index_t me_ = -1;
   std::uint64_t nextQueueSeq_ = 0;
   ServeStats stats_;

@@ -153,9 +153,6 @@ class ServeEngine {
   /// anything — the slow-but-alive shard the fleet's phi detector and
   /// hedging are tested against. 1.0 restores full speed.
   void setServiceStretch(double stretch);
-  [[nodiscard]] std::vector<RequestOutcome> outcomes() const {
-    return recorder_.outcomes();
-  }
 
  private:
   void workerLoop(index_t lane);

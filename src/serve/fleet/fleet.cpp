@@ -70,16 +70,7 @@ FleetEngine::FleetEngine(FleetConfig config)
     shards_.push_back(std::move(shard));
   }
   if (config_.hedge.enabled) {
-    HPLMXP_REQUIRE(config_.hedge.delayFactor >= 0.0 &&
-                       config_.hedge.minDelaySeconds >= 0.0 &&
-                       config_.hedge.maxDelaySeconds >=
-                           config_.hedge.minDelaySeconds,
-                   "hedge delay configuration is inconsistent");
-    HPLMXP_REQUIRE(config_.hedge.budgetPerSecond > 0.0 &&
-                       config_.hedge.budgetBurst >= 1.0,
-                   "hedge budget must admit at least one hedge");
-    hedgeTokens_ = config_.hedge.budgetBurst;
-    hedgeRefillAt_ = now();
+    hedge_.emplace(config_.hedge, now());
     hedgeThread_ = std::thread([this] { hedgeLoop(); });
   }
 }
@@ -137,10 +128,14 @@ bool FleetEngine::shardRoutable(index_t shard) {
 }
 
 index_t FleetEngine::pickShard(const ProblemKey& key,
-                               const std::vector<index_t>& tried) {
-  const index_t chosen = healthMon_.route(
-      ring_, key,
-      [&](index_t s) { return !contains(tried, s) && shardAlive(s); }, now());
+                               const std::vector<index_t>& tried,
+                               bool hedge) {
+  const auto untried = [&](index_t s) {
+    return !contains(tried, s) && shardAlive(s);
+  };
+  const index_t chosen =
+      hedge ? healthMon_.routeAdmitted(ring_, key, untried, now())
+            : healthMon_.route(ring_, key, untried, now());
   if (chosen >= 0 && chosen != ring_.route(key, nullptr)) {
     // Routed off the all-up primary: a detour, a failover or a hedge.
     reroutes_.fetch_add(1, std::memory_order_relaxed);
@@ -249,6 +244,9 @@ void FleetEngine::publishOutcome(const HandlePtr& handle,
     hedgeWins_.fetch_add(1, std::memory_order_relaxed);
   }
   recorder_.record(recorded);
+  if (hedge_ && recorded.status == RequestStatus::kCompleted) {
+    hedge_->observe(recorded.totalSeconds);
+  }
   answered_.fetch_add(1, std::memory_order_relaxed);
   bool idle = false;
   {
@@ -262,40 +260,23 @@ void FleetEngine::publishOutcome(const HandlePtr& handle,
 
 // --- hedged requests -------------------------------------------------------
 
-double FleetEngine::hedgeDelaySeconds() const {
-  const double p95 = recorder_.recentTotalP95Seconds();
-  const double raw = config_.hedge.delayFactor * p95;
-  return std::max(config_.hedge.minDelaySeconds,
-                  std::min(config_.hedge.maxDelaySeconds, raw));
-}
-
 void FleetEngine::scheduleHedge(const SolveRequest& request,
                                 const HandlePtr& handle, double submitAt,
                                 std::vector<index_t> tried) {
-  HedgeTask task;
-  task.fireAt = now() + hedgeDelaySeconds();
-  task.submitAt = submitAt;
-  task.request = request;
-  task.handle = handle;
-  task.tried = std::move(tried);
+  HedgeTask task{now() + hedge_->delaySeconds(), submitAt, request, handle,
+                 std::move(tried)};
   {
     std::lock_guard<std::mutex> lock(hedgeMutex_);
     if (hedgeStop_) {
       return;
     }
     hedgeHeap_.push_back(std::move(task));
-    std::push_heap(hedgeHeap_.begin(), hedgeHeap_.end(),
-                   [](const HedgeTask& a, const HedgeTask& b) {
-                     return a.fireAt > b.fireAt;
-                   });
+    std::push_heap(hedgeHeap_.begin(), hedgeHeap_.end(), HedgeTask::later);
   }
   hedgeCv_.notify_one();
 }
 
 void FleetEngine::hedgeLoop() {
-  const auto later = [](const HedgeTask& a, const HedgeTask& b) {
-    return a.fireAt > b.fireAt;
-  };
   std::unique_lock<std::mutex> lock(hedgeMutex_);
   for (;;) {
     if (hedgeStop_) {
@@ -311,22 +292,9 @@ void FleetEngine::hedgeLoop() {
       hedgeCv_.wait_for(lock, std::chrono::duration<double>(due - t));
       continue;
     }
-    std::pop_heap(hedgeHeap_.begin(), hedgeHeap_.end(), later);
+    std::pop_heap(hedgeHeap_.begin(), hedgeHeap_.end(), HedgeTask::later);
     HedgeTask task = std::move(hedgeHeap_.back());
     hedgeHeap_.pop_back();
-    // Token-bucket refill on the same clock the fire times use.
-    hedgeTokens_ = std::min(
-        config_.hedge.budgetBurst,
-        hedgeTokens_ + (t - hedgeRefillAt_) * config_.hedge.budgetPerSecond);
-    hedgeRefillAt_ = t;
-    if (task.handle->done()) {
-      continue;  // answered in time: the hedge is moot (cancelled)
-    }
-    if (hedgeTokens_ < 1.0) {
-      hedgeDenied_.fetch_add(1, std::memory_order_relaxed);
-      continue;  // amplification budget exhausted: fleet-wide slowness
-    }
-    hedgeTokens_ -= 1.0;
     lock.unlock();
     fireHedge(std::move(task));
     lock.lock();
@@ -334,11 +302,19 @@ void FleetEngine::hedgeLoop() {
 }
 
 void FleetEngine::fireHedge(HedgeTask task) {
-  const index_t next = pickShard(task.request.key, task.tried);
-  if (next < 0 || task.handle->done()) {
-    if (next < 0) {
-      hedgeDenied_.fetch_add(1, std::memory_order_relaxed);
-    }
+  // done() is checked once, before the pick: routable() may spend a
+  // probing shard's slot on the pick, so a picked shard always gets the
+  // copy, whose outcome ends the probe.
+  if (task.handle->done()) {
+    return;  // answered in time: the hedge is moot (cancelled)
+  }
+  if (!hedge_->admit(now())) {
+    hedgeDenied_.fetch_add(1, std::memory_order_relaxed);
+    return;  // amplification budget exhausted: fleet-wide slowness
+  }
+  const index_t next = pickShard(task.request.key, task.tried, /*hedge=*/true);
+  if (next < 0) {
+    hedgeDenied_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   task.handle->hedged_.store(true, std::memory_order_relaxed);
@@ -501,10 +477,6 @@ FleetReport FleetEngine::report() const {
   r.hedgeWins = hedgeWins_.load(std::memory_order_relaxed);
   r.hedgeWasted = hedgeWasted_.load(std::memory_order_relaxed);
   r.hedgeDenied = hedgeDenied_.load(std::memory_order_relaxed);
-  r.fleet.hedges = r.hedgesIssued;
-  r.fleet.hedgeWins = r.hedgeWins;
-  r.fleet.hedgeWasted = r.hedgeWasted;
-  r.fleet.quarantines = r.quarantines;
   r.submitted = submitted_.load(std::memory_order_relaxed);
   r.answered = answered_.load(std::memory_order_relaxed);
   r.dropped = r.submitted - r.answered;

@@ -15,8 +15,10 @@
 // Routing has one rule, the one fleetsim runs: a key goes to the first
 // shard clockwise of its ring point that is alive and that the health
 // monitor admits, else to the first alive shard that hard evidence does
-// not exclude. A failover or a hedge takes the same walk without the
-// shards the request already tried.
+// not exclude. A failover takes the same walk without the shards the
+// request already tried. A hedge (serve/fleet/hedge_policy.h) takes only
+// its first tier: the primary copy is still in flight, so a hedge never
+// falls back to a shard the monitor distrusts.
 //
 // Shard health is one state machine per shard, the ShardHealthMonitor
 // (serve/fleet/health.h). Request completions feed its phi detector, and
@@ -43,33 +45,16 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "serve/engine.h"
 #include "serve/fleet/hash_ring.h"
 #include "serve/fleet/health.h"
+#include "serve/fleet/hedge_policy.h"
 
 namespace hplmxp::serve {
-
-/// Hedged-request policy: after a p95-derived delay with no answer, the
-/// fleet re-issues the request to a replica shard; the first answer wins
-/// through the publish-once Handle and the loser's work is discarded. A
-/// token bucket caps the duplicate-work amplification — a fleet-wide
-/// slowdown (every request late) drains the bucket and stops hedging,
-/// while an isolated slow shard (the gray failure hedging exists for)
-/// stays within budget.
-struct HedgeConfig {
-  bool enabled = false;
-  /// Hedge delay = delayFactor x the observed completed-request total
-  /// p95 (clamped below); a request is hedged only once.
-  double delayFactor = 1.5;
-  double minDelaySeconds = 0.002;
-  double maxDelaySeconds = 0.500;
-  /// Token bucket: hedges admitted per second and the burst capacity.
-  double budgetPerSecond = 20.0;
-  double budgetBurst = 8.0;
-};
 
 struct FleetConfig {
   index_t shards = 2;
@@ -93,7 +78,8 @@ struct FleetConfig {
   /// shard is left and the detector can never starve the fleet. Job
   /// failures and ops breaks exclude a shard either way.
   HealthConfig healthMonitor;
-  /// Speculative re-issue of slow requests (first answer wins).
+  /// Speculative re-issue of slow requests (first answer wins through
+  /// the publish-once Handle; the loser's work is discarded).
   HedgeConfig hedge;
 };
 
@@ -233,8 +219,6 @@ class FleetEngine {
     return *shards_[static_cast<std::size_t>(shard)]->engine;
   }
   [[nodiscard]] const HashRing& ring() const { return ring_; }
-  /// Health state machine (mutable: snapshots advance it).
-  [[nodiscard]] ShardHealthMonitor& healthMonitor() { return healthMon_; }
   [[nodiscard]] FleetReport report() const;
 
  private:
@@ -258,16 +242,22 @@ class FleetEngine {
     SolveRequest request;
     HandlePtr handle;
     std::vector<index_t> tried;
+
+    /// Heap order: the earliest fire time on top.
+    static bool later(const HedgeTask& a, const HedgeTask& b) {
+      return a.fireAt > b.fireAt;
+    }
   };
 
   [[nodiscard]] double now() const { return clock_.seconds(); }
   [[nodiscard]] Factorization shardFactor(index_t shard,
                                           const ProblemKey& key);
   [[nodiscard]] bool shardAlive(index_t shard) const;
-  /// The health-aware ring walk over the alive shards not in `tried`;
-  /// -1 when none is left.
+  /// The health-aware ring walk over the alive shards not in `tried`,
+  /// only its first tier for a hedge; -1 when none is left.
   [[nodiscard]] index_t pickShard(const ProblemKey& key,
-                                  const std::vector<index_t>& tried);
+                                  const std::vector<index_t>& tried,
+                                  bool hedge = false);
   void routeToShard(index_t shard, const SolveRequest& request,
                     const HandlePtr& handle, double submitAt,
                     index_t failovers, std::vector<index_t> tried,
@@ -278,7 +268,6 @@ class FleetEngine {
                      double submitAt, std::vector<index_t> tried);
   void hedgeLoop();
   void fireHedge(HedgeTask task);
-  [[nodiscard]] double hedgeDelaySeconds() const;
 
   FleetConfig config_;
   HashRing ring_;
@@ -286,6 +275,7 @@ class FleetEngine {
   mutable ShardHealthMonitor healthMon_;
   LatencyRecorder recorder_;
   Timer clock_;
+  std::optional<HedgePolicy> hedge_;  // engaged when hedging is on
   std::vector<std::unique_ptr<Shard>> shards_;
 
   std::atomic<std::uint64_t> nextId_{1};
@@ -313,8 +303,6 @@ class FleetEngine {
   std::condition_variable hedgeCv_;
   std::vector<HedgeTask> hedgeHeap_;  // min-heap by fireAt
   bool hedgeStop_ = false;
-  double hedgeTokens_ = 0.0;
-  double hedgeRefillAt_ = 0.0;
   std::thread hedgeThread_;
 };
 

@@ -229,14 +229,21 @@ index_t ShardHealthMonitor::route(const HashRing& ring, const ProblemKey& key,
   // The fallback walk runs only after every alive shard failed
   // routable(), so a held shard whose probe slot is free was already
   // taken by the first walk: excluded() needs no probe accounting.
-  index_t chosen = ring.route(
-      key, [&](index_t s) { return alive(s) && routable(s, now); });
+  index_t chosen = routeAdmitted(ring, key, alive, now);
   if (chosen < 0) {
     chosen = ring.route(
         key, [&](index_t s) { return alive(s) && !excluded(s); });
   }
   noteRoute(ring, key, chosen, now);
   return chosen;
+}
+
+index_t ShardHealthMonitor::routeAdmitted(const HashRing& ring,
+                                          const ProblemKey& key,
+                                          const HashRing::HealthFn& alive,
+                                          double now) {
+  return ring.route(key,
+                    [&](index_t s) { return alive(s) && routable(s, now); });
 }
 
 void ShardHealthMonitor::noteRoute(const HashRing& ring, const ProblemKey& key,

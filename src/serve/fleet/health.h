@@ -138,12 +138,19 @@ class ShardHealthMonitor {
   [[nodiscard]] bool excluded(index_t shard) const;
 
   /// The one routing rule of the live fleet and fleetsim, a two-tier
-  /// ring walk: the first shard clockwise of `key` that `alive` accepts
-  /// and routable() admits, else the first alive one not excluded(). -1
-  /// when none is left. `alive` runs first, so a shard it rejects never
-  /// spends a probe slot.
+  /// ring walk: routeAdmitted(), else the first alive shard clockwise of
+  /// `key` that is not excluded(). -1 when none is left. Counts a detour
+  /// when the key's all-up primary is quarantined.
   [[nodiscard]] index_t route(const HashRing& ring, const ProblemKey& key,
                               const HashRing::HealthFn& alive, double now);
+  /// The first tier of route(), and a hedge's whole walk: the first shard
+  /// clockwise of `key` that `alive` accepts and routable() admits; -1
+  /// when none is. `alive` runs first, so a shard it rejects never spends
+  /// a probe slot. Counts no detour.
+  [[nodiscard]] index_t routeAdmitted(const HashRing& ring,
+                                      const ProblemKey& key,
+                                      const HashRing::HealthFn& alive,
+                                      double now);
 
   /// Current suspicion level against the shard's own interval history.
   [[nodiscard]] double phi(index_t shard, double now) const;

@@ -33,22 +33,6 @@ std::string LatencyPercentiles::toJson() const {
 void LatencyRecorder::record(const RequestOutcome& outcome) {
   std::lock_guard<std::mutex> lock(mutex_);
   outcomes_.push_back(outcome);
-  if (outcome.status == RequestStatus::kCompleted) {
-    if (recentTotals_.size() < kRecentWindow) {
-      recentTotals_.push_back(outcome.totalSeconds);
-    } else {
-      recentTotals_[recentNext_] = outcome.totalSeconds;
-      recentNext_ = (recentNext_ + 1) % kRecentWindow;
-    }
-  }
-}
-
-double LatencyRecorder::recentTotalP95Seconds() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (recentTotals_.empty()) {
-    return 0.0;
-  }
-  return percentile(recentTotals_, 95.0);
 }
 
 void LatencyRecorder::recordBatch(index_t batchSize) {
@@ -56,11 +40,6 @@ void LatencyRecorder::recordBatch(index_t batchSize) {
   ++batchedSolves_;
   batchedColumns_ += static_cast<std::uint64_t>(batchSize);
   maxBatchSize_ = std::max(maxBatchSize_, batchSize);
-}
-
-std::vector<RequestOutcome> LatencyRecorder::outcomes() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return outcomes_;
 }
 
 ServeReport LatencyRecorder::report(const FactorCache::Stats& cacheStats,
@@ -128,14 +107,6 @@ Table ServeReport::toTable() const {
   t.addRow({"mean / max batch", Table::num(meanBatchSize, 2) + " / " +
                                     Table::num((long long)maxBatchSize)});
   t.addRow({"peak queue depth", Table::num((long long)peakQueueDepth)});
-  if (hedges > 0 || quarantines > 0) {
-    t.addRow({"hedges / wins / wasted", Table::num((long long)hedges) +
-                                            " / " +
-                                            Table::num((long long)hedgeWins) +
-                                            " / " +
-                                            Table::num((long long)hedgeWasted)});
-    t.addRow({"health quarantines", Table::num((long long)quarantines)});
-  }
   t.addRow({"cache hit rate", Table::num(cache.hitRate() * 100.0, 1) + "%"});
   t.addRow({"factorizations run", Table::num((long long)cache.factorCount)});
   t.addRow({"cache evictions", Table::num((long long)cache.evictions)});
@@ -173,10 +144,6 @@ std::string ServeReport::toJson() const {
   os << "  \"peak_queue_depth\": " << peakQueueDepth << ",\n";
   os << "  \"injected_delays\": " << injectedDelays << ",\n";
   os << "  \"injected_transients\": " << injectedTransients << ",\n";
-  os << "  \"hedges\": " << hedges << ",\n";
-  os << "  \"hedge_wins\": " << hedgeWins << ",\n";
-  os << "  \"hedge_wasted\": " << hedgeWasted << ",\n";
-  os << "  \"quarantines\": " << quarantines << ",\n";
   os << "  \"cache_hit_rate\": " << cache.hitRate() << ",\n";
   os << "  \"cache_lookups\": " << cache.lookups << ",\n";
   os << "  \"cache_hits\": " << cache.hits << ",\n";

@@ -50,13 +50,6 @@ struct ServeReport {
   std::uint64_t injectedDelays = 0;
   std::uint64_t injectedTransients = 0;
 
-  // Gray-failure defense tallies (zero outside a fleet). Filled by the
-  // FleetEngine, not the recorder.
-  std::uint64_t hedges = 0;
-  std::uint64_t hedgeWins = 0;
-  std::uint64_t hedgeWasted = 0;
-  std::uint64_t quarantines = 0;
-
   FactorCache::Stats cache;
   LatencyPercentiles queueWait;  // completed requests only
   LatencyPercentiles solve;      // batched solve time per request
@@ -74,14 +67,6 @@ class LatencyRecorder {
   /// Also counts coalesced executions for the batching stats.
   void recordBatch(index_t batchSize);
 
-  [[nodiscard]] std::vector<RequestOutcome> outcomes() const;
-
-  /// p95 of the last ~256 completed requests' total latency (seconds);
-  /// 0 before any completion. The hedge scheduler derives its fire delay
-  /// from this, so it must track the *current* service level, not the
-  /// whole run's history.
-  [[nodiscard]] double recentTotalP95Seconds() const;
-
   /// Builds the report from everything recorded so far. Cache stats and
   /// wall time are supplied by the engine.
   [[nodiscard]] ServeReport report(const FactorCache::Stats& cacheStats,
@@ -89,12 +74,8 @@ class LatencyRecorder {
                                    index_t peakQueueDepth) const;
 
  private:
-  static constexpr std::size_t kRecentWindow = 256;
-
   mutable std::mutex mutex_;
   std::vector<RequestOutcome> outcomes_;
-  std::vector<double> recentTotals_;  // ring of completed totals (seconds)
-  std::size_t recentNext_ = 0;
   std::uint64_t batchedSolves_ = 0;
   std::uint64_t batchedColumns_ = 0;
   index_t maxBatchSize_ = 0;

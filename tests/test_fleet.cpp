@@ -1,6 +1,6 @@
-// Sharded serve fabric: consistent-hash routing, shard health
-// (break/drain, crash/failover, resurrection, failed factor jobs, phi
-// quarantine), the no-lost-answer ledger, and bitwise equivalence of
+// Sharded serve fabric: consistent-hash routing, the hedge policy, shard
+// health (break/drain, crash/failover, resurrection, failed factor jobs,
+// phi quarantine), the no-lost-answer ledger, and bitwise equivalence of
 // fleet answers across shard counts.
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "gen/matgen.h"
 #include "serve/fleet/fleet.h"
 #include "serve/json.h"
+#include "util/stats.h"
 
 namespace hplmxp::serve {
 namespace {
@@ -119,6 +121,133 @@ TEST(HashRingTest, ServeZipfKeysKeepTheirRingPlacement) {
     absorb(static_cast<std::uint64_t>(ring.route(k, nullptr)));
   }
   EXPECT_EQ(fold, 9637984964054790183ull);
+}
+
+// -------------------------------------------------------- HedgePolicy --
+
+HedgeConfig hedgeOn() {
+  HedgeConfig cfg;
+  cfg.enabled = true;
+  return cfg;
+}
+
+TEST(HedgePolicyTest, DelayReadsTheFloorFirstAndClampsAtBothEnds) {
+  HedgeConfig cfg = hedgeOn();
+  cfg.delayFactor = 2.0;
+  cfg.minDelaySeconds = 0.004;
+  HedgePolicy policy(cfg, 0.0);
+  EXPECT_EQ(policy.delaySeconds(), 0.004);  // no completion yet
+  policy.observe(0.001);                    // 2 x 1 ms is under the floor
+  EXPECT_EQ(policy.delaySeconds(), 0.004);
+  HedgePolicy mid(cfg, 0.0);
+  mid.observe(0.0625);
+  EXPECT_EQ(mid.delaySeconds(), 0.125);
+  HedgePolicy slow(cfg, 0.0);
+  slow.observe(1.0);  // 2 x 1 s is over the cap
+  EXPECT_EQ(slow.delaySeconds(), HedgePolicy::kMaxDelaySeconds);
+}
+
+TEST(HedgePolicyTest, WindowForgetsTotalsOlderThanItsLength) {
+  // 13 slow totals then 243 fast ones fill the window; the p95 rank
+  // (0.95 x 255 = 242.25) then interpolates between the last fast and
+  // the first slow total. One more fast total pushes out the oldest slow
+  // one, and the p95 falls to the fast total.
+  ASSERT_EQ(HedgePolicy::kWindow, 256u);
+  HedgeConfig cfg = hedgeOn();
+  cfg.delayFactor = 1.0;
+  cfg.minDelaySeconds = 0.0;
+  HedgePolicy policy(cfg, 0.0);
+  for (int i = 0; i < 13; ++i) {
+    policy.observe(0.25);
+  }
+  for (int i = 0; i < 243; ++i) {
+    policy.observe(0.0625);
+  }
+  EXPECT_EQ(policy.delaySeconds(), 0.0625 + (0.25 - 0.0625) * 0.25);
+  policy.observe(0.0625);
+  EXPECT_EQ(policy.delaySeconds(), 0.0625);
+}
+
+TEST(HedgePolicyTest, P95IsBitwisePercentileOfTheWindow) {
+  HedgeConfig cfg = hedgeOn();
+  cfg.delayFactor = 1.0;
+  cfg.minDelaySeconds = 0.0;
+  HedgePolicy policy(cfg, 0.0);
+  std::mt19937_64 rng(29);
+  std::uniform_real_distribution<double> total(0.0, 0.4);
+  std::vector<double> seen;
+  for (int i = 0; i < 700; ++i) {
+    seen.push_back(total(rng));
+    policy.observe(seen.back());
+    const std::size_t n = std::min(seen.size(), HedgePolicy::kWindow);
+    const std::vector<double> window(
+        seen.end() - static_cast<std::ptrdiff_t>(n), seen.end());
+    const double want = percentile(window, 95.0);
+    const double got = policy.delaySeconds();
+    ASSERT_EQ(0, std::memcmp(&got, &want, sizeof(double)))
+        << "after " << seen.size() << " totals: " << got << " vs " << want;
+  }
+}
+
+TEST(HedgePolicyTest, BucketAdmitsTheBurstThenOnePerRefillInterval) {
+  HedgeConfig cfg = hedgeOn();
+  cfg.budgetPerSecond = 4.0;  // one token per 0.25 s
+  cfg.budgetBurst = 2.0;
+  HedgePolicy policy(cfg, 1.0);  // the bucket starts full at t = 1 s
+  EXPECT_TRUE(policy.admit(1.0));
+  EXPECT_TRUE(policy.admit(1.0));
+  EXPECT_FALSE(policy.admit(1.0));
+  EXPECT_FALSE(policy.admit(1.125));  // half a token
+  EXPECT_TRUE(policy.admit(1.25));
+  EXPECT_FALSE(policy.admit(1.25));
+  EXPECT_TRUE(policy.admit(1.5));
+  // A long idle spell refills only up to the burst.
+  EXPECT_TRUE(policy.admit(100.0));
+  EXPECT_TRUE(policy.admit(100.0));
+  EXPECT_FALSE(policy.admit(100.0));
+}
+
+TEST(HedgePolicyTest, ValidateRejectsEachBadField) {
+  EXPECT_NO_THROW(hedgeOn().validate());
+  const auto rejected = [](auto mutate) {
+    HedgeConfig cfg = hedgeOn();
+    mutate(cfg);
+    EXPECT_THROW(cfg.validate(), CheckError);
+    EXPECT_THROW(HedgePolicy(cfg, 0.0), CheckError);
+    cfg.enabled = false;  // a disabled policy never hedges: nothing to check
+    EXPECT_NO_THROW(cfg.validate());
+  };
+  rejected([](HedgeConfig& c) { c.delayFactor = -0.5; });
+  rejected([](HedgeConfig& c) { c.minDelaySeconds = -0.001; });
+  rejected([](HedgeConfig& c) {
+    c.minDelaySeconds = HedgePolicy::kMaxDelaySeconds * 2.0;
+  });
+  rejected([](HedgeConfig& c) { c.budgetPerSecond = 0.0; });
+  rejected([](HedgeConfig& c) { c.budgetBurst = 0.5; });
+}
+
+TEST(HedgePolicyTest, SameCallSequenceGivesSameDecisions) {
+  const auto run = [] {
+    HedgeConfig cfg = hedgeOn();
+    cfg.budgetPerSecond = 50.0;
+    cfg.budgetBurst = 3.0;
+    HedgePolicy policy(cfg, 0.0);
+    std::mt19937_64 rng(7);
+    std::uniform_real_distribution<double> step(0.0, 0.05);
+    std::vector<double> trail;
+    double now = 0.0;
+    for (int i = 0; i < 500; ++i) {
+      now += step(rng);
+      policy.observe(step(rng));
+      trail.push_back(policy.delaySeconds());
+      trail.push_back(policy.admit(now) ? 1.0 : 0.0);
+    }
+    return trail;
+  };
+  const std::vector<double> a = run();
+  const std::vector<double> b = run();
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(0, std::memcmp(a.data(), b.data(), sizeof(double) * a.size()));
 }
 
 // --------------------------------------------------------- FleetEngine --

@@ -635,7 +635,7 @@ FleetSimConfig grayConfig(bool defense) {
       {ChaosAction::Kind::kSlow, /*atMs=*/60.0, /*shard=*/1, 0.2});
   if (defense) {
     cfg.serve.health.enabled = true;
-    cfg.serve.heartbeatIntervalMs = 2.0;
+    cfg.serve.health.heartbeatIntervalSeconds = 0.002;
     cfg.serve.hedgeEnabled = true;
   }
   return cfg;
@@ -696,7 +696,7 @@ TEST(GrayDefenseTest, HedgePassingAProbingShardLeavesItsProbeSlot) {
   cfg.runServe = true;
   cfg.serve.shards = 3;
   cfg.serve.health.enabled = true;
-  cfg.serve.heartbeatIntervalMs = 2.0;
+  cfg.serve.health.heartbeatIntervalSeconds = 0.002;
   cfg.serve.hedgeEnabled = true;
   cfg.serve.hedgeDelayFactor = 0.0;  // every hedge fires on arrival
   cfg.serve.hedgeMinDelayMs = 0.0;
@@ -741,6 +741,113 @@ TEST(GrayDefenseTest, HedgePassingAProbingShardLeavesItsProbeSlot) {
   EXPECT_GE(stats.hedgesIssued, 2u);
   EXPECT_GE(session.serve()->shardView(b).routed, 1u);
   EXPECT_EQ(session.serve()->shardView(c).routed, 1u);
+  EXPECT_EQ(session.serve()->healthView(c, session.sim().now()).state,
+            "healthy");
+}
+
+/// Three shards with the detector on. Shard `c` crashes at 10 ms, and a
+/// request of a key it owns detours at 20 ms, which quarantines it.
+/// Resurrected at 30 ms, it pulses its way to probing after the dwell,
+/// with nothing in flight, by 145 ms. Returns a key `c` owns.
+serve::TraceRequest quarantineThenProbe(FleetSimConfig& cfg, index_t c) {
+  cfg.topology.nodes = 8;
+  cfg.topology.radix = 4;
+  cfg.runServe = true;
+  cfg.serve.shards = 3;
+  cfg.serve.health.enabled = true;
+  cfg.serve.health.heartbeatIntervalSeconds = 0.002;
+  const serve::HashRing ring(cfg.serve.shards, cfg.serve.virtualNodes);
+  serve::TraceRequest kc;
+  kc.n = 64;
+  kc.b = 16;
+  kc.seed = 1;
+  while (ring.route(serve::ProblemKey{kc.n, kc.b, kc.seed, kc.pr, kc.pc,
+                                      kc.precision},
+                    nullptr) != c) {
+    ++kc.seed;
+  }
+  serve::TraceRequest detour = kc;
+  detour.atMs = 20.0;
+  detour.rhsSeed = 1;
+  cfg.serve.trace.requests = {detour};
+  cfg.serve.chaos.push_back({ChaosAction::Kind::kCrash, 10.0, c, 0.0});
+  cfg.serve.chaos.push_back({ChaosAction::Kind::kResurrect, 30.0, c, 0.0});
+  return kc;
+}
+
+TEST(GrayDefenseTest, RejectedProbeQuarantinesItsShardAgain) {
+  // A probe that the probing shard rejects (here: its deadline passed on
+  // the wire) is a failed probe, as in the live fleet: the shard goes
+  // back to quarantine and probes again after the dwell. The next
+  // request it owns is that probe, and its answer heals the shard.
+  FleetSimConfig cfg;
+  const index_t c = 1;  // not on the router's node: its copies pay a hop
+  const serve::TraceRequest kc = quarantineThenProbe(cfg, c);
+  serve::TraceRequest doomed = kc;
+  doomed.atMs = 150.0;
+  doomed.rhsSeed = 2;
+  doomed.deadlineMs = 1e-4;
+  serve::TraceRequest later = kc;
+  later.atMs = 400.0;
+  later.rhsSeed = 3;
+  cfg.serve.trace.requests.push_back(doomed);
+  cfg.serve.trace.requests.push_back(later);
+
+  FleetSession session(cfg);
+  session.sim().runUntil(0.145);
+  ASSERT_EQ(session.serve()->healthView(c, session.sim().now()).state,
+            "probing");
+  session.sim().run();
+  const ServeStats& stats = session.serve()->stats();
+  EXPECT_EQ(stats.rejectedDeadline, 1u);
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(session.serve()->shardView(c).routed, 2u);
+  EXPECT_EQ(session.serve()->healthView(c, session.sim().now()).state,
+            "healthy");
+}
+
+TEST(GrayDefenseTest, LateHedgeCopyIsWastedWorkAndEndsTheProbe) {
+  // Key ka's primary is shard 0, on the router's node, and solves cost
+  // nothing, so every ka request is answered before its hedge copy
+  // reaches the next shard clockwise, c, which is probing. That late
+  // copy is wasted work, and, as the live shard's solve would, it ends
+  // the probe: c heals and takes the later hedges as a healthy shard.
+  FleetSimConfig cfg;
+  cfg.serve.hostGflops = 1e6;
+  cfg.serve.solveOverheadUs = 0.0;
+  cfg.serve.hedgeEnabled = true;
+  cfg.serve.hedgeDelayFactor = 0.0;  // every hedge fires on arrival
+  cfg.serve.hedgeMinDelayMs = 0.0;
+  const serve::HashRing ring(3, cfg.serve.virtualNodes);
+  serve::TraceRequest ka;
+  ka.n = 64;
+  ka.b = 16;
+  ka.seed = 1;
+  const auto keyOf = [](const serve::TraceRequest& r) {
+    return serve::ProblemKey{r.n, r.b, r.seed, r.pr, r.pc, r.precision};
+  };
+  while (ring.route(keyOf(ka), nullptr) != 0) {
+    ++ka.seed;
+  }
+  const index_t c = ring.route(keyOf(ka), [](index_t s) { return s != 0; });
+  (void)quarantineThenProbe(cfg, c);
+  for (int i = 0; i < 3; ++i) {
+    serve::TraceRequest r = ka;
+    r.atMs = 150.0 + 10.0 * i;
+    r.rhsSeed = 10 + static_cast<std::uint64_t>(i);
+    cfg.serve.trace.requests.push_back(r);
+  }
+
+  FleetSession session(cfg);
+  session.sim().runUntil(0.145);
+  ASSERT_EQ(session.serve()->healthView(c, session.sim().now()).state,
+            "probing");
+  session.sim().run();
+  const ServeStats& stats = session.serve()->stats();
+  EXPECT_EQ(stats.completed, 4u);
+  EXPECT_GE(stats.hedgesIssued, 3u);
+  // Every hedge leaves exactly one losing copy, and each is counted.
+  EXPECT_EQ(stats.hedgeWasted, stats.hedgesIssued);
   EXPECT_EQ(session.serve()->healthView(c, session.sim().now()).state,
             "healthy");
 }
@@ -876,7 +983,7 @@ TEST(DebugCliTest, ErrorsAreCountedNotFatal) {
 TEST(DebugCliTest, ShowHealthRendersThePhiDetectorView) {
   FleetSimConfig cfg = serveConfig(40, 2, 0.5, 2, 8);
   cfg.serve.health.enabled = true;
-  cfg.serve.heartbeatIntervalMs = 2.0;
+  cfg.serve.health.heartbeatIntervalSeconds = 0.002;
   FleetSession session(cfg);
   std::istringstream script(
       "run\n"
