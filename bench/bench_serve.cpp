@@ -1,21 +1,18 @@
 // Serving benchmark: throughput/latency of the solver-as-a-service engine.
 //
-// Four sweeps, all on synthetic open-loop traces over repeated problem
+// Three sweeps, all on synthetic open-loop traces over repeated problem
 // keys (the serving analogue of the paper's factor-once economics):
 //   1. batching   — a stream dense enough that requests queue while the
 //                   worker solves, with batch caps of 1 and 8: what
 //                   multi-RHS batching buys under work-conserving dispatch.
 //   2. cache      — key working set smaller vs. larger than the factor
 //                   cache budget: hit-rate and its latency cliff.
-//   3. chaos      — the delay and transient scenarios from the fault
-//                   harness: retries and deadline rejections, never hangs.
-//   4. fleet      — the same stream over 1/2/3 shards, one run degraded.
+//   3. fleet      — the same stream over 1/2/3 shards, one run degraded.
 //
 // Writes BENCH_serve.json: the final section of each sweep plus the full
 // latency report of the headline run (queue-wait and solve-time
 // p50/p95/p99 — the fields the serve-smoke CI job asserts exist).
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,7 +21,6 @@
 #include "serve/engine.h"
 #include "serve/fleet/fleet.h"
 #include "serve/trace_io.h"
-#include "simmpi/faults.h"
 #include "util/table.h"
 
 namespace hplmxp {
@@ -150,30 +146,7 @@ int main() {
   }
   cache.print();
 
-  // Sweep 3: chaos. Tight deadlines + injected delay => rejections;
-  // transient faults => retries. Either way every request terminates.
-  Table chaos({"scenario", "completed", "rej deadline", "failed", "retries",
-               "inj delays", "inj transients"});
-  for (const std::string scenario : {"none", "delay", "transient"}) {
-    ServeConfig cfg;
-    cfg.defaultDeadlineSeconds = 0.050;
-    if (scenario != "none") {
-      cfg.chaos = std::make_shared<simmpi::FaultInjector>(
-          simmpi::faultScenario(scenario, 7, cfg.workers), cfg.workers);
-    }
-    const ServeReport r =
-        replay(serve::makeSyntheticTrace(kRequests, kKeys, 0.25, kN, kB, 21),
-               std::move(cfg));
-    chaos.addRow({scenario, Table::num((long long)r.completed),
-                  Table::num((long long)r.rejectedDeadline),
-                  Table::num((long long)r.failed),
-                  Table::num((long long)r.retries),
-                  Table::num((long long)r.injectedDelays),
-                  Table::num((long long)r.injectedTransients)});
-  }
-  chaos.print();
-
-  // Sweep 4: the sharded fleet. The same stream over 1/2/3 shards, plus a
+  // Sweep 3: the sharded fleet. The same stream over 1/2/3 shards, plus a
   // degraded 3-shard run with shard 0 broken for the middle third
   // of the arrivals. Answers are bitwise-invariant to sharding
   // (tests/test_fleet.cpp proves it); this sweep records what sharding

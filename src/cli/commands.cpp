@@ -838,18 +838,9 @@ int cmdServe(const Options& raw) {
   scfg.defaultDeadlineSeconds =
       opts.getDouble("serve.deadline-ms", 0.0) * 1e-3;
   scfg.workers = opts.getInt("serve.workers", 1);
-  scfg.maxRetries = opts.getInt("serve.retries", 2);
   scfg.maxIrIterations = opts.getInt("max-ir", 50);
   scfg.vendor = opts.getString("vendor", "amd") == "nvidia" ? Vendor::kNvidia
                                                             : Vendor::kAmd;
-  const std::string chaosName = opts.getString("serve.chaos", "none");
-  if (chaosName != "none") {
-    const auto chaosSeed =
-        static_cast<std::uint64_t>(opts.getInt("serve.chaos-seed", 7));
-    scfg.chaos = std::make_shared<simmpi::FaultInjector>(
-        simmpi::faultScenario(chaosName, chaosSeed, scfg.workers),
-        scfg.workers);
-  }
 
   const std::string tracePath = opts.getString("trace", "");
   const serve::RequestTrace trace =
@@ -914,11 +905,11 @@ int cmdServe(const Options& raw) {
   warnUnused(opts);
 
   std::printf("hplmxp serve: trace=%s requests=%zu shards=%lld "
-              "workers=%lld batch=%lld queue=%lld chaos=%s\n",
+              "workers=%lld batch=%lld queue=%lld\n",
               trace.name.c_str(), trace.requests.size(),
               (long long)(shards > 1 ? shards : 1),
               (long long)scfg.workers, (long long)scfg.maxBatch,
-              (long long)scfg.queueDepth, chaosName.c_str());
+              (long long)scfg.queueDepth);
 
   const Vendor vendor = scfg.vendor;
   const index_t maxIr = scfg.maxIrIterations;
@@ -1279,8 +1270,7 @@ std::string usage() {
       "           (--trace FILE | --requests --keys --gap-ms --n --b --seed\n"
       "            --speedup X --json FILE --verify N --max-ir\n"
       "            --serve.cache-mb --serve.queue-depth --serve.batch\n"
-      "            --serve.deadline-ms --serve.workers --serve.retries\n"
-      "            --serve.chaos none|delay|transient --serve.chaos-seed\n"
+      "            --serve.deadline-ms --serve.workers\n"
       "            sharded fleet: --shards N\n"
       "            --serve.shards.virtual-nodes\n"
       "            --serve.shards.failover-limit\n"

@@ -35,7 +35,8 @@ ServeWorkload::ServeWorkload(ServeWorkloadConfig config,
       config_.cacheMb * 1024.0 * 1024.0 / static_cast<double>(config_.shards));
   const index_t stride = topology.nodes() / config_.shards;
   for (index_t s = 0; s < config_.shards; ++s) {
-    shards_.emplace_back(cacheBudget).node = s * std::max<index_t>(stride, 1);
+    shards_.emplace_back(config_.queueDepth, cacheBudget).node =
+        s * std::max<index_t>(stride, 1);
   }
 }
 
@@ -209,36 +210,17 @@ void ServeWorkload::startNextBatch(Simulator& sim, index_t shardIndex) {
   batch.generation = shard.generation;
   batch.dispatchSeconds = now;
   while (batch.requests.empty()) {
-    // The bucket whose head queued first, as the live engine's oldestKey
-    // picks the key of its oldest request.
-    auto oldest = shard.buckets.end();
-    for (auto it = shard.buckets.begin(); it != shard.buckets.end(); ++it) {
-      if (oldest == shard.buckets.end() ||
-          it->second.front().queueSeq < oldest->second.front().queueSeq) {
-        oldest = it;
-      }
-    }
-    if (oldest == shard.buckets.end()) {
+    auto picked = shard.queue.popOldest(config_.maxBatch);
+    if (!picked) {
       return;  // nothing left to solve: the lane stays idle
     }
-    batch.keyIndex = oldest->first;
-    std::vector<PendingRequest>& bucket = oldest->second;
-    const std::size_t take =
-        std::min<std::size_t>(bucket.size(),
-                              static_cast<std::size_t>(config_.maxBatch));
-    for (std::size_t i = 0; i < take; ++i) {
-      PendingRequest& req = bucket[i];
-      --shard.queuedRequests;
+    batch.keyIndex = picked->key;
+    for (const PendingRequest& req : picked->items) {
       if (req.deadlineSeconds > 0.0 && now > req.deadlineSeconds) {
         reject(req, shardIndex, serve::RequestStatus::kRejectedDeadline, now);
         continue;
       }
       batch.requests.push_back(req);
-    }
-    bucket.erase(bucket.begin(),
-                 bucket.begin() + static_cast<std::ptrdiff_t>(take));
-    if (bucket.empty()) {
-      shard.buckets.erase(oldest);
     }
   }
 
@@ -302,14 +284,10 @@ void ServeWorkload::crashShard(Simulator& sim, index_t shardIndex) {
   shard.cache.clear();
   shard.busy = false;
   shard.busyUntil = 0.0;
-  // Queued requests fail over along the ring.
-  for (const auto& [keyIndex, bucket] : shard.buckets) {
-    for (const PendingRequest& req : bucket) {
-      failOver(sim, req, shardIndex, keyIndex);
-    }
+  // Queued requests fail over along the ring, in key order.
+  for (const auto& [keyIndex, req] : shard.queue.drain()) {
+    failOver(sim, req, shardIndex, keyIndex);
   }
-  shard.buckets.clear();
-  shard.queuedRequests = 0;
 }
 
 void ServeWorkload::failOver(Simulator& sim, PendingRequest req,
@@ -395,15 +373,12 @@ void ServeWorkload::handle(Simulator& sim, const Event& event) {
         reject(req, toShard, serve::RequestStatus::kRejectedDeadline, now);
         break;
       }
-      if (shard.queuedRequests >= config_.queueDepth) {
+      if (!shard.queue.push(keyIdx, req)) {
         reject(req, toShard, serve::RequestStatus::kRejectedQueueFull, now);
         break;
       }
-      req.queueSeq = nextQueueSeq_++;
-      shard.buckets[keyIdx].push_back(req);
-      ++shard.queuedRequests;
       stats_.peakQueueDepth =
-          std::max(stats_.peakQueueDepth, shard.queuedRequests);
+          std::max(stats_.peakQueueDepth, shard.queue.depth());
       if (!shard.busy) {
         // An idle lane picks up at once. The pick-up fires after every
         // arrival already scheduled for this instant and node, so a
@@ -518,7 +493,7 @@ ServeWorkload::ShardView ServeWorkload::shardView(index_t shard) const {
   view.node = s.node;
   view.crashed = s.crashed;
   view.slowFactor = s.slowFactor;
-  view.queuedRequests = s.queuedRequests;
+  view.queuedRequests = s.queue.depth();
   view.cachedKeys = static_cast<index_t>(s.cache.size());
   view.cachedMb =
       static_cast<double>(s.cache.bytesInUse()) / (1024.0 * 1024.0);

@@ -5,19 +5,21 @@
 // already pure functions of an explicit clock — the consistent-hash
 // router (serve::HashRing), the shard-health state machine with its
 // two-tier ring walk (serve::ShardHealthMonitor), the hedge delay and
-// token bucket (serve::HedgePolicy), and each shard's factor cache
-// policy (serve::CachePolicy: byte budget, LRU eviction, frequency
-// admission), charged the live cache's bytes per factor. A crash is
-// modelled by the shard's own `crashed` flag, as in the live fleet;
-// fleetsim runs no factor jobs, so the monitor's job-failure evidence
-// never fires here. The rest of a shard (bounded queue, worker lane) is
-// re-modelled as plain counters and maps: the simulator needs their
-// *timing and accounting* behavior, not their payloads. Accounting
-// mirrors the real engine so the validation against a measured
-// BENCH_serve.json compares like with like — one cache lookup per
-// dispatched batch (a coalesced batch costs exactly one factorization,
-// the single-flight contract), hits + misses == lookups, and the same
-// latency split (queue wait / solve / total).
+// token bucket (serve::HedgePolicy), each shard's factor cache policy
+// (serve::CachePolicy: byte budget, LRU eviction, frequency admission),
+// charged the live cache's bytes per factor, and each shard's admission
+// queue (serve::RequestQueue: the depth bound, per-key FIFO buckets and
+// the pick-up rule), holding pending-request records instead of payloads.
+// A crash is modelled by the shard's own `crashed` flag, as in the live
+// fleet; fleetsim runs no factor jobs, so the monitor's job-failure
+// evidence never fires here. The worker lane is re-modelled as a busy
+// flag and a solve-done event: the simulator needs its *timing and
+// accounting* behavior, not its payloads. Accounting mirrors the real
+// engine so the validation against a measured BENCH_serve.json compares
+// like with like — one cache lookup per dispatched batch (a coalesced
+// batch costs exactly one factorization, the single-flight contract),
+// hits + misses == lookups, and the same latency split (queue wait /
+// solve / total).
 //
 // Each shard's lane dispatches the way the live engine's worker does,
 // work-conserving: a lane never idles while requests wait, and never
@@ -25,10 +27,14 @@
 //   - An arrival at an idle lane arms one pick-up (a kBatchWindow event)
 //     at the current instant; it fires after every arrival landing at the
 //     same instant, so a simultaneous burst still coalesces.
-//   - A solve-done hands the freed lane the bucket whose head queued
-//     first, up to maxBatch requests of that key.
+//   - A solve-done hands the freed lane RequestQueue::popOldest's batch:
+//     the key whose head queued first, up to maxBatch requests of it.
 //   - So a batch holds more than one column only when requests of its key
 //     queued while the lane was busy.
+//
+// Failure has the live fleet's one path: a copy a shard fails is re-routed
+// by the router alone, within the failover limit and the request's one
+// deadline, which every copy carries; no shard re-runs it.
 //
 // Chaos vocabulary matches the serve CLI: crash-at/crash-shard kills a
 // shard (cache and queue contents included), pending and future requests
@@ -46,6 +52,7 @@
 #include "serve/fleet/health.h"
 #include "serve/fleet/hedge_policy.h"
 #include "serve/metrics.h"
+#include "serve/request_queue.h"
 #include "serve/trace_io.h"
 
 namespace hplmxp::fleetsim {
@@ -202,11 +209,11 @@ class ServeWorkload final : public Workload {
     index_t failovers = 0;
     index_t primaryShard = -1;  // the router step's pick; a hedge avoids it
     bool hedgeCopy = false;  // this in-flight copy is the speculative one
-    std::uint64_t queueSeq = 0;  // shard-queue admission order (FIFO stamp)
   };
 
   struct Shard {
-    explicit Shard(std::size_t cacheBudgetBytes) : cache(cacheBudgetBytes) {}
+    Shard(index_t queueDepth, std::size_t cacheBudgetBytes)
+        : queue(queueDepth), cache(cacheBudgetBytes) {}
 
     index_t node = 0;
     bool crashed = false;
@@ -219,10 +226,7 @@ class ServeWorkload final : public Workload {
     /// scheduled under an older generation are stale and never act on the
     /// shard as it is now.
     std::int64_t generation = 0;
-    // Batching buckets: key index -> waiting requests (FIFO); a bucket is
-    // erased when it empties.
-    std::map<index_t, std::vector<PendingRequest>> buckets;
-    index_t queuedRequests = 0;
+    serve::RequestQueue<index_t, PendingRequest> queue;  // by key index
     serve::CachePolicy cache;  // this shard's share of serve.cache-mb
   };
 
@@ -239,9 +243,9 @@ class ServeWorkload final : public Workload {
   [[nodiscard]] serve::ProblemKey keyOf(const serve::TraceRequest& r) const;
   [[nodiscard]] index_t keyIndexOf(const serve::TraceRequest& r);
   [[nodiscard]] index_t routeShard(index_t keyIndex, double now);
-  /// Hands an idle lane the bucket whose head queued first, up to
-  /// maxBatch requests; those past their deadline are rejected at
-  /// pick-up. The lane stays idle when nothing is left to solve.
+  /// Hands an idle lane the queue's oldest batch; requests past their
+  /// deadline are rejected at pick-up. The lane stays idle when nothing is
+  /// left to solve.
   void startNextBatch(Simulator& sim, index_t shardIndex);
   void crashShard(Simulator& sim, index_t shardIndex);
   /// Moves one copy off a crashed shard: a hedge copy, or a request
@@ -276,7 +280,6 @@ class ServeWorkload final : public Workload {
   /// it. A copy that ends and finds no entry lost to another copy.
   std::map<index_t, PendingRequest> unanswered_;
   index_t me_ = -1;
-  std::uint64_t nextQueueSeq_ = 0;
   ServeStats stats_;
 };
 

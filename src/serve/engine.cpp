@@ -60,7 +60,6 @@ ServeEngine::ServeEngine(ServeConfig config, ThreadPool* pool)
       paused_(config_.startPaused) {
   HPLMXP_REQUIRE(config_.workers > 0, "serve engine needs >= 1 worker");
   HPLMXP_REQUIRE(config_.maxBatch > 0, "batch size must be positive");
-  HPLMXP_REQUIRE(config_.maxRetries >= 0, "retry budget must be >= 0");
   workers_.reserve(static_cast<std::size_t>(config_.workers));
   for (index_t lane = 0; lane < config_.workers; ++lane) {
     workers_.emplace_back([this, lane] { workerLoop(lane); });
@@ -111,7 +110,7 @@ ServeEngine::HandlePtr ServeEngine::submit(const SolveRequest& request) {
   qr.deadlineSeconds = rel > 0.0 ? submitNow + rel : 0.0;
   qr.handle = handle;
 
-  if (!queue_.push(std::move(qr))) {
+  if (!queue_.push(request.key, std::move(qr))) {
     lock.unlock();
     outcome.status = RequestStatus::kRejectedQueueFull;
     outcome.totalSeconds = now() - submitNow;
@@ -167,13 +166,7 @@ ServeReport ServeEngine::report() const {
     std::lock_guard<std::mutex> lock(mutex_);
     peak = queue_.peakDepth();
   }
-  ServeReport r = recorder_.report(cache_.stats(), clock_.seconds(), peak);
-  if (config_.chaos) {
-    const simmpi::FaultStats s = config_.chaos->stats();
-    r.injectedDelays = s.delays;
-    r.injectedTransients = s.transientFailures;
-  }
-  return r;
+  return recorder_.report(cache_.stats(), clock_.seconds(), peak);
 }
 
 void ServeEngine::workerLoop(index_t lane) {
@@ -189,10 +182,9 @@ void ServeEngine::workerLoop(index_t lane) {
     // Work-conserving dispatch: an idle worker takes the oldest key at
     // once. The stop flush runs through here too, so every admitted
     // request terminates before its worker exits.
-    const ProblemKey key = *queue_.oldestKey(nullptr);
-    std::vector<QueuedRequest> batch = queue_.take(key, config_.maxBatch);
+    auto batch = queue_.popOldest(config_.maxBatch);
     lock.unlock();
-    executeBatch(lane, key, std::move(batch));
+    executeBatch(lane, batch->key, std::move(batch->items));
     lock.lock();
   }
 }
@@ -200,8 +192,7 @@ void ServeEngine::workerLoop(index_t lane) {
 void ServeEngine::finishRequest(QueuedRequest& qr, RequestOutcome outcome,
                                 std::vector<double> solution) {
   recorder_.record(outcome);
-  std::static_pointer_cast<Handle>(qr.handle)->finish(std::move(outcome),
-                                                      std::move(solution));
+  qr.handle->finish(std::move(outcome), std::move(solution));
   bool idle = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -215,22 +206,20 @@ void ServeEngine::finishRequest(QueuedRequest& qr, RequestOutcome outcome,
 void ServeEngine::executeBatch(index_t lane, const ProblemKey& key,
                                std::vector<QueuedRequest> batch) {
   const double pickup = now();
+  // The fields every answer of this batch fills the same way.
+  auto outcomeOf = [&](const QueuedRequest& qr, RequestStatus status,
+                       double t) {
+    RequestOutcome o;
+    o.id = qr.request.id;
+    o.key = qr.request.key;
+    o.rhsSeed = qr.request.rhsSeed;
+    o.status = status;
+    o.queueWaitSeconds = pickup - qr.submitSeconds;
+    o.totalSeconds = t - qr.submitSeconds;
+    return o;
+  };
 
-  // One chaos draw per execution attempt, the worker lane standing in for
-  // the rank. Delays are *survived* (slept through, then deadlines
-  // re-checked); transient failures turn into bounded requeues.
-  bool transient = false;
-  if (config_.chaos) {
-    const simmpi::FaultDecision d = config_.chaos->next(lane);
-    if (d.delayMicros > 0) {
-      config_.chaos->noteDelay();
-      std::this_thread::sleep_for(std::chrono::microseconds(d.delayMicros));
-    }
-    transient = d.transientSendFailure;
-  }
-
-  // Deadline check after any injected delay: expired requests are
-  // answered as rejected, never hung.
+  // Expired requests are answered as rejected, never hung.
   auto expireOverdue = [&](std::vector<QueuedRequest>& reqs,
                            double factorSeconds) {
     const double t = now();
@@ -238,15 +227,9 @@ void ServeEngine::executeBatch(index_t lane, const ProblemKey& key,
     live.reserve(reqs.size());
     for (QueuedRequest& qr : reqs) {
       if (qr.deadlineSeconds > 0.0 && t > qr.deadlineSeconds) {
-        RequestOutcome o;
-        o.id = qr.request.id;
-        o.key = qr.request.key;
-        o.rhsSeed = qr.request.rhsSeed;
-        o.status = RequestStatus::kRejectedDeadline;
-        o.queueWaitSeconds = pickup - qr.submitSeconds;
+        RequestOutcome o =
+            outcomeOf(qr, RequestStatus::kRejectedDeadline, t);
         o.factorSeconds = factorSeconds;
-        o.totalSeconds = t - qr.submitSeconds;
-        o.retries = qr.retries;
         finishRequest(qr, std::move(o), {});
       } else {
         live.push_back(std::move(qr));
@@ -254,43 +237,8 @@ void ServeEngine::executeBatch(index_t lane, const ProblemKey& key,
     }
     reqs = std::move(live);
   };
-  expireOverdue(batch, 0.0);
+  expireOverdue(batch, 0.0);  // at pick-up
   if (batch.empty()) {
-    return;
-  }
-
-  // Transient fault: requeue the whole batch within each request's retry
-  // budget; past it, fail with a structured outcome.
-  auto requeueOrFail = [&](std::vector<QueuedRequest>& reqs,
-                           const std::string& why) {
-    bool requeued = false;
-    for (QueuedRequest& qr : reqs) {
-      if (qr.retries >= config_.maxRetries) {
-        RequestOutcome o;
-        o.id = qr.request.id;
-        o.key = qr.request.key;
-        o.rhsSeed = qr.request.rhsSeed;
-        o.status = RequestStatus::kFailed;
-        o.error = why + " (retry budget of " +
-                  std::to_string(config_.maxRetries) + " exhausted)";
-        o.queueWaitSeconds = pickup - qr.submitSeconds;
-        o.totalSeconds = now() - qr.submitSeconds;
-        o.retries = qr.retries;
-        finishRequest(qr, std::move(o), {});
-      } else {
-        ++qr.retries;
-        std::lock_guard<std::mutex> lock(mutex_);
-        queue_.pushRetry(std::move(qr));
-        requeued = true;
-      }
-    }
-    if (requeued) {
-      cv_.notify_all();
-    }
-  };
-  if (transient) {
-    config_.chaos->noteTransient();
-    requeueOrFail(batch, "injected transient fault");
     return;
   }
 
@@ -333,31 +281,29 @@ void ServeEngine::executeBatch(index_t lane, const ProblemKey& key,
 
     const double done = now();
     for (std::size_t c = 0; c < batch.size(); ++c) {
-      QueuedRequest& qr = batch[c];
       const SolveManyColumn& col = res.columns[c];
-      RequestOutcome o;
-      o.id = qr.request.id;
-      o.key = qr.request.key;
-      o.rhsSeed = qr.request.rhsSeed;
-      o.status = RequestStatus::kCompleted;
-      o.queueWaitSeconds = pickup - qr.submitSeconds;
+      RequestOutcome o =
+          outcomeOf(batch[c], RequestStatus::kCompleted, done);
       o.factorSeconds = fetch.factorSeconds;
       o.solveSeconds = res.solveSeconds;
-      o.totalSeconds = done - qr.submitSeconds;
       o.cacheHit = fetch.hit;
       o.batchSize = static_cast<index_t>(batch.size());
       o.irIterations = col.irIterations;
       o.converged = col.converged;
       o.residualInf = col.residualInf;
-      o.retries = qr.retries;
-      finishRequest(qr, std::move(o), std::move(xs[c]));
+      finishRequest(batch[c], std::move(o), std::move(xs[c]));
     }
   } catch (const std::exception& e) {
-    // Worker-side failures (including chaos-injected ones surfacing as
-    // exceptions) follow the same bounded-retry path as transients.
+    // A failed batch is answered once: a retry would fail the same way on
+    // the same shard, and re-routing belongs to the fleet.
     logWarn("serve worker ", lane, ": batch for ", key.toString(),
             " failed: ", e.what());
-    requeueOrFail(batch, std::string("solver error: ") + e.what());
+    const double t = now();
+    for (QueuedRequest& qr : batch) {
+      RequestOutcome o = outcomeOf(qr, RequestStatus::kFailed, t);
+      o.error = std::string("solver error: ") + e.what();
+      finishRequest(qr, std::move(o), {});
+    }
   }
 }
 

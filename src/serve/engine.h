@@ -3,7 +3,7 @@
 //
 // Architecture (one box per module):
 //
-//   submit() ──admission──▶ RequestQueue ──oldestKey──▶ idle worker loop
+//   submit() ──admission──▶ RequestQueue ──popOldest──▶ idle worker loop
 //                │ reject: queue full /                      │ oldest key,
 //                ▼ unservable key                            ▼ <= maxBatch
 //           Handle(done)                          FactorCache.getOrFactor
@@ -14,8 +14,9 @@
 //                                                            │
 //                                                 Handle(done) + metrics
 //
-// Dispatch is work-conserving: an idle worker takes the key of the oldest
-// queued request at once, with up to `maxBatch` requests of that key. A
+// Dispatch is work-conserving: an idle worker takes the key whose head the
+// queue admitted first, at once, with up to `maxBatch` requests of that
+// key (RequestQueue::popOldest, the pick-up rule fleetsim's shards run). A
 // batch therefore holds more than one column only when requests queued
 // while every worker was busy; nobody waits on an idle worker for
 // batch-mates. Batching never changes answers (each column is bitwise a
@@ -32,13 +33,13 @@
 // factor cache's single-flight wait, which is bounded by one
 // factorization.
 //
-// Chaos: an optional simmpi::FaultInjector (the PR-1 chaos harness) is
-// consulted once per batch execution attempt, with the worker's lane index
-// standing in for the rank. Injected delays surface as longer service
-// times — and deadline *rejections* once the budget is gone. A failed
-// batch (an injected transient fault or a solver exception) is requeued at
-// once within each request's `maxRetries`; past that budget the request
-// is answered kFailed. Never hangs.
+// Failure has one path: a failed batch (a solver exception, or a factor
+// job on a crashed fleet shard) answers every request in it kFailed once,
+// carrying the error. The engine runs no batch twice: it would fail the
+// same way on the same shard, so re-routing is the fleet's job, under the
+// request's one fleet-wide deadline. Deadlines are checked at pick-up and
+// again after a cold factorization; a late request is answered rejected,
+// never hung.
 #pragma once
 
 #include <atomic>
@@ -55,7 +56,6 @@
 #include "serve/metrics.h"
 #include "serve/request.h"
 #include "serve/request_queue.h"
-#include "simmpi/faults.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -67,18 +67,15 @@ struct ServeConfig {
   index_t maxBatch = 8;          // RHS columns per coalesced solve
   double defaultDeadlineSeconds = 0.0;  // request deadline when unset; 0 = none
   index_t workers = 1;           // concurrent worker loops on the pool
-  index_t maxRetries = 2;        // per-request retry budget under chaos
   index_t maxIrIterations = 50;
   Vendor vendor = Vendor::kAmd;
   bool startPaused = false;      // hold dispatch until resume() (tests)
-  /// Optional chaos injector; lanes are addressed as ranks 0..workers-1.
-  std::shared_ptr<simmpi::FaultInjector> chaos;
 
   /// When set, cache misses run this instead of the built-in single-device
   /// factorization. The fleet tier points it at the shard's factor job,
   /// which reports to shard health and fails on a crashed shard. Must
-  /// produce a Factorization for exactly the given key; exceptions flow
-  /// through the normal bounded-retry path.
+  /// produce a Factorization for exactly the given key; an exception
+  /// fails the batch.
   std::function<Factorization(const ProblemKey&)> factorOverride;
 };
 
@@ -130,8 +127,8 @@ class ServeEngine {
   /// Admits one request. The returned handle is already terminal for
   /// admission rejections (queue full, a stopping engine, or a key the
   /// single-device backend cannot serve). Deadlines are not checked here:
-  /// a worker checks them at pick-up, after any injected delay, and again
-  /// after a cold factorization.
+  /// a worker checks them at pick-up and again after a cold
+  /// factorization.
   HandlePtr submit(const SolveRequest& request);
 
   /// Releases a paused engine's workers (ServeConfig::startPaused).
@@ -155,6 +152,15 @@ class ServeEngine {
   void setServiceStretch(double stretch);
 
  private:
+  /// A request plus its bookkeeping while queued. `submitSeconds` is the
+  /// engine-clock submission instant; deadlines are enforced against it.
+  struct QueuedRequest {
+    SolveRequest request;
+    double submitSeconds = 0.0;
+    double deadlineSeconds = 0.0;  // absolute engine-clock instant; 0 = none
+    HandlePtr handle;
+  };
+
   void workerLoop(index_t lane);
   void executeBatch(index_t lane, const ProblemKey& key,
                     std::vector<QueuedRequest> batch);
@@ -172,7 +178,7 @@ class ServeEngine {
   mutable std::mutex mutex_;
   std::condition_variable cv_;        // workers: work available / stop
   std::condition_variable idleCv_;    // drain()/stop(): outstanding == 0
-  RequestQueue queue_;
+  RequestQueue<ProblemKey, QueuedRequest> queue_;
   bool paused_ = false;
   bool stopping_ = false;
   index_t outstanding_ = 0;  // admitted, not yet terminal

@@ -123,6 +123,14 @@ bool FleetEngine::shardAlive(index_t shard) const {
   return !sh.crashed;
 }
 
+bool FleetEngine::budgetLeft(SolveRequest& copy, double deadlineAt) const {
+  if (deadlineAt <= 0.0) {
+    return true;  // no deadline, and the shards' default is none too
+  }
+  copy.deadlineSeconds = deadlineAt - now();
+  return copy.deadlineSeconds > 0.0;
+}
+
 bool FleetEngine::shardRoutable(index_t shard) {
   return shardAlive(shard) && !healthMon_.excluded(shard);
 }
@@ -156,6 +164,13 @@ FleetEngine::HandlePtr FleetEngine::submit(const SolveRequest& request) {
   }
   submitted_.fetch_add(1, std::memory_order_relaxed);
   const double submitAt = now();
+  // The request's one deadline: the primary copy carries the whole budget,
+  // and every later copy what is left of it.
+  const double budget = req.deadlineSeconds > 0.0
+                            ? req.deadlineSeconds
+                            : config_.shard.defaultDeadlineSeconds;
+  req.deadlineSeconds = budget;
+  const double deadlineAt = budget > 0.0 ? submitAt + budget : 0.0;
 
   const index_t target = pickShard(req.key, {});
   if (target < 0) {
@@ -170,26 +185,26 @@ FleetEngine::HandlePtr FleetEngine::submit(const SolveRequest& request) {
     publishOutcome(handle, std::move(o), {});
     return handle;
   }
-  routeToShard(target, req, handle, submitAt, 0, {target});
+  routeToShard(target, req, handle, submitAt, deadlineAt, 0, {target});
   if (config_.hedge.enabled && shardCount() > 1) {
-    scheduleHedge(req, handle, submitAt, {target});
+    scheduleHedge(req, handle, submitAt, deadlineAt, {target});
   }
   return handle;
 }
 
 void FleetEngine::routeToShard(index_t shard, const SolveRequest& request,
                                const HandlePtr& handle, double submitAt,
-                               index_t failovers,
+                               double deadlineAt, index_t failovers,
                                std::vector<index_t> tried, bool hedge) {
   Shard& sh = *shards_[static_cast<std::size_t>(shard)];
   sh.routed.fetch_add(1, std::memory_order_relaxed);
   ServeEngine::HandlePtr shardHandle = sh.engine->submit(request);
   // The callback runs on the shard's finishing thread (or inline for
   // admission rejections); a shard-side failure re-routes within the
-  // failover budget, everything else publishes the fleet answer exactly
-  // once.
-  shardHandle->onDone([this, shard, request, handle, submitAt, failovers,
-                       tried = std::move(tried), hedge,
+  // failover limit and the request's deadline, everything else publishes
+  // the fleet answer exactly once.
+  shardHandle->onDone([this, shard, request, handle, submitAt, deadlineAt,
+                       failovers, tried = std::move(tried), hedge,
                        shardHandle]() mutable {
     RequestOutcome o = shardHandle->outcome();
     // Completions are the shard's heartbeat stream: a slow-but-alive
@@ -200,11 +215,14 @@ void FleetEngine::routeToShard(index_t shard, const SolveRequest& request,
                          now());
     if (!hedge && o.status == RequestStatus::kFailed &&
         failovers < config_.failoverLimit) {
-      const index_t next = pickShard(request.key, tried);
-      if (next >= 0) {
+      SolveRequest copy = request;
+      if (!budgetLeft(copy, deadlineAt)) {
+        o.status = RequestStatus::kRejectedDeadline;  // published below
+      } else if (const index_t next = pickShard(request.key, tried);
+                 next >= 0) {
         failovers_.fetch_add(1, std::memory_order_relaxed);
         tried.push_back(next);
-        routeToShard(next, request, handle, submitAt, failovers + 1,
+        routeToShard(next, copy, handle, submitAt, deadlineAt, failovers + 1,
                      std::move(tried));
         return;
       }
@@ -262,9 +280,10 @@ void FleetEngine::publishOutcome(const HandlePtr& handle,
 
 void FleetEngine::scheduleHedge(const SolveRequest& request,
                                 const HandlePtr& handle, double submitAt,
+                                double deadlineAt,
                                 std::vector<index_t> tried) {
-  HedgeTask task{now() + hedge_->delaySeconds(), submitAt, request, handle,
-                 std::move(tried)};
+  HedgeTask task{now() + hedge_->delaySeconds(), submitAt, deadlineAt,
+                 request, handle, std::move(tried)};
   {
     std::lock_guard<std::mutex> lock(hedgeMutex_);
     if (hedgeStop_) {
@@ -308,6 +327,9 @@ void FleetEngine::fireHedge(HedgeTask task) {
   if (task.handle->done()) {
     return;  // answered in time: the hedge is moot (cancelled)
   }
+  if (!budgetLeft(task.request, task.deadlineAt)) {
+    return;  // past the request's deadline: a copy could only be rejected
+  }
   if (!hedge_->admit(now())) {
     hedgeDenied_.fetch_add(1, std::memory_order_relaxed);
     return;  // amplification budget exhausted: fleet-wide slowness
@@ -320,8 +342,8 @@ void FleetEngine::fireHedge(HedgeTask task) {
   task.handle->hedged_.store(true, std::memory_order_relaxed);
   hedgesIssued_.fetch_add(1, std::memory_order_relaxed);
   task.tried.push_back(next);
-  routeToShard(next, task.request, task.handle, task.submitAt, 0,
-               std::move(task.tried), /*hedge=*/true);
+  routeToShard(next, task.request, task.handle, task.submitAt,
+               task.deadlineAt, 0, std::move(task.tried), /*hedge=*/true);
 }
 
 void FleetEngine::drain() {

@@ -20,6 +20,13 @@
 // its first tier: the primary copy is still in flight, so a hedge never
 // falls back to a shard the monitor distrusts.
 //
+// A request has one deadline, fleet-wide: its own budget, else the shards'
+// default, counted from the fleet submit. A failover or a hedge is routed
+// with what is left of it, never a fresh budget at its shard; a failover
+// with nothing left is answered kRejectedDeadline without routing, and a
+// hedge with nothing left is not sent. A shard never re-runs a failed
+// batch (serve/engine.h), so failover is the one retry path.
+//
 // Shard health is one state machine per shard, the ShardHealthMonitor
 // (serve/fleet/health.h). Request completions feed its phi detector, and
 // factor-job outcomes and the ops break its hard tier: three failed jobs
@@ -68,7 +75,7 @@ struct FleetConfig {
   std::size_t fleetCacheBytes = std::size_t{64} << 20;
   /// Re-routes attempted after a shard-side failure before the failure
   /// is published to the client.
-  index_t failoverLimit = 1;
+  index_t failoverLimit = 2;
   /// Per-shard engine template; cacheBytes is overridden by the fleet
   /// split and factorOverride is owned by the fleet.
   ServeConfig shard;
@@ -239,6 +246,7 @@ class FleetEngine {
   struct HedgeTask {
     double fireAt = 0.0;
     double submitAt = 0.0;
+    double deadlineAt = 0.0;  // the request's fleet-wide deadline; 0 = none
     SolveRequest request;
     HandlePtr handle;
     std::vector<index_t> tried;
@@ -253,6 +261,11 @@ class FleetEngine {
   [[nodiscard]] Factorization shardFactor(index_t shard,
                                           const ProblemKey& key);
   [[nodiscard]] bool shardAlive(index_t shard) const;
+  /// Sets the copy's relative deadline to what is left of the fleet-wide
+  /// budget that ends at `deadlineAt` (0 = none); false when nothing is
+  /// left. Checked before pickShard, whose routable() may spend a probing
+  /// shard's probe slot on the pick.
+  [[nodiscard]] bool budgetLeft(SolveRequest& copy, double deadlineAt) const;
   /// The health-aware ring walk over the alive shards not in `tried`,
   /// only its first tier for a hedge; -1 when none is left.
   [[nodiscard]] index_t pickShard(const ProblemKey& key,
@@ -260,12 +273,13 @@ class FleetEngine {
                                   bool hedge = false);
   void routeToShard(index_t shard, const SolveRequest& request,
                     const HandlePtr& handle, double submitAt,
-                    index_t failovers, std::vector<index_t> tried,
-                    bool hedge = false);
+                    double deadlineAt, index_t failovers,
+                    std::vector<index_t> tried, bool hedge = false);
   void publishOutcome(const HandlePtr& handle, RequestOutcome outcome,
                       std::vector<double> solution, bool hedge = false);
   void scheduleHedge(const SolveRequest& request, const HandlePtr& handle,
-                     double submitAt, std::vector<index_t> tried);
+                     double submitAt, double deadlineAt,
+                     std::vector<index_t> tried);
   void hedgeLoop();
   void fireHedge(HedgeTask task);
 

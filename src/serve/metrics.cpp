@@ -62,7 +62,6 @@ ServeReport LatencyRecorder::report(const FactorCache::Stats& cacheStats,
   std::vector<double> solve;
   std::vector<double> total;
   for (const RequestOutcome& o : outcomes_) {
-    r.retries += static_cast<std::uint64_t>(o.retries);
     switch (o.status) {
       case RequestStatus::kCompleted:
         ++r.completed;
@@ -100,7 +99,6 @@ Table ServeReport::toTable() const {
             Table::num((long long)rejectedQueueFull)});
   t.addRow({"rejected (deadline)", Table::num((long long)rejectedDeadline)});
   t.addRow({"failed", Table::num((long long)failed)});
-  t.addRow({"retries (chaos)", Table::num((long long)retries)});
   t.addRow({"wall seconds", Table::num(wallSeconds, 3)});
   t.addRow({"throughput (req/s)", Table::num(throughputRps, 1)});
   t.addRow({"batched solves", Table::num((long long)batchedSolves)});
@@ -135,15 +133,12 @@ std::string ServeReport::toJson() const {
   os << "  \"rejected_queue_full\": " << rejectedQueueFull << ",\n";
   os << "  \"rejected_deadline\": " << rejectedDeadline << ",\n";
   os << "  \"failed\": " << failed << ",\n";
-  os << "  \"retries\": " << retries << ",\n";
   os << "  \"wall_seconds\": " << wallSeconds << ",\n";
   os << "  \"throughput_rps\": " << throughputRps << ",\n";
   os << "  \"batched_solves\": " << batchedSolves << ",\n";
   os << "  \"mean_batch_size\": " << meanBatchSize << ",\n";
   os << "  \"max_batch_size\": " << maxBatchSize << ",\n";
   os << "  \"peak_queue_depth\": " << peakQueueDepth << ",\n";
-  os << "  \"injected_delays\": " << injectedDelays << ",\n";
-  os << "  \"injected_transients\": " << injectedTransients << ",\n";
   os << "  \"cache_hit_rate\": " << cache.hitRate() << ",\n";
   os << "  \"cache_lookups\": " << cache.lookups << ",\n";
   os << "  \"cache_hits\": " << cache.hits << ",\n";

@@ -37,7 +37,6 @@ struct ServeReport {
   std::uint64_t rejectedQueueFull = 0;
   std::uint64_t rejectedDeadline = 0;
   std::uint64_t failed = 0;
-  std::uint64_t retries = 0;
 
   double wallSeconds = 0.0;
   double throughputRps = 0.0;  // completed per wall second
@@ -45,10 +44,6 @@ struct ServeReport {
   index_t maxBatchSize = 0;
   std::uint64_t batchedSolves = 0;  // coalesced multi-RHS executions
   index_t peakQueueDepth = 0;
-
-  // Chaos tallies (zero when no injector is armed).
-  std::uint64_t injectedDelays = 0;
-  std::uint64_t injectedTransients = 0;
 
   FactorCache::Stats cache;
   LatencyPercentiles queueWait;  // completed requests only

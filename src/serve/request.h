@@ -21,9 +21,10 @@ struct SolveRequest {
 
 /// Terminal states of a request. Admission control rejects before any
 /// work happens (kRejectedQueueFull); deadline rejections happen at batch
-/// pick-up, after an injected delay, or after a slow factorization — the
-/// contract is that a late request is *answered* late-as-rejected, never
-/// silently hung.
+/// pick-up or after a slow factorization, and in a fleet before a failover
+/// that has no budget left — the contract is that a late request is
+/// *answered* late-as-rejected, never silently hung. A failed batch
+/// answers each of its requests kFailed once, with the error.
 enum class RequestStatus {
   kPending,
   kCompleted,
@@ -44,9 +45,8 @@ enum class RequestStatus {
 }
 
 /// What happened to one request, with the latency split the report
-/// percentiles are computed from: queue wait (submission to batch pickup,
-/// including requeue time after transient faults) vs. service time
-/// (factor + batched solve).
+/// percentiles are computed from: queue wait (submission to batch pickup)
+/// vs. service time (factor + batched solve).
 struct RequestOutcome {
   std::uint64_t id = 0;
   ProblemKey key;
@@ -63,7 +63,6 @@ struct RequestOutcome {
   index_t irIterations = 0;
   bool converged = false;
   double residualInf = 0.0;
-  index_t retries = 0;  // re-executions after injected transient faults
   index_t shard = -1;   // serving shard in a fleet; -1 single-engine
   index_t failovers = 0;  // fleet re-routes after a shard-side failure
   bool hedged = false;    // answered by a speculative fleet re-issue

@@ -1,71 +1,115 @@
-// Bounded, admission-controlled store of pending solve requests.
+// Bounded, admission-controlled store of pending solve requests: the one
+// shard-lane queue that the live ServeEngine and fleetsim's shards run.
 //
 // Admission control is the backpressure half of the serving contract:
 // when the pending depth reaches the bound, new requests are rejected
 // immediately (kRejectedQueueFull) instead of growing an unbounded queue
-// whose tail latency no deadline could honor. Within the bound, requests
-// are bucketed per ProblemKey in FIFO order so a worker that frees up can
-// take a key's queued requests as one batch without reordering any single
-// key's stream.
+// whose tail latency no deadline could honor. Within the bound, items are
+// bucketed per key in FIFO order, and the pick-up rule is
+// work-conserving: popOldest hands a freed worker the key whose head was
+// admitted first, with up to a batch of its items. Order is an admission
+// counter kept here, not a clock reading, so two racing submitters are
+// picked in the order the queue admitted them.
 //
-// The queue is a passive, lock-protected structure; blocking/wakeup
-// policy lives in the ServeEngine, which pairs it with a condition
-// variable.
+// The queue is passive and payload-agnostic: the engine guards it with
+// its lock and a condition variable, and fleetsim drives it from its
+// event loop with pending-request records for items.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
-#include "serve/request.h"
 #include "util/common.h"
 
 namespace hplmxp::serve {
 
-/// A request plus its bookkeeping while queued. `submitSeconds` is the
-/// engine-clock submission instant; deadlines are enforced against it.
-struct QueuedRequest {
-  SolveRequest request;
-  double submitSeconds = 0.0;
-  double deadlineSeconds = 0.0;  // absolute engine-clock instant; 0 = none
-  index_t retries = 0;
-  std::shared_ptr<void> handle;  // engine's per-request completion handle
-};
-
+template <typename Key, typename Item>
 class RequestQueue {
  public:
-  explicit RequestQueue(index_t maxDepth);
+  /// Up to maxBatch items of one key, in FIFO order.
+  struct Batch {
+    Key key;
+    std::vector<Item> items;
+  };
 
-  /// Admits or rejects one request. Returns false (and does not enqueue)
-  /// when the queue is at its depth bound.
-  bool push(QueuedRequest qr);
+  explicit RequestQueue(index_t maxDepth) : maxDepth_(maxDepth) {
+    HPLMXP_REQUIRE(maxDepth > 0, "queue depth bound must be positive");
+  }
 
-  /// Re-admits a request that failed transiently. Requeues bypass the
-  /// depth bound: the request was already admitted once and rejecting it
-  /// now would turn a retryable fault into a spurious drop.
-  void pushRetry(QueuedRequest qr);
+  /// Admits or rejects one item. Returns false (and queues nothing) when
+  /// the queue is at its depth bound.
+  bool push(const Key& key, Item item) {
+    if (depth_ >= maxDepth_) {
+      return false;
+    }
+    buckets_[key].push_back({nextSeq_++, std::move(item)});
+    ++depth_;
+    peakDepth_ = std::max(peakDepth_, depth_);
+    return true;
+  }
 
-  /// Key of the oldest pending request, or nullptr when empty. `ageOut`
-  /// receives that request's submission instant.
-  [[nodiscard]] const ProblemKey* oldestKey(double* ageOut) const;
+  /// Removes and returns the key whose head was admitted first, with up
+  /// to `maxBatch` of its items in FIFO order; nullopt when empty.
+  std::optional<Batch> popOldest(index_t maxBatch) {
+    auto oldest = buckets_.end();
+    for (auto it = buckets_.begin(); it != buckets_.end(); ++it) {
+      if (oldest == buckets_.end() ||
+          it->second.front().seq < oldest->second.front().seq) {
+        oldest = it;
+      }
+    }
+    if (oldest == buckets_.end()) {
+      return std::nullopt;
+    }
+    Batch batch{oldest->first, {}};
+    std::deque<Entry>& bucket = oldest->second;
+    while (!bucket.empty() &&
+           static_cast<index_t>(batch.items.size()) < maxBatch) {
+      batch.items.push_back(std::move(bucket.front().item));
+      bucket.pop_front();
+      --depth_;
+    }
+    if (bucket.empty()) {
+      buckets_.erase(oldest);
+    }
+    return batch;
+  }
 
-  /// Removes and returns up to `maxBatch` requests for `key` in FIFO
-  /// order.
-  std::vector<QueuedRequest> take(const ProblemKey& key, index_t maxBatch);
+  /// Removes and returns every item with its key: keys in map order, FIFO
+  /// within a key.
+  std::vector<std::pair<Key, Item>> drain() {
+    std::vector<std::pair<Key, Item>> out;
+    out.reserve(static_cast<std::size_t>(depth_));
+    for (auto& [key, bucket] : buckets_) {
+      for (Entry& e : bucket) {
+        out.emplace_back(key, std::move(e.item));
+      }
+    }
+    buckets_.clear();
+    depth_ = 0;
+    return out;
+  }
 
   [[nodiscard]] index_t depth() const { return depth_; }
   [[nodiscard]] bool empty() const { return depth_ == 0; }
   [[nodiscard]] index_t peakDepth() const { return peakDepth_; }
-  [[nodiscard]] std::uint64_t rejectedFull() const { return rejectedFull_; }
 
  private:
+  struct Entry {
+    std::uint64_t seq = 0;  // admission order
+    Item item;
+  };
+
   index_t maxDepth_;
   index_t depth_ = 0;
   index_t peakDepth_ = 0;
-  std::uint64_t rejectedFull_ = 0;
-  std::map<ProblemKey, std::deque<QueuedRequest>> buckets_;
+  std::uint64_t nextSeq_ = 0;
+  std::map<Key, std::deque<Entry>> buckets_;  // no empty bucket is kept
 };
 
 }  // namespace hplmxp::serve

@@ -377,8 +377,6 @@ TEST(FleetEngineTest, BrokenShardDrainsAndReroutesUntilUnbroken) {
 
 TEST(FleetEngineTest, OrganicCrashFailsOverThenResurrectionRebalances) {
   FleetConfig cfg = fleetConfig(2);
-  cfg.shard.maxRetries = 0;  // the first failed job fails over at once
-  cfg.failoverLimit = 2;
   FleetEngine fleet(cfg);
   const ProblemKey k = key(32, 16, 24);
   const index_t primary = fleet.ring().route(k, nullptr);
@@ -443,8 +441,6 @@ TEST(FleetEngineTest, OrganicCrashFailsOverThenResurrectionRebalances) {
 
 TEST(FleetEngineTest, FailedFactorJobFailsOverWithoutCrashing) {
   FleetConfig cfg = fleetConfig(2);
-  cfg.shard.maxRetries = 0;
-  cfg.failoverLimit = 2;
   std::atomic<int> faults{0};
   FleetEngine fleet(cfg);
   const ProblemKey k = key(32, 16, 31);
@@ -476,8 +472,6 @@ TEST(FleetEngineTest, RepeatedJobFailuresExcludeThenProbeBack) {
   // out of routing entirely (no fallback reaches it), and once the shard
   // is cured a single probe after the cool-down brings it back.
   FleetConfig cfg = fleetConfig(2);
-  cfg.shard.maxRetries = 0;
-  cfg.failoverLimit = 2;
   FleetEngine fleet(cfg);
   std::vector<ProblemKey> victims;
   for (std::uint64_t seed = 60; victims.size() < 5; ++seed) {
@@ -531,8 +525,6 @@ TEST(FleetEngineTest, CrashDuringAFactorJobLeavesNothingOnTheDeadShard) {
   // carries on. Its factors must not reach the cache the crash cleared:
   // the request fails over instead.
   FleetConfig cfg = fleetConfig(2);
-  cfg.shard.maxRetries = 0;
-  cfg.failoverLimit = 2;
   FleetEngine fleet(cfg);
   const ProblemKey k = key(32, 16, 32);
   const index_t primary = fleet.ring().route(k, nullptr);
@@ -557,12 +549,47 @@ TEST(FleetEngineTest, CrashDuringAFactorJobLeavesNothingOnTheDeadShard) {
   EXPECT_EQ(report.doubleAnswered, 0u);
 }
 
+TEST(FleetEngineTest, FailoverKeepsTheFleetDeadline) {
+  // A request has one deadline across the fleet: a failover carries what
+  // is left of the budget, never a fresh one at its shard. The primary's
+  // factor job stalls, then fails; the request's budget is 10 ms.
+  const auto run = [](int stallMs) {
+    FleetEngine fleet(fleetConfig(2));
+    const ProblemKey k = key(32, 16, 33);
+    const index_t primary = fleet.ring().route(k, nullptr);
+    fleet.armShardFaults(primary, [stallMs](const ProblemKey&) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(stallMs));
+      throw CheckError("injected stall, then fault");
+    });
+    SolveRequest r = request(k, 991);
+    r.deadlineSeconds = 0.010;
+    const RequestOutcome o = fleet.submit(r)->wait();
+    fleet.drain();
+    const FleetReport report = fleet.report();
+    EXPECT_EQ(report.dropped, 0u);
+    EXPECT_EQ(report.doubleAnswered, 0u);
+    return o;
+  };
+
+  // A 4 ms stall leaves the failover 6 ms: it may answer inside them, but
+  // it never completes past the request's deadline.
+  const RequestOutcome quick = run(4);
+  EXPECT_FALSE(quick.status == RequestStatus::kCompleted &&
+               quick.totalSeconds > 0.010)
+      << "completed after " << quick.totalSeconds * 1e3 << " ms";
+
+  // A 30 ms stall leaves nothing: the failover is not routed, and the
+  // request is answered rejected.
+  const RequestOutcome slow = run(30);
+  EXPECT_EQ(slow.status, RequestStatus::kRejectedDeadline)
+      << toString(slow.status) << ": " << slow.error;
+}
+
 TEST(FleetEngineTest, ChaoticReplayStaysBitwiseAndLosesNoAnswer) {
   const std::vector<SolveRequest> reqs = mixedTrace();
   const std::vector<Answer> clean = replay(fleetConfig(1), reqs);
 
   FleetConfig cfg = fleetConfig(3);
-  cfg.failoverLimit = 2;
   const std::vector<Answer> chaotic = replay(
       cfg, reqs, [&](FleetEngine& fleet, std::size_t i) {
         if (i == reqs.size() / 3) {
@@ -647,7 +674,6 @@ TEST(FleetEngineTest, HedgedReplayUnderGrayFailureLosesNoAnswer) {
       std::max(25.0, 20.0 * minDelaySeconds / std::max(solveSeconds, 1e-9));
   for (int rep = 0; rep < 3; ++rep) {
     FleetConfig cfg = fleetConfig(3);
-    cfg.failoverLimit = 2;
     cfg.hedge.enabled = true;
     cfg.hedge.delayFactor = 0.25;  // hedge long before a stretched solve
     cfg.hedge.minDelaySeconds = minDelaySeconds;

@@ -1,8 +1,9 @@
 // Serving subsystem: cache policy (LRU eviction, frequency admission,
-// aging), factor cache (budget, single-flight), admission control,
-// batching policy, the end-to-end engine (including bitwise equivalence
-// of served solutions and chaos-driven retries/deadline rejections),
-// trace I/O, and the `hplmxp serve` command.
+// aging), factor cache (budget, single-flight), the admission queue and
+// its pick-up rule, the end-to-end engine (including bitwise equivalence
+// of served solutions, deadline rejections at pick-up and after a slow
+// factorization, and a failed batch answered once), trace I/O, and the
+// `hplmxp serve` command.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,8 +13,10 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cli/commands.h"
@@ -23,6 +26,7 @@
 #include "serve/cache_policy.h"
 #include "serve/engine.h"
 #include "serve/json.h"
+#include "serve/request_queue.h"
 #include "serve/trace_io.h"
 
 namespace hplmxp::serve {
@@ -555,47 +559,70 @@ TEST(FactorCacheTest, DeclinedFlightAnswersEveryWaiterWithOneFactorization) {
 
 // -------------------------------------------------------- RequestQueue --
 
-QueuedRequest queued(const ProblemKey& k, std::uint64_t id, double at) {
-  QueuedRequest qr;
-  qr.request.id = id;
-  qr.request.key = k;
-  qr.submitSeconds = at;
-  return qr;
-}
+using IdQueue = RequestQueue<ProblemKey, std::uint64_t>;  // request ids
 
 TEST(RequestQueueTest, BoundsDepthAndCountsRejections) {
-  RequestQueue q(2);
-  EXPECT_TRUE(q.push(queued(key(32, 16, 1), 1, 0.0)));
-  EXPECT_TRUE(q.push(queued(key(32, 16, 1), 2, 0.1)));
-  EXPECT_FALSE(q.push(queued(key(32, 16, 1), 3, 0.2)));
+  IdQueue q(2);
+  EXPECT_TRUE(q.push(key(32, 16, 1), 1));
+  EXPECT_TRUE(q.push(key(32, 16, 1), 2));
+  EXPECT_FALSE(q.push(key(32, 16, 1), 3));
   EXPECT_EQ(q.depth(), 2);
-  EXPECT_EQ(q.rejectedFull(), 1u);
-  // Retries bypass the bound: an admitted request is never re-rejected.
-  q.pushRetry(queued(key(32, 16, 1), 4, 0.3));
-  EXPECT_EQ(q.depth(), 3);
-  EXPECT_EQ(q.peakDepth(), 3);
+  ASSERT_TRUE(q.popOldest(1).has_value());
+  EXPECT_EQ(q.depth(), 1);
+  EXPECT_EQ(q.peakDepth(), 2);
 }
 
 TEST(RequestQueueTest, TakesFifoPerKeyAndTracksOldest) {
-  RequestQueue q(8);
+  IdQueue q(8);
   const ProblemKey a = key(32, 16, 1);
   const ProblemKey b = key(32, 16, 2);
-  ASSERT_TRUE(q.push(queued(b, 10, 1.0)));
-  ASSERT_TRUE(q.push(queued(a, 11, 2.0)));
-  ASSERT_TRUE(q.push(queued(b, 12, 3.0)));
+  ASSERT_TRUE(q.push(b, 10));
+  ASSERT_TRUE(q.push(a, 11));
+  ASSERT_TRUE(q.push(b, 12));
 
-  double submit = 0.0;
-  const ProblemKey* oldest = q.oldestKey(&submit);
-  ASSERT_NE(oldest, nullptr);
-  EXPECT_EQ(*oldest, b);
-  EXPECT_DOUBLE_EQ(submit, 1.0);
-
-  const std::vector<QueuedRequest> taken = q.take(b, 8);
-  ASSERT_EQ(taken.size(), 2u);
-  EXPECT_EQ(taken[0].request.id, 10u);
-  EXPECT_EQ(taken[1].request.id, 12u);
+  // b's head was admitted first, though a sorts first.
+  const std::optional<IdQueue::Batch> taken = q.popOldest(8);
+  ASSERT_TRUE(taken.has_value());
+  EXPECT_EQ(taken->key, b);
+  ASSERT_EQ(taken->items.size(), 2u);
+  EXPECT_EQ(taken->items[0], 10u);
+  EXPECT_EQ(taken->items[1], 12u);
   EXPECT_EQ(q.depth(), 1);
-  EXPECT_EQ(q.take(b, 8).size(), 0u);
+  const std::optional<IdQueue::Batch> next = q.popOldest(8);
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->key, a);
+  EXPECT_EQ(next->items.size(), 1u);
+}
+
+TEST(RequestQueueTest, PopOldestOnAnEmptyQueueReturnsNothing) {
+  IdQueue q(4);
+  EXPECT_FALSE(q.popOldest(8).has_value());
+  ASSERT_TRUE(q.push(key(32, 16, 1), 1));
+  ASSERT_TRUE(q.popOldest(8).has_value());
+  EXPECT_TRUE(q.empty());
+  EXPECT_FALSE(q.popOldest(8).has_value());
+}
+
+TEST(RequestQueueTest, DrainReturnsKeysInMapOrderFifoWithinAKey) {
+  // fleetsim's crash path fails a shard's queue over in this order.
+  IdQueue q(8);
+  const ProblemKey a = key(32, 16, 1);
+  const ProblemKey b = key(32, 16, 2);
+  ASSERT_TRUE(a < b);
+  ASSERT_TRUE(q.push(b, 10));
+  ASSERT_TRUE(q.push(a, 11));
+  ASSERT_TRUE(q.push(b, 12));
+  ASSERT_TRUE(q.push(a, 13));
+
+  const std::vector<std::pair<ProblemKey, std::uint64_t>> all = q.drain();
+  ASSERT_EQ(all.size(), 4u);
+  EXPECT_EQ(all[0], std::make_pair(a, std::uint64_t{11}));
+  EXPECT_EQ(all[1], std::make_pair(a, std::uint64_t{13}));
+  EXPECT_EQ(all[2], std::make_pair(b, std::uint64_t{10}));
+  EXPECT_EQ(all[3], std::make_pair(b, std::uint64_t{12}));
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.peakDepth(), 4);
+  EXPECT_FALSE(q.popOldest(8).has_value());
 }
 
 // -------------------------------------------------------------- Engine --
@@ -709,64 +736,68 @@ TEST(ServeEngineTest, RejectsKeysTheBackendCannotServe) {
   EXPECT_EQ(shape.status, RequestStatus::kFailed);
 }
 
-TEST(ServeEngineTest, InjectedDelaySurfacesAsDeadlineRejectionNotHang) {
+TEST(ServeEngineTest, LateRequestIsRejectedAtPickUp) {
+  // A request that outwaits its budget in the queue is answered rejected
+  // at pick-up, never solved late and never hung.
   ServeConfig cfg;
-  simmpi::FaultConfig faults;
-  faults.delayProbability = 1.0;    // every attempt sleeps...
-  faults.delayMicros = 20000;       // ...20 ms
-  cfg.chaos = std::make_shared<simmpi::FaultInjector>(faults, cfg.workers);
-  cfg.defaultDeadlineSeconds = 0.005;  // 5 ms budget: unmeetable
+  cfg.startPaused = true;
   ServeEngine engine(cfg);
-
-  const ProblemKey k = key(32, 16, 7);
-  const ServeEngine::HandlePtr h = engine.submit(request(k, 1));
-  const RequestOutcome& o = h->wait();
-  EXPECT_EQ(o.status, RequestStatus::kRejectedDeadline);
+  const ServeEngine::HandlePtr h =
+      engine.submit(request(key(32, 16, 7), 1, /*deadlineSeconds=*/0.001));
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  engine.resume();
+  EXPECT_EQ(h->wait().status, RequestStatus::kRejectedDeadline);
   engine.drain();
-  const ServeReport report = engine.report();
-  EXPECT_EQ(report.rejectedDeadline, 1u);
-  EXPECT_GT(report.injectedDelays, 0u);
+  EXPECT_EQ(engine.report().rejectedDeadline, 1u);
 }
 
-TEST(ServeEngineTest, TransientFaultsExhaustRetryBudgetIntoFailure) {
+TEST(ServeEngineTest, SlowFactorizationSurfacesAsDeadlineRejection) {
+  // The second deadline check: a cold factorization that outlasts the
+  // budget rejects the batch's requests instead of solving them late.
   ServeConfig cfg;
-  simmpi::FaultConfig faults;
-  faults.transientSendProbability = 1.0;  // every attempt fails
-  cfg.chaos = std::make_shared<simmpi::FaultInjector>(faults, cfg.workers);
-  cfg.maxRetries = 2;
+  cfg.defaultDeadlineSeconds = 0.005;
+  cfg.factorOverride = [](const ProblemKey& k) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const ProblemGenerator gen(k.seed, k.n);
+    return factorStorageSingle(gen, k.b, Vendor::kAmd, k.precision);
+  };
   ServeEngine engine(cfg);
-
   const ServeEngine::HandlePtr h = engine.submit(request(key(32, 16, 8), 1));
   const RequestOutcome& o = h->wait();
-  EXPECT_EQ(o.status, RequestStatus::kFailed);
-  EXPECT_EQ(o.retries, 2);
-  EXPECT_NE(o.error.find("retry budget"), std::string::npos);
-  EXPECT_GT(engine.report().injectedTransients, 0u);
+  EXPECT_EQ(o.status, RequestStatus::kRejectedDeadline);
+  EXPECT_GT(o.factorSeconds, 0.0);
+  engine.drain();
+  EXPECT_EQ(engine.report().rejectedDeadline, 1u);
 }
 
-TEST(ServeEngineTest, TransientFaultsWithinBudgetRecover) {
+TEST(ServeEngineTest, FailedBatchIsAnsweredOnceWithItsError) {
+  // One failure path: the engine runs a failed batch once and answers
+  // every request in it kFailed with the error. Re-routing is the
+  // fleet's job.
   ServeConfig cfg;
-  simmpi::FaultConfig faults;
-  faults.seed = 11;
-  faults.transientSendProbability = 0.45;
-  cfg.chaos = std::make_shared<simmpi::FaultInjector>(faults, cfg.workers);
-  cfg.maxRetries = 64;
+  cfg.startPaused = true;  // queue the requests, then release one batch
+  std::atomic<int> runs{0};
+  cfg.factorOverride = [&runs](const ProblemKey&) -> Factorization {
+    runs.fetch_add(1);
+    throw CheckError("injected factor failure");
+  };
   ServeEngine engine(cfg);
-
-  std::uint64_t retries = 0;
-  for (std::uint64_t s = 0; s < 6; ++s) {
-    // Distinct keys so each request is its own batch (its own fault draw).
-    const ServeEngine::HandlePtr h =
-        engine.submit(request(key(32, 16, 100 + s), 1));
-    const RequestOutcome& o = h->wait();
-    EXPECT_EQ(o.status, RequestStatus::kCompleted) << o.error;
-    retries += static_cast<std::uint64_t>(o.retries);
+  const ProblemKey k = key(32, 16, 9);
+  std::vector<ServeEngine::HandlePtr> handles;
+  for (std::uint64_t s = 1; s <= 3; ++s) {
+    handles.push_back(engine.submit(request(k, s)));
   }
-  EXPECT_GT(retries, 0u);  // the deterministic plan injects some failures
+  engine.resume();
   engine.drain();
-  const ServeReport report = engine.report();
-  EXPECT_EQ(report.completed, 6u);
-  EXPECT_EQ(report.retries, retries);
+
+  for (const ServeEngine::HandlePtr& h : handles) {
+    const RequestOutcome& o = h->wait();
+    EXPECT_EQ(o.status, RequestStatus::kFailed);
+    EXPECT_NE(o.error.find("injected factor failure"), std::string::npos)
+        << o.error;
+  }
+  EXPECT_EQ(runs.load(), 1);
+  EXPECT_EQ(engine.report().failed, handles.size());
 }
 
 TEST(ServeEngineTest, StopAnswersEveryQueuedRequest) {
