@@ -316,8 +316,16 @@ void gemmCore(Trans ta, Trans tb, index_t m, index_t n, index_t k, TAcc alpha,
 
   const index_t aStrips = mPad / MR;
   const index_t bStrips = nPad / NR;
-  const index_t mBlocks = ceilDiv(m, bl.mc);
-  const index_t nBlocks = ceilDiv(n, bl.nc);
+  // Compute tasks are row ranges of at most mc rows, so that a task's
+  // packed A stays in cache, times column ranges of at most nc columns,
+  // raised to a multiple of the pool's lanes so that the lanes share the
+  // columns evenly. A task walks its NR-column strips of C left to right,
+  // each from top to bottom over the task's rows, so in a call no taller
+  // than mc every strip runs down the whole height before the next starts.
+  const index_t rowTasks = ceilDiv(aStrips, bl.mc / MR);
+  const index_t colTasks =
+      std::min(bStrips, roundUp(ceilDiv(bStrips, bl.nc / NR),
+                                pool->laneCount()));
   const auto micro = Kernel::microFor(alpha);
 
   for (index_t k0 = 0; k0 < k; k0 += kcMax) {
@@ -341,23 +349,26 @@ void gemmCore(Trans ta, Trans tb, index_t m, index_t n, index_t k, TAcc alpha,
       }
     });
 
-    // Compute phase: 2D parallelization over (mc x nc) macro-tiles. Each
-    // C tile is owned by exactly one task per panel and panels run in
-    // ascending-k order behind a barrier, so every element's accumulation
-    // order is fixed no matter the thread count or blocking.
-    pool->parallelForChunked(0, mBlocks * nBlocks, [&](index_t lo,
-                                                       index_t hi) {
+    // Compute phase. Each C tile is owned by exactly one task per panel
+    // and panels run in ascending-k order behind a barrier, so every
+    // element's accumulation order is fixed no matter the thread count,
+    // blocking or walk.
+    pool->parallelForChunked(0, colTasks * rowTasks, [&](index_t lo,
+                                                         index_t hi) {
       for (index_t t = lo; t < hi; ++t) {
-        const index_t i0 = (t / nBlocks) * bl.mc;
-        const index_t j0 = (t % nBlocks) * bl.nc;
-        const index_t iEnd = std::min(m, i0 + bl.mc);
-        const index_t jEnd = std::min(n, j0 + bl.nc);
-        for (index_t jr = j0; jr < jEnd; jr += NR) {
+        const index_t rt = t / colTasks;
+        const index_t ct = t % colTasks;
+        const index_t s1 = bStrips * (ct + 1) / colTasks;
+        const index_t u0 = aStrips * rt / rowTasks;
+        const index_t u1 = aStrips * (rt + 1) / rowTasks;
+        for (index_t s = bStrips * ct / colTasks; s < s1; ++s) {
+          const index_t jr = s * NR;
           const index_t cols = std::min(NR, n - jr);
-          const TAcc* bp = bPack + (jr / NR) * (NR * kc);
-          for (index_t ir = i0; ir < iEnd; ir += MR) {
+          const TAcc* bp = bPack + s * (NR * kc);
+          for (index_t u = u0; u < u1; ++u) {
+            const index_t ir = u * MR;
             const index_t rows = std::min(MR, m - ir);
-            const TAcc* ap = aPack + (ir / MR) * (MR * kc);
+            const TAcc* ap = aPack + u * (MR * kc);
             TAcc* ctile = c + ir + jr * ldc;
             if (rows == MR && cols == NR) {
               micro(kc, ap, bp, ctile, ldc);

@@ -8,11 +8,14 @@
 //
 // Implementation: BLIS-style register-blocked packing GEMM. Per k panel,
 // op(A) and op(B) are packed once into zero-padded microkernel strips in a
-// persistent pool-owned arena (packed A is shared across all column blocks
-// and packed B across all row blocks — nothing is re-packed, and the hot
+// persistent pool-owned arena (packed A is shared across all column tasks
+// and packed B across all row tasks — nothing is re-packed, and the hot
 // loop never touches the allocator), then an MR x NR register-accumulator
-// microkernel sweeps (mc x nc) macro-tiles under 2D parallelism on the
-// shared ThreadPool. The packing step performs both the transposition
+// microkernel walks C one NR-column strip at a time, each strip from top
+// to bottom over up to mc rows (by default the whole height of the LU's
+// trailing updates). Parallel tasks are column ranges, as many as a
+// multiple of the lanes, within row ranges of at most mc (blas/tune.h).
+// The packing step performs both the transposition
 // and, for gemmMixed, the half->float widening, which is exactly the data
 // flow of a tensor-core MMA pipeline: FP16 operands are widened on load
 // and accumulated in FP32. The FP32-accumulate kernels run on the path the

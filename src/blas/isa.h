@@ -17,6 +17,7 @@
 // every path the host supports and memcmp the results.
 #pragma once
 
+#include "blas/trsm.h"
 #include "blas/types.h"
 #include "fp16/half.h"
 #include "util/common.h"
@@ -48,7 +49,7 @@ void transCastToHalf(Isa isa, index_t m, index_t n, const float* src,
 /// run the lane kernel, the other two run strsmUnblocked.
 void strsm(Isa isa, Side side, Uplo uplo, Diag diag, index_t m, index_t n,
            float alpha, const float* a, index_t lda, float* b, index_t ldb,
-           ThreadPool* pool);
+           ThreadPool* pool, HalfPanel half = {});
 
 /// The unblocked stripe substitution over the whole triangle, portable
 /// code on every path: the solver of the other two variants, and the lane

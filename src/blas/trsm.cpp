@@ -1,6 +1,7 @@
 #include "blas/trsm.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "blas/isa.h"
 #include "blas/trsv.h"
@@ -391,6 +392,15 @@ struct ScalarLanes {
       u += (j0 + kLaneCols) * kLaneCols;
     }
   }
+
+  /// The binary16 copy of a solved tile (laneSolve).
+  static void storeHalf(const float* slab, index_t k, index_t rows,
+                        half16* h, index_t ldh) {
+    for (index_t l = 0; l < k; ++l) {
+      detail::narrowToHalf(Isa::kScalar, rows, slab + l * kLaneRows,
+                           h + l * ldh);
+    }
+  }
 };
 
 #if HPLMXP_HAVE_AVX512
@@ -529,17 +539,59 @@ struct Avx512Lanes {
       u += (j0 + kLaneCols) * kLaneCols;
     }
   }
+
+  /// The binary16 copy of a solved tile (laneSolve). In a full tile whose
+  /// copy starts on a cache line, each slab column is one 64-byte line of
+  /// the copy, and it goes out with a non-temporal store. The copy is
+  /// written once and read only after the solve; regular stores fetched
+  /// each strided line first and evicted the triangle and slab that the
+  /// next tile reads, which cost as much as the cast pass they replace. A
+  /// column holding a NaN, a tail tile and an unaligned copy take
+  /// narrowToHalf, so every bit equals castToHalf's (blas/cast.cpp).
+  HPLMXP_AVX512 static void storeHalf(const float* slab, index_t k,
+                                      index_t rows, half16* h, index_t ldh) {
+    const bool lines = rows == kLaneRows && ldh % kLaneRows == 0 &&
+                       reinterpret_cast<std::uintptr_t>(h) % 64 == 0;
+    for (index_t l = 0; l < k; ++l) {
+      const float* src = slab + l * kLaneRows;
+      half16* dst = h + l * ldh;
+      if (lines) {
+        const __m512 lo = _mm512_load_ps(src);
+        const __m512 hi = _mm512_load_ps(src + kLaneVec);
+        if ((_mm512_cmp_ps_mask(lo, lo, _CMP_UNORD_Q) |
+             _mm512_cmp_ps_mask(hi, hi, _CMP_UNORD_Q)) == 0) {
+          // Zero-masked forms with a full mask are the plain vcvtps2ph and
+          // vinserti64x4 (see transpose16 on the unmasked intrinsics).
+          const __m512i line = _mm512_maskz_inserti64x4(
+              0xFF,
+              _mm512_castsi256_si512(_mm512_maskz_cvtps_ph(
+                  0xFFFF, lo, _MM_FROUND_TO_NEAREST_INT)),
+              _mm512_maskz_cvtps_ph(0xFFFF, hi, _MM_FROUND_TO_NEAREST_INT),
+              1);
+          _mm512_stream_si512(reinterpret_cast<__m512i*>(dst), line);
+          continue;
+        }
+      }
+      detail::narrowToHalf(Isa::kAvx512, rows, src, dst);
+    }
+    // Streamed lines are weakly ordered: fence them before the pool's
+    // join hands the copy to another thread.
+    _mm_sfence();
+  }
 };
 #endif
 
 /// Runs the (Left, Lower) or (Right, Upper) solve on lane kernel Lanes.
 /// The call leases one scratch arena: the packed triangle, which every
 /// lane reads, and one slab per lane of the pool. Each lane takes one
-/// contiguous range of tiles, so a solve is one dispatch.
+/// contiguous range of tiles, so a solve is one dispatch. A non-null h
+/// receives the binary16 copy of each solved tile in the slab's layout
+/// (h[r + l * ldh] = half16(Y(r, l))), narrowed from the slab while it is
+/// still in L1.
 template <typename Lanes>
 void laneSolve(Side side, Diag diag, index_t m, index_t n, float alpha,
-               const float* a, index_t lda, float* b, index_t ldb,
-               ThreadPool* pool) {
+               const float* a, index_t lda, float* b, index_t ldb, half16* h,
+               index_t ldh, ThreadPool* pool) {
   const bool left = side == Side::kLeft;
   const index_t k = left ? m : n;       // order of the triangle
   const index_t solves = left ? n : m;  // independent rows of Y
@@ -578,6 +630,9 @@ void laneSolve(Side side, Diag diag, index_t m, index_t n, float alpha,
               Lanes::solve(diag, kPad, u, slab);
               scatterRows(slab, k, rows, b + r0, ldb);
             }
+            if (h != nullptr) {
+              Lanes::storeHalf(slab, k, rows, h + r0, ldh);
+            }
           }
         }
       },
@@ -588,9 +643,13 @@ void laneSolve(Side side, Diag diag, index_t m, index_t n, float alpha,
 
 void detail::strsm(Isa isa, Side side, Uplo uplo, Diag diag, index_t m,
                    index_t n, float alpha, const float* a, index_t lda,
-                   float* b, index_t ldb, ThreadPool* pool) {
-  const bool panel = (side == Side::kLeft && uplo == Uplo::kLower) ||
-                     (side == Side::kRight && uplo == Uplo::kUpper);
+                   float* b, index_t ldb, ThreadPool* pool, HalfPanel half) {
+  const bool left = side == Side::kLeft;
+  const bool panel = (left && uplo == Uplo::kLower) ||
+                     (!left && uplo == Uplo::kUpper);
+  HPLMXP_REQUIRE(half.data == nullptr || (panel && half.transposed == left),
+                 "trsm: a binary16 copy needs (Left, Lower) transposed or "
+                 "(Right, Upper) not transposed");
   if (!panel) {
     strsmUnblocked(side, uplo, diag, m, n, alpha, a, lda, b, ldb, pool);
     return;
@@ -599,18 +658,22 @@ void detail::strsm(Isa isa, Side side, Uplo uplo, Diag diag, index_t m,
   if (m == 0 || n == 0) {
     return;
   }
-  HPLMXP_REQUIRE(lda >= (side == Side::kLeft ? m : n), "trsm: lda too small");
+  HPLMXP_REQUIRE(lda >= (left ? m : n), "trsm: lda too small");
   HPLMXP_REQUIRE(ldb >= m, "trsm: ldb too small");
+  HPLMXP_REQUIRE(half.data == nullptr || half.ld >= (left ? n : m),
+                 "trsm: binary16 ld too small");
   if (pool == nullptr) {
     pool = &ThreadPool::global();
   }
 #if HPLMXP_HAVE_AVX512
   if (isa == Isa::kAvx512) {
-    laneSolve<Avx512Lanes>(side, diag, m, n, alpha, a, lda, b, ldb, pool);
+    laneSolve<Avx512Lanes>(side, diag, m, n, alpha, a, lda, b, ldb,
+                           half.data, half.ld, pool);
     return;
   }
 #endif
-  laneSolve<ScalarLanes>(side, diag, m, n, alpha, a, lda, b, ldb, pool);
+  laneSolve<ScalarLanes>(side, diag, m, n, alpha, a, lda, b, ldb, half.data,
+                         half.ld, pool);
 }
 
 void detail::strsmUnblocked(Side side, Uplo uplo, Diag diag, index_t m,
@@ -623,9 +686,9 @@ void detail::strsmUnblocked(Side side, Uplo uplo, Diag diag, index_t m,
 
 void strsm(Side side, Uplo uplo, Diag diag, index_t m, index_t n, float alpha,
            const float* a, index_t lda, float* b, index_t ldb,
-           ThreadPool* pool) {
+           ThreadPool* pool, HalfPanel half) {
   detail::strsm(hostIsa(), side, uplo, diag, m, n, alpha, a, lda, b, ldb,
-                pool);
+                pool, half);
 }
 
 void dtrsm(Side side, Uplo uplo, Diag diag, index_t m, index_t n, double alpha,

@@ -19,19 +19,41 @@
 // dtrsm, run the stripe substitution over the whole triangle. Both are
 // parallelized over right-hand-side columns (kLeft) or rows (kRight); the
 // lane kernel gives each lane of the pool one range of tiles.
+//
+// The lane kernel can also store the binary16 copy of X that the trailing
+// GEMM reads (Algorithm 1's CAST and TRANS_CAST): it narrows each solved
+// tile from its slab right after writing the tile back, so no second pass
+// reads the panel. The slab holds X for (Right, Upper) and X^T for (Left,
+// Lower), which are the layouts CAST and TRANS_CAST write, so neither
+// store transposes. The copy rounds the float that lands in B, to nearest
+// even with NaN as sign|0x7E00, so it equals castToHalf/transCastToHalf
+// of the result bit for bit (blas/cast.h).
 #pragma once
 
 #include "blas/types.h"
+#include "fp16/half.h"
 #include "util/common.h"
 #include "util/thread_pool.h"
 
 namespace hplmxp::blas {
 
+/// An optional binary16 destination for a panel solve's result X:
+/// data(i, j) = half16(X(i, j)), or data(j, i) when `transposed`, with
+/// leading dimension ld. Only the layout the lane kernel holds is
+/// accepted: `transposed` for (Left, Lower), not for (Right, Upper).
+struct HalfPanel {
+  half16* data = nullptr;
+  index_t ld = 0;
+  bool transposed = false;
+};
+
 /// FP32 TRSM (no transpose of the triangular factor; both side/uplo/diag
-/// combinations used by HPL-AI and their mirrors are supported).
+/// combinations used by HPL-AI and their mirrors are supported). A
+/// non-null half.data also stores X in binary16 (HalfPanel); the two panel
+/// variants, (Left, Lower) and (Right, Upper), take one.
 void strsm(Side side, Uplo uplo, Diag diag, index_t m, index_t n, float alpha,
            const float* a, index_t lda, float* b, index_t ldb,
-           ThreadPool* pool = nullptr);
+           ThreadPool* pool = nullptr, HalfPanel half = {});
 
 /// FP64 TRSM for the HPL comparison path.
 void dtrsm(Side side, Uplo uplo, Diag diag, index_t m, index_t n, double alpha,

@@ -1,13 +1,13 @@
-// Tunable macro-tile blocking of the packed GEMM kernel.
+// Tunable blocking of the packed GEMM kernel.
 //
 // The microkernel shape (MR x NR register accumulators) is fixed per
-// kernel path (blas/isa.h) at compile time; the macro blocking (mc, nc, kc)
-// only moves work between cache levels and parallel tasks. Changing it
-// NEVER changes results: the kernel accumulates each C element in
-// ascending-k order regardless of the blocking, which is what the
-// look-ahead equivalence suite relies on. The autotuner
-// (perfmodel/autotune.h) sweeps candidate blockings on the host and
-// installs the fastest via setGemmBlocking().
+// kernel path (blas/isa.h) at compile time; the blocking (mc, nc, kc) only
+// sets the depth of a packed panel and how the columns and rows of C are
+// cut into parallel tasks. Changing it NEVER changes results: the kernel
+// accumulates each C element in ascending-k order regardless of the
+// blocking, which is what the look-ahead equivalence suite relies on. The
+// autotuner (perfmodel/autotune.h) sweeps candidate blockings on the host
+// and installs the fastest via setGemmBlocking().
 #pragma once
 
 #include "blas/isa.h"
@@ -40,12 +40,21 @@ inline constexpr GemmTile kAvx512GemmTile{32, 8};
   return isa == Isa::kAvx512 ? kAvx512GemmTile : kScalarGemmTile;
 }
 
-/// Cache/task blocking of the packed GEMM. mc rows x nc cols define one
-/// macro-tile task of the 2D parallel decomposition; kc is the packed
-/// panel depth. Each kernel rounds mc and nc up to its own MR and NR on
-/// use.
+/// Task and panel blocking of the packed GEMM (blas/gemm.cpp).
+///   * kc is the depth of a packed k panel.
+///   * mc is the tallest row range a task walks: a packed A block of mc
+///     rows (mc x kc floats, 1 MiB by default) stays in a core's L2 while
+///     the task's strips stream past it. The default, 1024, keeps the
+///     LU's trailing updates of a 2048-order solve on a 2x1 grid, and
+///     every serve factorization, to one pass down the whole height.
+///   * nc is the widest column range a task walks. A call's columns are
+///     cut into ceil(n / nc) ranges, raised to a multiple of the pool's
+///     lanes so that the lanes share them evenly.
+/// A task walks its NR-column strips of C left to right, each from top to
+/// bottom over its rows. With one lane, nc does not change the walk. Each
+/// kernel rounds mc and nc up to its own MR and NR on use.
 struct GemmBlocking {
-  index_t mc = 120;
+  index_t mc = 1024;
   index_t nc = 240;
   index_t kc = 256;
 };

@@ -161,8 +161,9 @@ struct IterationTrace {
   index_t k = 0;             // iteration (block step)
   index_t trailingBlocks = 0;  // remaining trailing extent in blocks
   double diagSeconds = 0.0;    // GETRF + diag broadcast
-  double trsmSeconds = 0.0;    // panel solves
-  double castSeconds = 0.0;    // CAST / TRANS_CAST
+  double trsmSeconds = 0.0;    // panel solves, with their FP16 stores
+  double castSeconds = 0.0;    // a separate CAST / TRANS_CAST pass; DistLU
+                               // has none (the TRSM stores), so it is 0
   double bcastSeconds = 0.0;   // panel broadcasts (includes wait time)
   double gemmSeconds = 0.0;    // trailing update (look-ahead: strips + bulk)
   index_t abftEvents = 0;      // ABFT corrections applied this step (rank 0)

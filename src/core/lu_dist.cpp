@@ -239,22 +239,21 @@ void DistLU::panelsPhase(const StepGeom& g, int bufIdx, float* localA,
   }
 
   // ---- (1b) Panel Update ------------------------------------------------
-  // U row panel: grid row pir solves L11 * U(k, k+1:) = A(k, k+1:).
+  // Each solve also stores its FP16 panel (CAST / TRANS_CAST), so the cast
+  // is timed as TRSM.
+  // U row panel: grid row pir solves L11 * U(k, k+1:) = A(k, k+1:) and
+  // stores U^T.
   if (g.ownRow && g.w > 0) {
     t.reset();
     float* panel = localA + g.lkRow * b + g.jStartBlk * b * lda;
     shim_.trsm(blas::Side::kLeft, blas::Uplo::kLower, blas::Diag::kUnit, b,
-               g.w, 1.0f, diagBuf_.data(), b, panel, lda);
+               g.w, 1.0f, diagBuf_.data(), b, panel, lda,
+               {uHalf_[bufIdx].data(), g.w, /*transposed=*/true});
     if (recovery_ != nullptr) {
       recovery_->dirtyMap().markRect(g.lkRow, g.jStartBlk, 1, g.w / b);
     }
     if (trace != nullptr) {
       trace->trsmSeconds += t.seconds();
-    }
-    t.reset();
-    blas::transCastToHalf(b, g.w, panel, lda, uHalf_[bufIdx].data(), g.w);
-    if (trace != nullptr) {
-      trace->castSeconds += t.seconds();
     }
   }
   // L column panel: grid column pic solves L(k+1:, k) * U11 = A(k+1:, k).
@@ -262,17 +261,13 @@ void DistLU::panelsPhase(const StepGeom& g, int bufIdx, float* localA,
     t.reset();
     float* panel = localA + g.iStartBlk * b + g.lkCol * b * lda;
     shim_.trsm(blas::Side::kRight, blas::Uplo::kUpper, blas::Diag::kNonUnit,
-               g.h, b, 1.0f, diagBuf_.data(), b, panel, lda);
+               g.h, b, 1.0f, diagBuf_.data(), b, panel, lda,
+               {lHalf_[bufIdx].data(), g.h, /*transposed=*/false});
     if (recovery_ != nullptr) {
       recovery_->dirtyMap().markRect(g.iStartBlk, g.lkCol, g.h / b, 1);
     }
     if (trace != nullptr) {
       trace->trsmSeconds += t.seconds();
-    }
-    t.reset();
-    blas::castToHalf(g.h, b, panel, lda, lHalf_[bufIdx].data(), g.h);
-    if (trace != nullptr) {
-      trace->castSeconds += t.seconds();
     }
   }
 

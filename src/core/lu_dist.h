@@ -7,10 +7,13 @@
 //        process column.
 //   (1b) Panel Update: grid row k%Pr solves the U row panel with
 //        TRSM_L_LOW; grid column k%Pc solves the L column panel with
-//        TRSM_R_UP (both FP32). L is CAST to FP16; U is TRANS_CAST
-//        (transpose + cast) so the trailing GEMM reads both panels with a
-//        uniform fast layout. Panels are broadcast along columns/rows with
-//        the configured strategy (Bcast/IBcast/Ring1/Ring1M/Ring2M).
+//        TRSM_R_UP (both FP32). Each solve also writes its FP16 panel as
+//        it writes the FP32 result back (blas::HalfPanel): L as CAST
+//        stores it, U transposed as TRANS_CAST stores it, so the trailing
+//        GEMM reads both panels with a uniform fast layout and no pass
+//        reads a panel again to narrow it. The cast is therefore timed as
+//        TRSM. Panels are broadcast along columns/rows with the configured
+//        strategy (Bcast/IBcast/Ring1/Ring1M/Ring2M).
 //   (1c) Update Trailing Matrix: mixed-precision GEMM
 //        A22 -= L21 * U12 with FP16 operands and FP32 accumulation.
 //

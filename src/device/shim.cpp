@@ -37,9 +37,10 @@ void BlasShim::gemmEx(blas::Trans ta, blas::Trans tb, index_t m, index_t n,
 
 void BlasShim::trsm(blas::Side side, blas::Uplo uplo, blas::Diag diag,
                     index_t m, index_t n, float alpha, const float* a,
-                    index_t lda, float* b, index_t ldb) {
+                    index_t lda, float* b, index_t ldb,
+                    blas::HalfPanel half) {
   ++counts_.trsm;
-  blas::strsm(side, uplo, diag, m, n, alpha, a, lda, b, ldb, pool_);
+  blas::strsm(side, uplo, diag, m, n, alpha, a, lda, b, ldb, pool_, half);
 }
 
 std::size_t BlasShim::getrfBufferSize(index_t n, index_t lda) {

@@ -56,7 +56,7 @@ class BlasShim {
   }
 
   /// One-line description of the active kernel configuration, e.g.
-  /// "isa=avx512 mr=32 nr=8 mc=128 nc=240 kc=256" (the kernel path chosen
+  /// "isa=avx512 mr=32 nr=8 mc=1024 nc=240 kc=256" (the kernel path chosen
   /// from CPUID, its FP32 microkernel shape, and the macro blocking).
   /// Benches print this next to the vendor routine names so runs record
   /// which tuning they measured.
@@ -80,10 +80,12 @@ class BlasShim {
                          ldc, pool_);
   }
 
-  /// FP32 TRSM (cublasStrsm / rocblas_strsm).
+  /// FP32 TRSM (cublasStrsm / rocblas_strsm). A non-null half.data also
+  /// receives X in binary16 (blas::HalfPanel): the panel solves store the
+  /// FP16 panels the trailing GEMM reads, with no separate cast pass.
   void trsm(blas::Side side, blas::Uplo uplo, blas::Diag diag, index_t m,
             index_t n, float alpha, const float* a, index_t lda, float* b,
-            index_t ldb);
+            index_t ldb, blas::HalfPanel half = {});
 
   /// Workspace query required by the cuSOLVER protocol. On the NVIDIA
   /// backend getrf() throws unless the matching bufferSize call was made

@@ -108,6 +108,10 @@ void ServeWorkload::fireHedge(Simulator& sim, index_t traceIndex,
   if (it == unanswered_.end()) {
     return;  // answered in time: the hedge is moot
   }
+  const double deadline = it->second.deadlineSeconds;
+  if (deadline > 0.0 && now >= deadline) {
+    return;  // past the request's deadline: a copy could only be rejected
+  }
   if (!hedge_.admit(now)) {
     ++stats_.hedgeDenied;
     return;

@@ -75,11 +75,12 @@ GemmTuneResult autotuneGemmBlocking(index_t n, ThreadPool* pool, int reps) {
   result.blocking = saved;
   result.gflops = result.baseline;
 
-  // The grid spans cache-residency regimes: small mc/kc keeps the A strip
-  // in L1/L2, large nc amortizes packing. Candidates larger than the
-  // problem collapse to a single macro tile, which is still a valid
-  // (and often winning) configuration at small n.
-  constexpr index_t kMcGrid[] = {72, 120, 240};
+  // The grid spans cache-residency regimes: mc x kc sets the packed A
+  // block a task keeps in L2 while its strips stream past, and nc the
+  // width of a column task. Candidates larger than the problem collapse
+  // to one row range, each strip walked down the whole height, which is
+  // still a valid (and often winning) configuration at small n.
+  constexpr index_t kMcGrid[] = {256, 1024, 4096};
   constexpr index_t kNcGrid[] = {96, 240, 480};
   constexpr index_t kKcGrid[] = {128, 256, 512};
   for (index_t mc : kMcGrid) {

@@ -705,6 +705,82 @@ INSTANTIATE_TEST_SUITE_P(Paths, GemmExactProductTest,
                            return std::string(isaName(p.param));
                          });
 
+// ---------------------------------------------------------------------------
+// The LU's trailing updates (core/lu_dist.cpp): C -= L * U^T with binary16
+// panels and k = B = 128, at the shapes of an N=2048, B=128 solve on a 2x1
+// grid: a rank's trailing matrix, the next step's, and the look-ahead
+// column and row strips, with padded leading dimensions. Pools of 1, 2 and
+// 3 lanes and the default, a tiny and a one-task blocking walk C in
+// different orders (blas/tune.h); every result must equal the one-lane
+// default walk and the order-exact oracle bit for bit, on every path.
+// ---------------------------------------------------------------------------
+
+class GemmLuShapeTest : public ::testing::TestWithParam<Isa> {
+ protected:
+  void SetUp() override {
+    if (!isaSupported(GetParam())) {
+      GTEST_SKIP() << "this host's CPU lacks AVX-512F+F16C, so the "
+                   << isaName(GetParam()) << " kernels cannot run";
+    }
+  }
+};
+
+TEST_P(GemmLuShapeTest, EveryWalkMatchesOneLaneAndOracleBitwise) {
+  const Isa isa = GetParam();
+  BlockingGuard guard;
+  ThreadPool one(1);
+  ThreadPool two(2);
+  ThreadPool three(3);
+  const index_t k = 128;
+  const index_t ldc = 1024 + 7;
+  unsigned seed = 900;
+  for (const auto& [m, n] : {std::pair<index_t, index_t>{1024, 1920},
+                             std::pair<index_t, index_t>{896, 1792},
+                             std::pair<index_t, index_t>{896, 128},
+                             std::pair<index_t, index_t>{128, 1792}}) {
+    const index_t lda = m + 2;
+    const index_t ldb = n + 5;
+    const auto a =
+        roundVec<half16>(randomVec(static_cast<std::size_t>(lda * k), ++seed));
+    const auto b =
+        roundVec<half16>(randomVec(static_cast<std::size_t>(ldb * k), ++seed));
+    const auto c0 = randomVec(static_cast<std::size_t>(ldc * n), ++seed);
+    auto oracle = c0;
+    blas::ref::gemmLowpOrderExact<half16>(Trans::kNoTrans, Trans::kTrans, m,
+                                          n, k, -1.0f, a.data(), lda,
+                                          b.data(), ldb, 1.0f, oracle.data(),
+                                          ldc);
+    std::vector<float> oneLaneDefault;
+    for (const blas::GemmBlocking bl :
+         {blas::GemmBlocking{}, blas::GemmBlocking{8, 6, 16},
+          blas::GemmBlocking{2048, 2048, 256}}) {
+      blas::setGemmBlocking(bl);
+      for (ThreadPool* pool : {&one, &two, &three}) {
+        auto c = c0;
+        blas::detail::gemm<half16>(isa, Trans::kNoTrans, Trans::kTrans, m, n,
+                                   k, -1.0f, a.data(), lda, b.data(), ldb,
+                                   1.0f, c.data(), ldc, pool);
+        if (oneLaneDefault.empty()) {
+          oneLaneDefault = c;
+        }
+        const std::size_t bytes = c.size() * sizeof(float);
+        EXPECT_EQ(0, std::memcmp(c.data(), oneLaneDefault.data(), bytes))
+            << "m=" << m << " n=" << n << " mc=" << bl.mc << " nc=" << bl.nc
+            << " kc=" << bl.kc << " lanes=" << pool->laneCount();
+        EXPECT_EQ(0, std::memcmp(c.data(), oracle.data(), bytes))
+            << "m=" << m << " n=" << n << " mc=" << bl.mc << " nc=" << bl.nc
+            << " kc=" << bl.kc << " lanes=" << pool->laneCount();
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Paths, GemmLuShapeTest,
+                         ::testing::Values(Isa::kScalar, Isa::kAvx512),
+                         [](const ::testing::TestParamInfo<Isa>& p) {
+                           return std::string(isaName(p.param));
+                         });
+
 TEST(GemmTune, BlockingIsRoundedToTheHostTile) {
   BlockingGuard guard;
   const blas::GemmTile tile = blas::gemmTile(hostIsa());

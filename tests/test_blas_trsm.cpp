@@ -2,13 +2,19 @@
 // (op(A) * X == alpha * B), over all side/uplo/diag combinations.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <ostream>
 #include <random>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "blas/cast.h"
 #include "blas/gemm.h"
 #include "blas/isa.h"
 #include "blas/reference.h"
@@ -261,6 +267,143 @@ TEST_P(TrsmIsaTest, LaneKernelMatchesUnblockedBitwise) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The binary16 copy the panel solves store (blas::HalfPanel), against CAST
+// and TRANS_CAST of the FP32 result, on every kernel path: memcmp, not
+// tolerances. The FP32 result must not change either. The extents leave
+// tail tiles (solve counts that are not a multiple of 32) and triangle
+// orders that are not a multiple of 16; B has a padded leading dimension.
+// The copy starts on a cache line with a leading dimension of whole lines
+// (the streamed stores) or one element past one, and a guard band after
+// it must stay untouched. The second pass solves against the identity, so
+// B passes through: it holds entries that narrow to +-0, to binary16
+// subnormals and to +-Inf, and +-Inf and NaNs in the last column the
+// solve writes, which no other value reads.
+// ---------------------------------------------------------------------------
+
+TEST_P(TrsmIsaTest, FusedHalfPanelMatchesCastBitwise) {
+  const Isa isa = GetParam();
+  ThreadPool one(1);
+  ThreadPool three(3);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float narrowing[] = {0.0f,     -0.0f,    1e-9f,    -1e-9f,
+                             3e-6f,    -6e-8f,   6.1e-5f,  1e5f,
+                             -65520.0f, 65504.0f, 0.333f, -2.5f};
+  const float lastOnly[] = {inf, -inf, std::numeric_limits<float>::quiet_NaN(),
+                            std::bit_cast<float>(0xFF812345u)};
+  const half16 sentinel = half16::fromBits(0x5A5A);
+  const index_t guard = 64;
+  for (const auto& [side, uplo, diag] :
+       {std::tuple{Side::kLeft, Uplo::kLower, Diag::kUnit},
+        std::tuple{Side::kRight, Uplo::kUpper, Diag::kNonUnit}}) {
+    const bool left = side == Side::kLeft;
+    for (const bool identity : {false, true}) {
+      for (const index_t order : {1, 15, 17, 33, 128}) {
+        for (const index_t solves : {1, 31, 32, 33, 70, 96}) {
+          const index_t m = left ? order : solves;
+          const index_t n = left ? solves : order;
+          std::vector<float> a(static_cast<std::size_t>(order * order), 0.0f);
+          if (identity) {
+            for (index_t i = 0; i < order; ++i) {
+              a[static_cast<std::size_t>(i + i * order)] = 1.0f;
+            }
+          } else {
+            a = triangularMatrix(order, uplo, diag,
+                                 static_cast<unsigned>(order * 13 + solves));
+          }
+          const index_t ldb = m + 3;
+          std::mt19937 rng(static_cast<unsigned>(order * 31 + solves));
+          std::uniform_real_distribution<float> d(-1.0f, 1.0f);
+          std::vector<float> rhs(static_cast<std::size_t>(ldb * n));
+          for (auto& v : rhs) {
+            v = d(rng);
+          }
+          if (identity) {
+            for (std::size_t i = 0; i < rhs.size(); i += 3) {
+              rhs[i] = narrowing[(i / 3) % std::size(narrowing)];
+            }
+            // The last column of the solve: row m-1 of B (Left) or column
+            // n-1 (Right).
+            for (index_t r = 0; r < solves; r += 2) {
+              const index_t at = left ? (m - 1) + r * ldb : r + (n - 1) * ldb;
+              rhs[static_cast<std::size_t>(at)] =
+                  lastOnly[static_cast<std::size_t>(r / 2) %
+                           std::size(lastOnly)];
+            }
+          }
+          auto want = rhs;
+          blas::detail::strsm(isa, side, uplo, diag, m, n, 1.0f, a.data(),
+                              order, want.data(), ldb, &one);
+          for (const index_t ld : {solves, roundUp(solves, 32) + 32}) {
+            const auto count = static_cast<std::size_t>(ld * order + guard);
+            std::vector<half16> refStore(count + 64, sentinel);
+            std::vector<half16> gotStore(count + 64, sentinel);
+            for (const index_t offset : {0, 1}) {
+              // 64-byte aligned plus `offset` elements.
+              const auto align = [&](std::vector<half16>& v) {
+                const auto addr = reinterpret_cast<std::uintptr_t>(v.data());
+                return v.data() + (64 - addr % 64) % 64 / 2 + offset;
+              };
+              half16* ref = align(refStore);
+              std::fill(refStore.begin(), refStore.end(), sentinel);
+              if (left) {
+                blas::transCastToHalf(m, n, want.data(), ldb, ref, ld);
+              } else {
+                blas::castToHalf(m, n, want.data(), ldb, ref, ld);
+              }
+              for (ThreadPool* pool : {&one, &three}) {
+                half16* got = align(gotStore);
+                std::fill(gotStore.begin(), gotStore.end(), sentinel);
+                auto b = rhs;
+                blas::detail::strsm(isa, side, uplo, diag, m, n, 1.0f,
+                                    a.data(), order, b.data(), ldb, pool,
+                                    {got, ld, /*transposed=*/left});
+                EXPECT_EQ(0, std::memcmp(b.data(), want.data(),
+                                         b.size() * sizeof(float)))
+                    << "fp32 side=" << static_cast<int>(side)
+                    << " identity=" << identity << " order=" << order
+                    << " solves=" << solves << " ld=" << ld
+                    << " offset=" << offset
+                    << " pool=" << pool->laneCount();
+                EXPECT_EQ(0, std::memcmp(got, ref, count * sizeof(half16)))
+                    << "fp16 side=" << static_cast<int>(side)
+                    << " identity=" << identity << " order=" << order
+                    << " solves=" << solves << " ld=" << ld
+                    << " offset=" << offset
+                    << " pool=" << pool->laneCount();
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Trsm, HalfPanelNeedsTheLaneKernelsLayout) {
+  std::vector<float> a(16, 1.0f);
+  std::vector<float> b(16, 1.0f);
+  std::vector<half16> h(16);
+  // (Left, Lower) holds X^T and (Right, Upper) holds X; the other two
+  // variants run no lane kernel.
+  EXPECT_THROW(blas::strsm(Side::kLeft, Uplo::kLower, Diag::kUnit, 4, 4, 1.0f,
+                           a.data(), 4, b.data(), 4, nullptr,
+                           {h.data(), 4, /*transposed=*/false}),
+               CheckError);
+  EXPECT_THROW(blas::strsm(Side::kRight, Uplo::kUpper, Diag::kUnit, 4, 4,
+                           1.0f, a.data(), 4, b.data(), 4, nullptr,
+                           {h.data(), 4, /*transposed=*/true}),
+               CheckError);
+  EXPECT_THROW(blas::strsm(Side::kLeft, Uplo::kUpper, Diag::kUnit, 4, 4, 1.0f,
+                           a.data(), 4, b.data(), 4, nullptr,
+                           {h.data(), 4, /*transposed=*/true}),
+               CheckError);
+  EXPECT_THROW(blas::strsm(Side::kRight, Uplo::kUpper, Diag::kUnit, 4, 4,
+                           1.0f, a.data(), 4, b.data(), 4, nullptr,
+                           {h.data(), 3, /*transposed=*/false}),
+               CheckError);
 }
 
 INSTANTIATE_TEST_SUITE_P(Paths, TrsmIsaTest,

@@ -313,6 +313,39 @@ TEST(ServeWorkloadTest, DeadlinesRejectLateRequests) {
   EXPECT_TRUE(session.serve()->done());
 }
 
+TEST(ServeWorkloadTest, HedgeIsNotSentPastTheRequestDeadline) {
+  // Each request is a cold solve (a 64^3 factorization at 0.01 GFLOP/s,
+  // about 17 ms) that is still running when its hedge fires, 2 ms after
+  // routing. The first request's 1 ms deadline has passed by then, so its
+  // hedge is not sent: as in the live fleet (FleetEngine::fireHedge), it
+  // takes no token and counts as neither issued nor denied. The bucket
+  // holds one token, which the second request, with no deadline, gets.
+  FleetSimConfig cfg = serveConfig(2, 2, 50.0, 2);
+  cfg.serve.hostGflops = 0.01;
+  cfg.serve.hedgeEnabled = true;
+  cfg.serve.hedgeDelayFactor = 0.0;
+  cfg.serve.hedgeMinDelayMs = 2.0;
+  cfg.serve.hedgeBudgetPerSecond = 1e-3;
+  cfg.serve.hedgeBudgetBurst = 1.0;
+  serve::TraceRequest late;
+  late.n = 64;
+  late.b = 16;
+  late.seed = 1;
+  late.deadlineMs = 1.0;
+  serve::TraceRequest open = late;
+  open.seed = 2;
+  open.atMs = 50.0;
+  open.deadlineMs = 0.0;
+  cfg.serve.trace.requests = {late, open};
+  FleetSession session(cfg);
+  session.sim().run();
+  const ServeStats& stats = session.serve()->stats();
+  EXPECT_EQ(stats.submitted, 2u);
+  EXPECT_EQ(stats.hedgesIssued, 1u);
+  EXPECT_EQ(stats.hedgeDenied, 0u);
+  EXPECT_TRUE(session.serve()->done());
+}
+
 /// The shard one-key traffic lands on (every request shares the key).
 index_t hotShard(const FleetSimConfig& cfg) {
   FleetSession probe(cfg);

@@ -16,6 +16,7 @@
 #include "blas/blas.h"
 #include "fp16/half.h"
 #include "util/arena.h"
+#include "util/buffer.h"
 #include "util/thread_pool.h"
 
 namespace {
@@ -136,6 +137,48 @@ TEST(GemmAlloc, SteadyStateKernelsPerformZeroAllocations) {
       << "steady-state GEMM/GEMV/TRSM must not touch the heap (pack "
          "buffers and TRSM slabs live in pool-owned arenas, helper tasks "
          "in fixed job slots)";
+}
+
+TEST(GemmAlloc, FusedPanelSolvesPerformZeroAllocations) {
+  // The LU's two panel solves as DistLU::panelsPhase runs them, each also
+  // storing its binary16 panel (blas::HalfPanel). The copies are aligned
+  // with whole-line leading dimensions, so full tiles take the streamed
+  // stores and the tail tile the other path.
+  ThreadPool pool(3);
+  const index_t b = 128;
+  const index_t n = 176;
+  std::vector<float> tri(static_cast<std::size_t>(b * b), 1.0f / 1024);
+  for (index_t i = 0; i < b; ++i) {
+    tri[static_cast<std::size_t>(i + i * b)] = 2.0f;
+  }
+  std::vector<float> uPanel(static_cast<std::size_t>(b * n), 1.0f);
+  std::vector<float> lPanel(static_cast<std::size_t>(n * b), 1.0f);
+  const index_t ld = 192;
+  Buffer<half16> uHalf(ld * b);
+  Buffer<half16> lHalf(ld * b);
+
+  auto runBoth = [&] {
+    blas::strsm(blas::Side::kLeft, blas::Uplo::kLower, blas::Diag::kUnit, b,
+                n, 1.0f, tri.data(), b, uPanel.data(), b, &pool,
+                {uHalf.data(), ld, /*transposed=*/true});
+    blas::strsm(blas::Side::kRight, blas::Uplo::kUpper, blas::Diag::kNonUnit,
+                n, b, 1.0f, tri.data(), b, lPanel.data(), n, &pool,
+                {lHalf.data(), ld, /*transposed=*/false});
+  };
+  for (int i = 0; i < 3; ++i) {
+    runBoth();
+  }
+
+  long long delta = 0;
+  {
+    TrackScope scope;
+    const long long before = TrackScope::count();
+    for (int i = 0; i < 10; ++i) {
+      runBoth();
+    }
+    delta = TrackScope::count() - before;
+  }
+  EXPECT_EQ(delta, 0) << "the fused binary16 store must not touch the heap";
 }
 
 TEST(GemmAlloc, ArenaStopsGrowingAfterWarmup) {
