@@ -837,7 +837,6 @@ int cmdServe(const Options& raw) {
   scfg.maxBatch = opts.getInt("serve.batch", 8);
   scfg.defaultDeadlineSeconds =
       opts.getDouble("serve.deadline-ms", 0.0) * 1e-3;
-  scfg.workers = opts.getInt("serve.workers", 1);
   scfg.maxIrIterations = opts.getInt("max-ir", 50);
   scfg.vendor = opts.getString("vendor", "amd") == "nvidia" ? Vendor::kNvidia
                                                             : Vendor::kAmd;
@@ -905,19 +904,18 @@ int cmdServe(const Options& raw) {
   warnUnused(opts);
 
   std::printf("hplmxp serve: trace=%s requests=%zu shards=%lld "
-              "workers=%lld batch=%lld queue=%lld\n",
+              "batch=%lld queue=%lld\n",
               trace.name.c_str(), trace.requests.size(),
               (long long)(shards > 1 ? shards : 1),
-              (long long)scfg.workers, (long long)scfg.maxBatch,
-              (long long)scfg.queueDepth);
+              (long long)scfg.maxBatch, (long long)scfg.queueDepth);
 
   const Vendor vendor = scfg.vendor;
   const index_t maxIr = scfg.maxIrIterations;
 
   // Bitwise spot-check: completed requests must match an independent
-  // factor + single-RHS refinement of the same (key, rhs seed). Works on
-  // both handle flavors (engine and fleet expose wait()/solution()).
-  const auto verifyServed = [&](const auto& handles) -> int {
+  // factor + single-RHS refinement of the same (key, rhs seed).
+  using Served = std::vector<std::pair<serve::SolveRequest, serve::HandlePtr>>;
+  const auto verifyServed = [&](const Served& handles) -> int {
     if (verifyCount <= 0) {
       return 0;
     }
@@ -958,8 +956,7 @@ int cmdServe(const Options& raw) {
   if (shards > 1) {
     fcfg.shard = std::move(scfg);
     serve::FleetEngine fleet(std::move(fcfg));
-    std::vector<std::pair<serve::SolveRequest,
-                          serve::FleetEngine::HandlePtr>> handles;
+    Served handles;
     handles.reserve(trace.requests.size());
     Timer replay;
     index_t i = 0;
@@ -1009,8 +1006,7 @@ int cmdServe(const Options& raw) {
 
   // Open-loop replay: arrivals follow the trace clock (divided by
   // --speedup), regardless of how far the engine has gotten.
-  std::vector<std::pair<serve::SolveRequest, serve::ServeEngine::HandlePtr>>
-      handles;
+  Served handles;
   handles.reserve(trace.requests.size());
   Timer replay;
   for (const serve::TraceRequest& tr : trace.requests) {
@@ -1270,7 +1266,7 @@ std::string usage() {
       "           (--trace FILE | --requests --keys --gap-ms --n --b --seed\n"
       "            --speedup X --json FILE --verify N --max-ir\n"
       "            --serve.cache-mb --serve.queue-depth --serve.batch\n"
-      "            --serve.deadline-ms --serve.workers\n"
+      "            --serve.deadline-ms\n"
       "            sharded fleet: --shards N\n"
       "            --serve.shards.virtual-nodes\n"
       "            --serve.shards.failover-limit\n"

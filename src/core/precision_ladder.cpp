@@ -280,7 +280,7 @@ LadderResult solveLadderSingle(const ProblemGenerator& gen, index_t b,
   LadderResult result;
   result.n = gen.n();
   result.b = b;
-  result.probe = probeConditioning(gen, policy.probeRows);
+  result.probe = probeConditioning(gen, LadderPolicy::kProbeRows);
 
   LadderChoice choice = chooseRung(result.probe);
   if (policy.forcedStart.has_value()) {

@@ -65,7 +65,8 @@ struct LadderChoice {
 /// Controller knobs (conf/CLI keys: precision, max-ir, gmres,
 /// gmres-restart, gmres-outer — see doc/PRECISION.md).
 struct LadderPolicy {
-  index_t probeRows = 8;
+  /// Rows the conditioning probe samples.
+  static constexpr index_t kProbeRows = 8;
   /// IR budget per rung; past it an unconverged rung escalates.
   index_t maxIrIterationsPerRung = 25;
   /// Allow the top-rung GMRES-IR fallback.

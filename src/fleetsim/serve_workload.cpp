@@ -228,9 +228,9 @@ void ServeWorkload::startNextBatch(Simulator& sim, index_t shardIndex) {
     }
   }
 
-  // One cache lookup per dispatched batch — the single-flight contract's
-  // accounting shape (hits + misses == lookups; a coalesced batch costs
-  // at most one factorization).
+  // One cache lookup per dispatched batch, as the live engine's worker
+  // makes (hits + misses == lookups; a batch costs at most one
+  // factorization).
   const index_t keyIndex = batch.keyIndex;
   const serve::TraceRequest& proto =
       traceRequest(batch.requests.front().traceIndex);
@@ -299,6 +299,13 @@ void ServeWorkload::failOver(Simulator& sim, PendingRequest req,
   const double now = sim.now();
   const bool retry = !req.hedgeCopy && unanswered_.contains(req.traceIndex) &&
                      req.failovers < config_.failoverLimit;
+  if (retry && req.deadlineSeconds > 0.0 && now >= req.deadlineSeconds) {
+    // No budget left: answered without routing, as the live fleet does
+    // (FleetEngine::budgetLeft), so no shard sees a copy it could only
+    // reject.
+    reject(req, fromShard, serve::RequestStatus::kRejectedDeadline, now);
+    return;
+  }
   const index_t next = retry ? routeShard(keyIndex, now) : -1;
   if (next < 0) {
     reject(req, fromShard, serve::RequestStatus::kFailed, now);

@@ -16,8 +16,8 @@
 // flag and a solve-done event: the simulator needs its *timing and
 // accounting* behavior, not its payloads. Accounting mirrors the real
 // engine so the validation against a measured BENCH_serve.json compares
-// like with like — one cache lookup per dispatched batch (a coalesced
-// batch costs exactly one factorization, the single-flight contract),
+// like with like — one cache lookup per dispatched batch (a batch costs
+// at most one factorization, as on the live engine's one worker),
 // hits + misses == lookups, and the same latency split (queue wait /
 // solve / total).
 //
@@ -34,7 +34,8 @@
 //
 // Failure has the live fleet's one path: a copy a shard fails is re-routed
 // by the router alone, within the failover limit and the request's one
-// deadline, which every copy carries; no shard re-runs it.
+// deadline, which every copy carries; no shard re-runs it. A copy with no
+// deadline left is answered kRejectedDeadline without routing.
 //
 // Chaos vocabulary matches the serve CLI: crash-at/crash-shard kills a
 // shard (cache and queue contents included), pending and future requests

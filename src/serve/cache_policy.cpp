@@ -22,10 +22,6 @@ bool CachePolicy::lookup(const ProblemKey& key) {
   }
   ++sinceAging_;
   ++counts_[key];
-  return touch(key);
-}
-
-bool CachePolicy::touch(const ProblemKey& key) {
   const auto it = resident_.find(key);
   if (it == resident_.end()) {
     return false;

@@ -50,10 +50,6 @@ class CachePolicy {
   /// resident key becomes the most recently used.
   bool lookup(const ProblemKey& key);
 
-  /// Makes a resident key the most recently used without counting a
-  /// lookup; false when `key` is not resident.
-  bool touch(const ProblemKey& key);
-
   /// Offers a freshly computed entry of `bytes` for `key`, which must not
   /// be resident. An admitted entry becomes the most recently used.
   Admission admit(const ProblemKey& key, std::size_t bytes);

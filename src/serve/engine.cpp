@@ -10,60 +10,16 @@
 
 namespace hplmxp::serve {
 
-const RequestOutcome& ServeEngine::Handle::wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_.wait(lock, [&] { return done_; });
-  return outcome_;
-}
-
-bool ServeEngine::Handle::done() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return done_;
-}
-
-void ServeEngine::Handle::onDone(std::function<void()> callback) {
-  bool already = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (done_) {
-      already = true;  // fire below, outside the lock
-    } else {
-      onDone_ = std::move(callback);
-    }
-  }
-  if (already && callback) {
-    callback();
-  }
-}
-
-void ServeEngine::Handle::finish(RequestOutcome outcome,
-                                 std::vector<double> solution) {
-  std::function<void()> callback;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    outcome_ = std::move(outcome);
-    solution_ = std::move(solution);
-    done_ = true;
-    callback = std::move(onDone_);
-  }
-  cv_.notify_all();
-  if (callback) {
-    callback();
-  }
-}
-
 ServeEngine::ServeEngine(ServeConfig config, ThreadPool* pool)
     : config_(std::move(config)),
       pool_(pool != nullptr ? pool : &ThreadPool::global()),
       cache_(config_.cacheBytes),
       queue_(config_.queueDepth),
       paused_(config_.startPaused) {
-  HPLMXP_REQUIRE(config_.workers > 0, "serve engine needs >= 1 worker");
+  HPLMXP_REQUIRE(config_.workers == 1,
+                 "a serve engine runs one worker; scale with fleet shards");
   HPLMXP_REQUIRE(config_.maxBatch > 0, "batch size must be positive");
-  workers_.reserve(static_cast<std::size_t>(config_.workers));
-  for (index_t lane = 0; lane < config_.workers; ++lane) {
-    workers_.emplace_back([this, lane] { workerLoop(lane); });
-  }
+  worker_ = std::thread([this] { workerLoop(); });
 }
 
 ServeEngine::~ServeEngine() { stop(); }
@@ -96,7 +52,7 @@ ServeEngine::HandlePtr ServeEngine::submit(const SolveRequest& request) {
     outcome.status = RequestStatus::kFailed;
     outcome.error = std::move(reject);
     recorder_.record(outcome);
-    handle->finish(std::move(outcome), {});
+    handle->publish(std::move(outcome), {});
     return handle;
   }
 
@@ -115,7 +71,7 @@ ServeEngine::HandlePtr ServeEngine::submit(const SolveRequest& request) {
     outcome.status = RequestStatus::kRejectedQueueFull;
     outcome.totalSeconds = now() - submitNow;
     recorder_.record(outcome);
-    handle->finish(std::move(outcome), {});
+    handle->publish(std::move(outcome), {});
     return handle;
   }
   ++outstanding_;
@@ -145,13 +101,11 @@ void ServeEngine::stop() {
     paused_ = false;
   }
   cv_.notify_all();
-  // Workers flush the queue (every admitted request reaches a terminal
-  // status before its worker exits), so after the join nothing is
+  // The worker flushes the queue (every admitted request reaches a
+  // terminal status before it exits), so after the join nothing is
   // outstanding.
-  for (std::thread& w : workers_) {
-    if (w.joinable()) {
-      w.join();
-    }
+  if (worker_.joinable()) {
+    worker_.join();
   }
 }
 
@@ -169,7 +123,7 @@ ServeReport ServeEngine::report() const {
   return recorder_.report(cache_.stats(), clock_.seconds(), peak);
 }
 
-void ServeEngine::workerLoop(index_t lane) {
+void ServeEngine::workerLoop() {
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
     if (stopping_ && queue_.empty()) {
@@ -179,12 +133,12 @@ void ServeEngine::workerLoop(index_t lane) {
       cv_.wait(lock);
       continue;
     }
-    // Work-conserving dispatch: an idle worker takes the oldest key at
+    // Work-conserving dispatch: the idle worker takes the oldest key at
     // once. The stop flush runs through here too, so every admitted
-    // request terminates before its worker exits.
+    // request terminates before the worker exits.
     auto batch = queue_.popOldest(config_.maxBatch);
     lock.unlock();
-    executeBatch(lane, batch->key, std::move(batch->items));
+    executeBatch(batch->key, std::move(batch->items));
     lock.lock();
   }
 }
@@ -192,7 +146,7 @@ void ServeEngine::workerLoop(index_t lane) {
 void ServeEngine::finishRequest(QueuedRequest& qr, RequestOutcome outcome,
                                 std::vector<double> solution) {
   recorder_.record(outcome);
-  qr.handle->finish(std::move(outcome), std::move(solution));
+  qr.handle->publish(std::move(outcome), std::move(solution));
   bool idle = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -203,7 +157,7 @@ void ServeEngine::finishRequest(QueuedRequest& qr, RequestOutcome outcome,
   }
 }
 
-void ServeEngine::executeBatch(index_t lane, const ProblemKey& key,
+void ServeEngine::executeBatch(const ProblemKey& key,
                                std::vector<QueuedRequest> batch) {
   const double pickup = now();
   // The fields every answer of this batch fills the same way.
@@ -296,8 +250,8 @@ void ServeEngine::executeBatch(index_t lane, const ProblemKey& key,
   } catch (const std::exception& e) {
     // A failed batch is answered once: a retry would fail the same way on
     // the same shard, and re-routing belongs to the fleet.
-    logWarn("serve worker ", lane, ": batch for ", key.toString(),
-            " failed: ", e.what());
+    logWarn("serve worker: batch for ", key.toString(), " failed: ",
+            e.what());
     const double t = now();
     for (QueuedRequest& qr : batch) {
       RequestOutcome o = outcomeOf(qr, RequestStatus::kFailed, t);

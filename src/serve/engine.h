@@ -7,31 +7,32 @@
 //                │ reject: queue full /                      │ oldest key,
 //                ▼ unservable key                            ▼ <= maxBatch
 //           Handle(done)                          FactorCache.getOrFactor
-//                                                 (single-flight, CachePolicy)
+//                                                 (one caller, CachePolicy)
 //                                                            │
 //                                                 solveManyMixedSingle
 //                                                 (blocked multi-RHS IR)
 //                                                            │
 //                                                 Handle(done) + metrics
 //
-// Dispatch is work-conserving: an idle worker takes the key whose head the
-// queue admitted first, at once, with up to `maxBatch` requests of that
-// key (RequestQueue::popOldest, the pick-up rule fleetsim's shards run). A
-// batch therefore holds more than one column only when requests queued
-// while every worker was busy; nobody waits on an idle worker for
+// An engine is one lane: one worker runs one batch at a time, which is
+// the lane fleetsim models for each shard. A fleet scales by shards, not
+// by workers per engine.
+//
+// Dispatch is work-conserving: the idle worker takes the key whose head
+// the queue admitted first, at once, with up to `maxBatch` requests of
+// that key (RequestQueue::popOldest, the pick-up rule fleetsim's shards
+// run). A batch therefore holds more than one column only when requests
+// queued while the worker was busy; nobody waits on an idle worker for
 // batch-mates. Batching never changes answers (each column is bitwise a
 // k=1 solve), only how many refinements share one pass over the factors.
 //
-// Worker loops run on dedicated std::threads owned by the engine — NOT as
-// ThreadPool::enqueue tasks, because the pool spawns lanes-1 worker
-// threads and on a single-lane machine a fire-and-forget task would never
-// be popped (the caller is the only lane). Solver kernels invoked inside a
-// worker still ride the shared ThreadPool through its caller-participates
-// parallel-for, so a dispatcher thread is itself a full execution lane and
-// the engine is deadlock-free at any pool width. A worker executes its
-// batches inline and never blocks on another worker except through the
-// factor cache's single-flight wait, which is bounded by one
-// factorization.
+// The worker loop runs on a dedicated std::thread owned by the engine —
+// NOT as a ThreadPool::enqueue task, because the pool spawns lanes-1
+// worker threads and on a single-lane machine a fire-and-forget task
+// would never be popped (the caller is the only lane). Solver kernels
+// invoked inside the worker still ride the shared ThreadPool through its
+// caller-participates parallel-for, so the worker thread is itself a full
+// execution lane and the engine is deadlock-free at any pool width.
 //
 // Failure has one path: a failed batch (a solver exception, or a factor
 // job on a crashed fleet shard) answers every request in it kFailed once,
@@ -53,6 +54,7 @@
 
 #include "device/device.h"
 #include "serve/factor_cache.h"
+#include "serve/handle.h"
 #include "serve/metrics.h"
 #include "serve/request.h"
 #include "serve/request_queue.h"
@@ -66,7 +68,10 @@ struct ServeConfig {
   index_t queueDepth = 64;       // admission bound (backpressure)
   index_t maxBatch = 8;          // RHS columns per coalesced solve
   double defaultDeadlineSeconds = 0.0;  // request deadline when unset; 0 = none
-  index_t workers = 1;           // concurrent worker loops on the pool
+  /// Must be 1: an engine runs one worker thread. perfbench's serve_zipf
+  /// still assigns and reports it, so the name stays until the benchmark
+  /// change of ROADMAP item 9 deletes it, with FleetConfig::groupSize.
+  index_t workers = 1;
   index_t maxIrIterations = 50;
   Vendor vendor = Vendor::kAmd;
   bool startPaused = false;      // hold dispatch until resume() (tests)
@@ -81,43 +86,12 @@ struct ServeConfig {
 
 class ServeEngine {
  public:
-  /// Completion handle of one submitted request. wait() blocks until the
-  /// request reaches a terminal status. For completed requests `solution`
-  /// holds the refined x.
-  class Handle {
-   public:
-    const RequestOutcome& wait();
-    [[nodiscard]] bool done() const;
-    /// Valid after wait() returns kCompleted.
-    [[nodiscard]] const std::vector<double>& solution() const {
-      return solution_;
-    }
-    /// Terminal outcome; valid once done() is true.
-    [[nodiscard]] const RequestOutcome& outcome() const { return outcome_; }
-
-    /// Registers a completion callback, invoked exactly once when the
-    /// request reaches a terminal status — immediately if it already has
-    /// (submit() returns terminal handles for admission rejections). The
-    /// callback runs on the finishing thread (or the caller, for the
-    /// already-done case) with no engine lock held; the fleet router uses
-    /// it to fail requests over between shards without a thread per
-    /// request. One callback per handle.
-    void onDone(std::function<void()> callback);
-
-   private:
-    friend class ServeEngine;
-    void finish(RequestOutcome outcome, std::vector<double> solution);
-    mutable std::mutex mutex_;
-    std::condition_variable cv_;
-    bool done_ = false;
-    RequestOutcome outcome_;
-    std::vector<double> solution_;
-    std::function<void()> onDone_;
-  };
-  using HandlePtr = std::shared_ptr<Handle>;
+  /// Completion handle of one submitted request (serve/handle.h).
+  using Handle = serve::Handle;
+  using HandlePtr = serve::HandlePtr;
 
   /// `pool` defaults to ThreadPool::global(); solver kernels inside the
-  /// engine's own dispatcher threads ride it.
+  /// engine's own worker thread ride it.
   explicit ServeEngine(ServeConfig config, ThreadPool* pool = nullptr);
   ~ServeEngine();
 
@@ -127,18 +101,18 @@ class ServeEngine {
   /// Admits one request. The returned handle is already terminal for
   /// admission rejections (queue full, a stopping engine, or a key the
   /// single-device backend cannot serve). Deadlines are not checked here:
-  /// a worker checks them at pick-up and again after a cold
+  /// the worker checks them at pick-up and again after a cold
   /// factorization.
   HandlePtr submit(const SolveRequest& request);
 
-  /// Releases a paused engine's workers (ServeConfig::startPaused).
+  /// Releases a paused engine's worker (ServeConfig::startPaused).
   void resume();
 
   /// Blocks until every admitted request has reached a terminal status.
   void drain();
 
-  /// Graceful stop: drains pending work, then parks the workers. Called
-  /// by the destructor.
+  /// Graceful stop: drains pending work, then joins the worker. Called by
+  /// the destructor.
   void stop();
 
   [[nodiscard]] ServeReport report() const;
@@ -161,9 +135,8 @@ class ServeEngine {
     HandlePtr handle;
   };
 
-  void workerLoop(index_t lane);
-  void executeBatch(index_t lane, const ProblemKey& key,
-                    std::vector<QueuedRequest> batch);
+  void workerLoop();
+  void executeBatch(const ProblemKey& key, std::vector<QueuedRequest> batch);
   void finishRequest(QueuedRequest& qr, RequestOutcome outcome,
                      std::vector<double> solution);
   [[nodiscard]] double now() const { return clock_.seconds(); }
@@ -176,14 +149,14 @@ class ServeEngine {
   Timer clock_;  // engine-relative monotonic clock
 
   mutable std::mutex mutex_;
-  std::condition_variable cv_;        // workers: work available / stop
+  std::condition_variable cv_;        // worker: work available / stop
   std::condition_variable idleCv_;    // drain()/stop(): outstanding == 0
   RequestQueue<ProblemKey, QueuedRequest> queue_;
   bool paused_ = false;
   bool stopping_ = false;
   index_t outstanding_ = 0;  // admitted, not yet terminal
   std::uint64_t nextAutoId_ = 1;
-  std::vector<std::thread> workers_;  // dispatcher threads
+  std::thread worker_;  // last: it runs on every member above
 };
 
 }  // namespace hplmxp::serve

@@ -7,17 +7,16 @@
 // same one fleetsim's shard caches run: least-recently-used eviction
 // under a byte budget, with a new factorization admitted over a victim
 // only when its key is looked up more often. A factorization the policy
-// declines still answers the caller that ran it and everyone coalesced on
-// its flight, and is then dropped.
+// declines still answers the caller that ran it, and is then dropped.
 //
-// Concurrent misses on the same key are single-flighted: the first caller
-// factors, every other caller blocks on the in-flight factorization and
-// shares the result — a burst of requests for a new problem costs exactly
-// one factorization (the factorCount counter is the proof the serve
-// acceptance test asserts on).
+// One caller: only the owning engine's worker calls getOrFactor, one
+// lookup per batch, so a miss is one lookup, one factorization and one
+// admission offer, and no two callers ever factor the same key at once.
+// The report and the fleet's crash hook read and clear the cache from
+// other threads, so every member still takes the lock, and a
+// factorization runs outside it.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -35,9 +34,12 @@ class FactorCache {
  public:
   struct Stats {
     std::uint64_t lookups = 0;     // getOrFactor calls; == hits + misses
-    std::uint64_t hits = 0;        // served from cache (resident or coalesced)
+    std::uint64_t hits = 0;        // served from a resident entry
     std::uint64_t misses = 0;      // caller ran the factorization
-    std::uint64_t coalesced = 0;   // wait events on another caller's flight
+    /// Always 0: one caller never waits on another's factorization.
+    /// perfbench's serve_zipf sums it into serve.coalesced, so the name
+    /// stays until the benchmark change of ROADMAP item 9 deletes it.
+    std::uint64_t coalesced = 0;
     std::uint64_t evictions = 0;   // admitted entries dropped for budget
     std::uint64_t declined = 0;    // factorizations the policy did not admit
     std::uint64_t factorCount = 0; // factorizations actually executed
@@ -54,39 +56,32 @@ class FactorCache {
   /// What getOrFactor returned and how it got it.
   struct Fetch {
     std::shared_ptr<const Factorization> factors;
-    bool hit = false;            // resident entry or coalesced wait
+    bool hit = false;            // served from a resident entry
     double factorSeconds = 0.0;  // time this caller spent factoring (miss)
   };
 
   explicit FactorCache(std::size_t budgetBytes);
 
-  /// Returns the cached factorization for `key`, running `factorFn` under
-  /// single-flight on a miss. `factorFn` must produce a Factorization for
-  /// exactly this key; it runs outside the cache lock. If it throws, the
-  /// flight is withdrawn, waiters retry (one of them becomes the new
-  /// factoring caller), and the exception propagates to this caller.
+  /// Returns the cached factorization for `key`, running `factorFn` on a
+  /// miss and offering its result to the policy. `factorFn` must produce
+  /// a Factorization for exactly this key; it runs outside the cache
+  /// lock. If it throws, nothing is cached and the exception propagates.
+  /// One caller at a time (the owning engine's worker).
   Fetch getOrFactor(const ProblemKey& key,
                     const std::function<Factorization()>& factorFn);
 
   [[nodiscard]] bool contains(const ProblemKey& key) const;
   [[nodiscard]] std::size_t size() const;  // resident entries
   [[nodiscard]] Stats stats() const;
-  /// Drops resident entries and the policy's frequency history; flights
-  /// in progress complete normally.
+  /// Drops resident entries and the policy's frequency history; a
+  /// factorization in progress is still offered to the policy when it
+  /// lands.
   void clear();
 
  private:
-  /// One factorization in progress; its waiters hold it past its end.
-  struct Flight {
-    std::shared_ptr<const Factorization> value;  // null if factorFn threw
-    bool done = false;
-  };
-
   mutable std::mutex mutex_;
-  std::condition_variable cv_;
   CachePolicy policy_;
   std::map<ProblemKey, std::shared_ptr<const Factorization>> resident_;
-  std::map<ProblemKey, std::shared_ptr<Flight>> flights_;
   Stats stats_;
 };
 

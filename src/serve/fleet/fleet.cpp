@@ -19,34 +19,6 @@ bool contains(const std::vector<index_t>& v, index_t x) {
 
 }  // namespace
 
-// --- Handle ---------------------------------------------------------------
-
-const RequestOutcome& FleetEngine::Handle::wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_.wait(lock, [&] { return done_; });
-  return outcome_;
-}
-
-bool FleetEngine::Handle::done() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return done_;
-}
-
-bool FleetEngine::Handle::publish(RequestOutcome outcome,
-                                  std::vector<double> solution) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (done_) {
-      return false;
-    }
-    outcome_ = std::move(outcome);
-    solution_ = std::move(solution);
-    done_ = true;
-  }
-  cv_.notify_all();
-  return true;
-}
-
 // --- FleetEngine ----------------------------------------------------------
 
 FleetEngine::FleetEngine(FleetConfig config)

@@ -60,6 +60,7 @@
 #include "serve/fleet/hash_ring.h"
 #include "serve/fleet/health.h"
 #include "serve/fleet/hedge_policy.h"
+#include "serve/handle.h"
 
 namespace hplmxp::serve {
 
@@ -86,7 +87,7 @@ struct FleetConfig {
   /// failures and ops breaks exclude a shard either way.
   HealthConfig healthMonitor;
   /// Speculative re-issue of slow requests (first answer wins through
-  /// the publish-once Handle; the loser's work is discarded).
+  /// the answered-once Handle; the loser's work is discarded).
   HedgeConfig hedge;
 };
 
@@ -153,30 +154,11 @@ struct FleetReport {
 
 class FleetEngine {
  public:
-  /// Fleet-side completion handle: published exactly once, even when the
-  /// request is failed over between shards.
-  class Handle {
-   public:
-    const RequestOutcome& wait();
-    [[nodiscard]] bool done() const;
-    [[nodiscard]] const std::vector<double>& solution() const {
-      return solution_;
-    }
-
-   private:
-    friend class FleetEngine;
-    /// False when the handle was already terminal (a double answer).
-    bool publish(RequestOutcome outcome, std::vector<double> solution);
-    mutable std::mutex mutex_;
-    std::condition_variable cv_;
-    bool done_ = false;
-    /// A hedge was issued for this request: a late losing publish is
-    /// expected duplicate work (hedge_wasted), not a double answer.
-    std::atomic<bool> hedged_{false};
-    RequestOutcome outcome_;
-    std::vector<double> solution_;
-  };
-  using HandlePtr = std::shared_ptr<Handle>;
+  /// Completion handle of one request (serve/handle.h): published
+  /// exactly once, even when the request is failed over between shards
+  /// or hedged.
+  using Handle = serve::Handle;
+  using HandlePtr = serve::HandlePtr;
 
   explicit FleetEngine(FleetConfig config);
   ~FleetEngine();
@@ -239,7 +221,7 @@ class FleetEngine {
     std::function<void(const ProblemKey&)> fault;
     std::atomic<std::uint64_t> factorJobs{0};
     std::atomic<std::uint64_t> routed{0};
-    std::unique_ptr<ServeEngine> engine;  // last: its workers use the above
+    std::unique_ptr<ServeEngine> engine;  // last: its worker uses the above
   };
 
   /// One armed speculative re-issue, waiting for its fire time.

@@ -439,6 +439,30 @@ TEST(ServeWorkloadTest, CrashThenResurrectFailsTheInFlightBatchOver) {
   EXPECT_TRUE(session.serve()->done());
 }
 
+TEST(ServeWorkloadTest, FailoverIsNotSentPastTheRequestDeadline) {
+  // The request's shard crashes 10 ms into its cold solve (a 64^3
+  // factorization at 0.001 GFLOP/s, about 175 ms), so the batch fails
+  // over when its solve-done fires, long past the request's 1 ms
+  // deadline. As in the live fleet (FleetEngine::budgetLeft), the copy is
+  // answered kRejectedDeadline without routing: no failover is counted
+  // and the other shard never sees it.
+  FleetSimConfig cfg = serveConfig(1, 1, 0.0, 2);
+  cfg.serve.hostGflops = 0.001;
+  cfg.serve.trace.requests.front().deadlineMs = 1.0;
+  const index_t hot = hotShard(cfg);
+  ASSERT_GE(hot, 0);
+  cfg.serve.chaos.push_back(
+      {ChaosAction::Kind::kCrash, /*atMs=*/10.0, hot, 0.0});
+  FleetSession session(cfg);
+  session.sim().run();
+  const ServeStats& stats = session.serve()->stats();
+  EXPECT_EQ(stats.failovers, 0u);
+  EXPECT_EQ(stats.rejectedDeadline, 1u);
+  EXPECT_EQ(stats.completed, 0u);
+  EXPECT_EQ(session.serve()->shardView(1 - hot).routed, 0u);
+  EXPECT_TRUE(session.serve()->done());
+}
+
 TEST(ServeWorkloadTest, CrashFailsOverAndResurrectRestores) {
   // With one key all traffic lands on one shard; a probe run finds which.
   FleetSession probe(serveConfig(10, 1, 0.5, 3));

@@ -1,9 +1,9 @@
 // Serving subsystem: cache policy (LRU eviction, frequency admission,
-// aging), factor cache (budget, single-flight), the admission queue and
-// its pick-up rule, the end-to-end engine (including bitwise equivalence
-// of served solutions, deadline rejections at pick-up and after a slow
-// factorization, and a failed batch answered once), trace I/O, and the
-// `hplmxp serve` command.
+// aging), factor cache (budget, declines, a failed factorization), the
+// admission queue and its pick-up rule, the end-to-end engine (including
+// bitwise equivalence of served solutions, deadline rejections at pick-up
+// and after a slow factorization, a failed batch answered once, and one
+// batch at a time), trace I/O, and the `hplmxp serve` command.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -429,73 +429,6 @@ TEST(FactorCacheTest, OversizedFactorizationLeavesResidentsInPlace) {
   EXPECT_EQ(s.bytesInUse, 2 * one);
 }
 
-TEST(FactorCacheTest, SingleFlightCoalescesConcurrentMisses) {
-  FactorCache cache(std::size_t{16} << 20);
-  const ProblemKey k = key(32, 16, 9);
-  std::atomic<int> factored{0};
-
-  constexpr int kThreads = 4;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      const FactorCache::Fetch f = cache.getOrFactor(k, [&] {
-        ++factored;
-        std::this_thread::sleep_for(std::chrono::milliseconds(30));
-        return factorOf(k);
-      });
-      EXPECT_NE(f.factors, nullptr);
-    });
-  }
-  for (std::thread& t : threads) {
-    t.join();
-  }
-  // A burst of misses on one key costs exactly one factorization, and
-  // every waiter that shared the result counts as a hit (coalesced is the
-  // wait-event tally, not a third outcome).
-  EXPECT_EQ(factored.load(), 1);
-  const FactorCache::Stats s = cache.stats();
-  EXPECT_EQ(s.factorCount, 1u);
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.hits, static_cast<std::uint64_t>(kThreads - 1));
-  EXPECT_EQ(s.lookups, static_cast<std::uint64_t>(kThreads));
-  EXPECT_EQ(s.hits + s.misses, s.lookups);
-}
-
-TEST(FactorCacheTest, CoalescedWaitersCountAsHitsUnderContention) {
-  // Regression for the waiter path returning hit=true without bumping
-  // stats_.hits: hammer one key from many threads through repeated
-  // rounds and assert the accounting identity the fleet report gates on.
-  FactorCache cache(std::size_t{16} << 20);
-  const ProblemKey k = key(32, 16, 21);
-
-  constexpr int kThreads = 8;
-  constexpr int kRounds = 25;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int r = 0; r < kRounds; ++r) {
-        const FactorCache::Fetch f =
-            cache.getOrFactor(k, [&] { return factorOf(k); });
-        EXPECT_NE(f.factors, nullptr);
-      }
-    });
-  }
-  for (std::thread& t : threads) {
-    t.join();
-  }
-
-  const FactorCache::Stats s = cache.stats();
-  EXPECT_EQ(s.lookups, static_cast<std::uint64_t>(kThreads * kRounds));
-  EXPECT_EQ(s.hits + s.misses, s.lookups);
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.factorCount, 1u);
-  EXPECT_NEAR(s.hitRate(),
-              static_cast<double>(s.hits) / static_cast<double>(s.lookups),
-              1e-12);
-}
-
 TEST(FactorCacheTest, FailedFactorizationIsWithdrawn) {
   FactorCache cache(std::size_t{16} << 20);
   const ProblemKey k = key(32, 16, 4);
@@ -507,54 +440,6 @@ TEST(FactorCacheTest, FailedFactorizationIsWithdrawn) {
   const FactorCache::Fetch f = cache.getOrFactor(k, [&] { return factorOf(k); });
   EXPECT_FALSE(f.hit);
   EXPECT_NE(f.factors, nullptr);
-}
-
-TEST(FactorCacheTest, DeclinedFlightAnswersEveryWaiterWithOneFactorization) {
-  // A budget smaller than any factorization declines every one. Callers
-  // coalesced on the flight still share its result, and the key is not
-  // resident afterwards.
-  FactorCache cache(64);
-  const ProblemKey k = key(32, 16, 5);
-  std::atomic<int> factored{0};
-
-  constexpr int kThreads = 4;
-  std::vector<const Factorization*> got(kThreads, nullptr);
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      const FactorCache::Fetch f = cache.getOrFactor(k, [&] {
-        ++factored;
-        // Land the flight only once every other caller waits on it.
-        const auto giveUp =
-            std::chrono::steady_clock::now() + std::chrono::seconds(10);
-        while (cache.stats().coalesced < kThreads - 1 &&
-               std::chrono::steady_clock::now() < giveUp) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        return factorOf(k);
-      });
-      got[static_cast<std::size_t>(t)] = f.factors.get();
-    });
-  }
-  for (std::thread& t : threads) {
-    t.join();
-  }
-
-  EXPECT_EQ(factored.load(), 1);
-  ASSERT_NE(got[0], nullptr);
-  for (const Factorization* p : got) {
-    EXPECT_EQ(p, got[0]);
-  }
-  EXPECT_FALSE(cache.contains(k));
-  const FactorCache::Stats s = cache.stats();
-  EXPECT_EQ(s.factorCount, 1u);
-  EXPECT_EQ(s.declined, 1u);
-  EXPECT_EQ(s.evictions, 0u);
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.hits, static_cast<std::uint64_t>(kThreads - 1));
-  EXPECT_EQ(s.hits + s.misses, s.lookups);
-  EXPECT_EQ(s.bytesInUse, 0u);
 }
 
 // -------------------------------------------------------- RequestQueue --
@@ -829,6 +714,52 @@ TEST(ServeEngineTest, StopAnswersEveryQueuedRequest) {
   ASSERT_EQ(handles[0]->solution().size(), xs[0].size());
   EXPECT_EQ(0, std::memcmp(handles[0]->solution().data(), xs[0].data(),
                            sizeof(double) * xs[0].size()));
+}
+
+TEST(ServeEngineTest, RejectsAnyWorkerCountButOne) {
+  // An engine is one lane; a fleet scales by shards.
+  for (const index_t workers : {0, 2, 4}) {
+    ServeConfig cfg;
+    cfg.workers = workers;
+    EXPECT_THROW({ ServeEngine engine(cfg); }, CheckError)
+        << workers << " workers";
+  }
+  EXPECT_NO_THROW({ ServeEngine engine(ServeConfig{}); });
+}
+
+TEST(ServeEngineTest, RunsOneBatchAtATime) {
+  // The lane fleetsim models per shard: eight distinct keys queued on a
+  // paused engine are factored one after another, never two at once.
+  ServeConfig cfg;
+  cfg.startPaused = true;
+  std::atomic<int> inside{0};
+  std::atomic<int> overlaps{0};  // entries while another was inside
+  cfg.factorOverride = [&](const ProblemKey& k) {
+    if (inside.fetch_add(1) > 0) {
+      overlaps.fetch_add(1);
+    }
+    // Long enough for a second lane, were there one, to enter too.
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const ProblemGenerator gen(k.seed, k.n);
+    Factorization f = factorStorageSingle(gen, k.b, Vendor::kAmd, k.precision);
+    inside.fetch_sub(1);
+    return f;
+  };
+  ServeEngine engine(cfg);
+  std::vector<ServeEngine::HandlePtr> handles;
+  for (std::uint64_t s = 0; s < 8; ++s) {
+    handles.push_back(engine.submit(request(key(32, 16, 90 + s), 1)));
+  }
+  engine.resume();
+  engine.drain();
+
+  for (const ServeEngine::HandlePtr& h : handles) {
+    EXPECT_EQ(h->wait().status, RequestStatus::kCompleted) << h->wait().error;
+  }
+  EXPECT_EQ(overlaps.load(), 0);
+  const ServeReport report = engine.report();
+  EXPECT_EQ(report.cache.factorCount, 8u);
+  EXPECT_EQ(report.cache.misses, 8u);
 }
 
 // ----------------------------------------------------------------- CLI --

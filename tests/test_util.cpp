@@ -1,10 +1,14 @@
-// Utility substrate: thread pool, stats, tables, buffers, check macros.
+// Utility substrate: thread pool, stats, tables, buffers, check macros,
+// and the guard that keeps every wall-clock read inside util/clock.h.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -328,6 +332,44 @@ TEST(Timer, MeasuresElapsedTime) {
   acc.stop();
   EXPECT_EQ(acc.count(), 2);
   EXPECT_GE(acc.totalSeconds(), 0.0);
+}
+
+TEST(ClockSourceTest, NoWallClockReadOutsideClockHeader) {
+  // fleetsim runs the live fleet's policy objects on virtual time, and a
+  // Timer reads whatever ClockSource it is given (util/clock.h). A direct
+  // wall-clock read anywhere else would make a simulated run depend on
+  // the host's time.
+  const std::filesystem::path root(HPLMXP_SOURCE_DIR);
+  const char* const reads[] = {"steady_clock", "system_clock",
+                               "high_resolution_clock", "clock_gettime",
+                               "gettimeofday"};
+  std::size_t scanned = 0;
+  std::string hits;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(root)) {
+    const std::filesystem::path& path = entry.path();
+    if (!entry.is_regular_file() ||
+        (path.extension() != ".h" && path.extension() != ".cpp")) {
+      continue;
+    }
+    ++scanned;
+    const std::string name = path.lexically_relative(root).generic_string();
+    if (name == "util/clock.h") {
+      continue;
+    }
+    std::ifstream in(path);
+    std::string line;
+    for (int number = 1; std::getline(in, line); ++number) {
+      for (const char* read : reads) {
+        if (line.find(read) != std::string::npos) {
+          hits += name + ":" + std::to_string(number) + ": " + line + "\n";
+        }
+      }
+    }
+  }
+  EXPECT_GT(scanned, 100u) << "no source tree at " << root;
+  EXPECT_TRUE(hits.empty()) << "wall-clock reads outside util/clock.h:\n"
+                            << hits;
 }
 
 }  // namespace
